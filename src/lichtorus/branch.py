@@ -20,6 +20,7 @@ from scipy.sparse.linalg import LinearOperator, minres
 
 from .core import (
     Coefficients,
+    EigenSolverError,
     POSITIVITY_FLOOR,
     PositivityError,
     ProblemSpec,
@@ -31,9 +32,14 @@ from .core import (
     residual,
     smallest_eigenpair,
 )
-from .grid import ScalarField, helmholtz_solve
+from .grid import ScalarField, helmholtz_operator, helmholtz_solve
 
 log = logging.getLogger(__name__)
+
+GROWTH_WINDOW = 50          # iterations of strict sup growth that read as divergence
+MONOTONICITY_TOL = 1e-12    # allowed iterate decrease, relative to the sup
+NEWTON_RES_TOL = 1e-10      # sup-norm residual at which Newton stops
+NEWTON_MAX_STEPS = 40
 
 
 class SubsolutionError(RuntimeError):
@@ -80,12 +86,7 @@ class SolverConfig:
     tol: float = 1e-8                 # sup-norm step size declaring convergence
     max_iters: int = 200_000
     cap: float | None = None          # divergence cap; default 1e6 x initial sup
-    growth_window: int = 50
-    monotonicity_tol: float = 1e-12
-    newton_polish: bool = True
     newton_trigger: float = 0.0       # attempt Newton early once step <= trigger
-    newton_res_tol: float = 1e-10
-    newton_max_steps: int = 40
 
 
 @dataclass
@@ -205,25 +206,17 @@ def _solve_symmetric(w: ScalarField, rhs: ScalarField, rtol: float = 1e-12,
                      maxiter: int = 3000) -> ScalarField:
     """Solve (Delta + W) x = rhs for symmetric, possibly indefinite W via MINRES."""
     grid = w.grid
-    wv = w.values
-    mult = grid._lap_multiplier
     shape = grid.resolutions
-    axes_order = grid._axes_order
     n = grid.npoints
+    apply, precondition = helmholtz_operator(
+        grid, w.values, max(1.0, abs(float(w.values.mean()))))
 
     def matvec(x):
-        xr = x.reshape(shape)
-        ax = np.fft.irfftn(mult * np.fft.rfftn(xr), s=shape, axes=axes_order) + wv * xr
-        return ax.ravel()
-
-    c0 = max(1.0, abs(float(wv.mean())))
-
-    def precond(x):
-        xr = x.reshape(shape)
-        return np.fft.irfftn(np.fft.rfftn(xr) / (mult + c0), s=shape, axes=axes_order).ravel()
+        return apply(x.reshape(shape)).ravel()
 
     op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    pre = LinearOperator((n, n), matvec=precond, dtype=np.float64)
+    pre = LinearOperator((n, n), matvec=lambda x: precondition(x.reshape(shape)).ravel(),
+                         dtype=np.float64)
     b = rhs.values.ravel()
     x, info = minres(op, b, rtol=rtol, maxiter=maxiter, M=pre)
     resid = np.linalg.norm(matvec(x) - b)
@@ -236,14 +229,12 @@ def _solve_symmetric(w: ScalarField, rhs: ScalarField, rtol: float = 1e-12,
     return ScalarField(grid, x.reshape(shape))
 
 
-def newton_refine(spec: ProblemSpec, u0: ScalarField,
-                  cfg: SolverConfig | None = None) -> ScalarField:
+def newton_refine(spec: ProblemSpec, u0: ScalarField) -> ScalarField:
     """Damped Newton on the residual, Jacobian = Delta + W(u).
 
     Handles both the unregularized equation (epsilon = 0, positivity enforced
     by step halving) and the regularized one (epsilon > 0, any sign).
     """
-    cfg = cfg or SolverConfig()
     if spec.epsilon > 0:
         res_fn, pot_fn = energy_gradient, regularized_potential
         positivity = False
@@ -254,8 +245,8 @@ def newton_refine(spec: ProblemSpec, u0: ScalarField,
     u = u0
     r = res_fn(spec, u)
     rn = r.sup_norm()
-    for _ in range(cfg.newton_max_steps):
-        if rn <= cfg.newton_res_tol:
+    for _ in range(NEWTON_MAX_STEPS):
+        if rn <= NEWTON_RES_TOL:
             return u
         w = pot_fn(spec, u)
         step = _solve_symmetric(w, -r)
@@ -274,7 +265,7 @@ def newton_refine(spec: ProblemSpec, u0: ScalarField,
             alpha *= 0.5
         if not accepted:
             raise NewtonError(f"no acceptable Newton step (residual {rn:.3e})")
-    if rn <= cfg.newton_res_tol:
+    if rn <= NEWTON_RES_TOL:
         return u
     raise NewtonError(f"Newton did not reach residual tolerance (final {rn:.3e})")
 
@@ -340,11 +331,11 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,
         # spectral roundoff is global, so the comparison noise floor scales
         # with the field sup; normalize before checking the 1e-12 discipline
         violation = float((v.values - v_new.values).max()) / max(1.0, v.max())
-        if violation > cfg.monotonicity_tol:
+        if violation > MONOTONICITY_TOL:
             # blow-up concentrates the iterate beyond what the grid resolves,
             # and spectral ringing then breaks pointwise monotonicity; under
             # clear sustained growth that IS the divergence verdict
-            window = min(cfg.growth_window, len(sup_history) - 1)
+            window = min(GROWTH_WINDOW, len(sup_history) - 1)
             growing = (window > 0
                        and v.max() >= 4.0 * sup0
                        and all(b > a for a, b in
@@ -372,7 +363,7 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,
 
         if newton_trigger > 0 and step <= newton_trigger:
             try:
-                u = newton_refine(spec, v, cfg)
+                u = newton_refine(spec, v)
             except NewtonError:
                 newton_trigger *= 0.25  # retry later, closer to the solution
             else:
@@ -385,9 +376,8 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,
                     return MonotoneResult(True, u, it, step, u.max(), max_violation,
                                           rn, True, "newton")
 
-    window = cfg.growth_window
-    tail = sup_history[-(window + 1):]
-    if len(tail) > window and all(b > a for a, b in zip(tail, tail[1:])):
+    tail = sup_history[-(GROWTH_WINDOW + 1):]
+    if len(tail) > GROWTH_WINDOW and all(b > a for a, b in zip(tail, tail[1:])):
         return MonotoneResult(False, None, cfg.max_iters, step,
                               sup_history[-1], max_violation, None, False,
                               "sustained growth at iteration limit")
@@ -398,12 +388,11 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,
 
 def _finish(spec, v, it, step, max_violation, cfg, k) -> MonotoneResult:
     polished = False
-    if cfg.newton_polish:
-        try:
-            v = newton_refine(spec, v, cfg)
-            polished = True
-        except NewtonError as exc:
-            log.debug("newton polish declined: %s", exc)
+    try:
+        v = newton_refine(spec, v)
+        polished = True
+    except NewtonError as exc:
+        log.debug("newton polish declined: %s", exc)
     rn = residual(spec, v).sup_norm()
     # a genuinely step-converged iterate has residual of order K * step;
     # anything much larger means the step criterion fired prematurely
@@ -421,7 +410,7 @@ def _branch_point(coeffs: Coefficients, theta: float, sol: ScalarField,
     spec = critical_spec(coeffs, theta)
     eig = smallest_eigenpair(linearized_potential(spec, sol))
     if eig.lam < -1e-8:
-        raise RuntimeError(
+        raise EigenSolverError(
             f"minimal solution at theta={theta} has negative first eigenvalue "
             f"{eig.lam:.3e}; stability violated"
         )

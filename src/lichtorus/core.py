@@ -22,6 +22,7 @@ from .grid import (
     TorusGrid,
     constant_field,
     h1h_quadratic_form,
+    helmholtz_operator,
     helmholtz_solve,
     integrate,
     l2_inner,
@@ -41,7 +42,9 @@ class PositivityError(ValueError):
 
 
 class EigenSolverError(RuntimeError):
-    """Inverse iteration failed to converge within its cap."""
+    """Inverse iteration failed to converge within its cap, or its first
+    eigenpair contradicts the theory (a non-positive eigenfunction, or a
+    negative first eigenvalue at a minimal solution)."""
 
 
 def critical_exponent(dim: int) -> float:
@@ -202,8 +205,8 @@ def regularized_potential(spec: ProblemSpec, u: ScalarField) -> ScalarField:
 
 def linearized_apply(spec: ProblemSpec, u: ScalarField, v: ScalarField) -> ScalarField:
     """Apply the linearization Delta v + W(u) v of the residual at u."""
-    w = linearized_potential(spec, u)
-    return ScalarField(v.grid, laplacian(v).values + w.values * v.values)
+    apply, _ = helmholtz_operator(v.grid, linearized_potential(spec, u).values)
+    return ScalarField(v.grid, apply(v.values))
 
 
 @dataclass

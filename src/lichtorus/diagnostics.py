@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-from .branch import SolverConfig, build_subsolution, monotone_iterate
+from .branch import NoSolutionError, SolverConfig, build_subsolution, monotone_iterate
 from .core import Coefficients, ProblemSpec, critical_exponent
 from .grid import ScalarField, gradient
 
@@ -170,17 +170,17 @@ def rescaled_profile_compare(u: ScalarField, f: ScalarField, q: float,
     axis = np.arange(-m, m + 1) / samples_per_unit
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
     r2 = sum(x**2 for x in mesh)
-    mask = r2 <= window**2
-    target = bubble_profile(spec, r2)
+    ball = r2 <= window**2
+    target = bubble_profile(spec, r2[ball])
 
-    # fractional grid coordinates of the window points, torus-wrapped
+    # fractional grid coordinates of the ball points, torus-wrapped
     coords = []
     for ax in range(n):
         spacing = grid.periods[ax] / grid.resolutions[ax]
-        coords.append(center_index[ax] + mesh[ax] * mu / spacing)
+        coords.append(center_index[ax] + mesh[ax][ball] * mu / spacing)
     sampled = map_coordinates(u.values, np.stack(coords), order=3, mode="grid-wrap")
     rescaled = sampled / peak  # mu^(2/(q-2)) u with mu = peak^(-(q-2)/2)
-    deviation = float(np.abs(rescaled[mask] - target[mask]).max())
+    deviation = float(np.abs(rescaled - target).max())
 
     ratio = mu / min(grid.periods)
     return ProfileReport(mu=mu, center_index=tuple(int(i) for i in center_index),
@@ -216,7 +216,7 @@ def stability_experiment(coeffs: Coefficients, theta: float, q_schedule,
         floor = min(floor, sub.field.min())
         out = monotone_iterate(spec, sub, cfg)
         if not out.converged:
-            raise RuntimeError(
+            raise NoSolutionError(
                 f"no solution for family member q={q} ({out.reason}); "
                 "stability experiment inputs are inconsistent"
             )

@@ -78,21 +78,23 @@ class TorusGrid:
         )
 
     @functools.cached_property
-    def _lap_multiplier(self) -> NDArray:
-        """|2 pi k / L|^2 on the rfftn layout (last axis halved)."""
-        mult = None
+    def _wavenumbers(self) -> tuple[NDArray, ...]:
+        """Per-axis angular wavenumbers 2 pi k / L_i on the rfftn layout (last
+        axis halved), each shaped to broadcast along its own axis."""
+        out = []
         for axis in range(self.dim):
             n, length = self.resolutions[axis], self.periods[axis]
-            if axis == self.dim - 1:
-                freq = np.fft.rfftfreq(n, d=length / n)
-            else:
-                freq = np.fft.fftfreq(n, d=length / n)
-            omega2 = (2.0 * np.pi * freq) ** 2
+            fftfreq = np.fft.rfftfreq if axis == self.dim - 1 else np.fft.fftfreq
+            freq = fftfreq(n, d=length / n)
             shape = [1] * self.dim
-            shape[axis] = omega2.size
-            omega2 = omega2.reshape(shape)
-            mult = omega2 if mult is None else mult + omega2
-        return mult
+            shape[axis] = freq.size
+            out.append((2.0 * np.pi * freq).reshape(shape))
+        return tuple(out)
+
+    @functools.cached_property
+    def _lap_multiplier(self) -> NDArray:
+        """|2 pi k / L|^2 on the rfftn layout (last axis halved)."""
+        return sum(omega**2 for omega in self._wavenumbers)
 
     @functools.cached_property
     def _rfft_weights(self) -> NDArray:
@@ -218,30 +220,29 @@ def _check_same_grid(*fields: ScalarField) -> TorusGrid:
     return grid
 
 
+def _fourier_multiply(grid: TorusGrid, values: NDArray, multiplier,
+                      divide: bool = False) -> NDArray:
+    """irfftn(multiplier * rfftn(values)), or irfftn(rfftn(values) / multiplier)
+    when divide is set: the one place where the package leaves Fourier space.
+
+    Dividing by the symbol, rather than multiplying by its reciprocal,
+    saves a rounding per mode.
+    """
+    vhat = np.fft.rfftn(values)
+    vhat = vhat / multiplier if divide else multiplier * vhat
+    return np.fft.irfftn(vhat, s=grid.resolutions, axes=grid._axes_order)
+
+
 def laplacian(u: ScalarField) -> ScalarField:
     """Delta u = -div grad u, exact for bandlimited fields."""
-    grid = u.grid
-    uhat = np.fft.rfftn(u.values)
-    out = np.fft.irfftn(grid._lap_multiplier * uhat, s=grid.resolutions, axes=grid._axes_order)
-    return ScalarField(grid, out)
+    return ScalarField(u.grid, _fourier_multiply(u.grid, u.values, u.grid._lap_multiplier))
 
 
 def gradient(u: ScalarField) -> list[ScalarField]:
     """Spectral partial derivatives along each axis."""
     grid = u.grid
-    uhat = np.fft.rfftn(u.values)
-    out = []
-    for axis in range(grid.dim):
-        n, length = grid.resolutions[axis], grid.periods[axis]
-        if axis == grid.dim - 1:
-            freq = np.fft.rfftfreq(n, d=length / n)
-        else:
-            freq = np.fft.fftfreq(n, d=length / n)
-        shape = [1] * grid.dim
-        shape[axis] = freq.size
-        omega = (2.0 * np.pi * freq).reshape(shape)
-        out.append(ScalarField(grid, np.fft.irfftn(1j * omega * uhat, s=grid.resolutions, axes=grid._axes_order)))
-    return out
+    return [ScalarField(grid, _fourier_multiply(grid, u.values, 1j * omega))
+            for omega in grid._wavenumbers]
 
 
 def integrate(u: ScalarField) -> float:
@@ -316,6 +317,26 @@ def _pcg(apply_a, apply_m, b: NDArray, tol: float, max_iter: int) -> tuple[NDArr
                       f"after {max_iter} iterations")
 
 
+def helmholtz_operator(grid: TorusGrid, c, shift: float = 1.0):
+    """The maps x -> (Delta + c) x and x -> (Delta + shift)^(-1) x on raw
+    arrays of the grid's shape.
+
+    c is a number or an array of the grid's shape; shift > 0.  The second
+    map inverts the first exactly when c is the constant shift, and is the
+    spectral preconditioner of Delta + c otherwise.
+    """
+    mult = grid._lap_multiplier
+    denom = mult + shift
+
+    def apply(x: NDArray) -> NDArray:
+        return _fourier_multiply(grid, x, mult) + c * x
+
+    def inverse(x: NDArray) -> NDArray:
+        return _fourier_multiply(grid, x, denom, divide=True)
+
+    return apply, inverse
+
+
 def helmholtz_solve(c, rhs: ScalarField, tol: float = 1e-10,
                     max_iter: int = 500) -> ScalarField:
     """Solve (Delta + c) u = rhs for constant c > 0 or a variable field c.
@@ -330,26 +351,15 @@ def helmholtz_solve(c, rhs: ScalarField, tol: float = 1e-10,
         cval = float(c)
         if cval <= 0:
             raise NonCoerciveOperatorError(f"constant coefficient {cval} is not positive")
-        rhat = np.fft.rfftn(rhs.values)
-        out = np.fft.irfftn(rhat / (grid._lap_multiplier + cval), s=grid.resolutions, axes=grid._axes_order)
-        return ScalarField(grid, out)
+        _, inverse = helmholtz_operator(grid, cval, cval)
+        return ScalarField(grid, inverse(rhs.values))
 
     _check_same_grid(c, rhs)
-    cvals = c.values
-    cbar = float(cvals.mean())
+    cbar = float(c.values.mean())
     if cbar <= 0:
         raise NonCoerciveOperatorError(
             f"mean of variable coefficient is {cbar:.3e} <= 0; operator cannot be coercive"
         )
-    mult = grid._lap_multiplier
-
-    def apply_a(x):
-        xhat = np.fft.rfftn(x)
-        return np.fft.irfftn(mult * xhat, s=grid.resolutions, axes=grid._axes_order) + cvals * x
-
-    def apply_m(x):
-        xhat = np.fft.rfftn(x)
-        return np.fft.irfftn(xhat / (mult + cbar), s=grid.resolutions, axes=grid._axes_order)
-
-    x, _ = _pcg(apply_a, apply_m, rhs.values, tol, max_iter)
+    apply, precondition = helmholtz_operator(grid, c.values, cbar)
+    x, _ = _pcg(apply, precondition, rhs.values, tol, max_iter)
     return ScalarField(grid, x)

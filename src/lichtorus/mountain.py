@@ -50,6 +50,16 @@ from .grid import (
 
 log = logging.getLogger(__name__)
 
+PASS_GRAD_TOL = 1e-6        # H1_h Riesz-gradient norm that ends the pass search
+MAX_SWEEPS = 20_000
+STALL_SWEEPS = 50           # sweeps without lowering the path maximum
+DESCENT_GRAD_TOL = 1e-8     # ball descent: constrained gradient norm that ends it
+DESCENT_MAX_ITERS = 5000
+NEWTON_TRIGGER = 1e-3       # ball descent hands over to Newton below this norm
+SPHERE_SAMPLES = 64
+ETA_MARGIN = 0.01           # relative safety margin of the sampled barrier
+BLOWUP_FACTOR = 100.0       # family sup over max(1, minimal sup) read as blow-up
+
 
 class GeometryError(RuntimeError):
     """Mountain-pass geometry violated (endpoints not below the barrier)."""
@@ -112,16 +122,8 @@ class Certificate:
 @dataclass
 class MountainPassConfig:
     path_size: int = 33
-    grad_tol: float = 1e-6
-    max_sweeps: int = 20_000
-    descent_grad_tol: float = 1e-8
-    descent_max_iters: int = 5000
-    newton_trigger: float = 1e-3
-    sphere_samples: int = 64
-    eta_margin: float = 0.01
     seed: int = 0
     ball_radius: float | None = None   # default: t0 from the certificate constants
-    blowup_factor: float = 100.0
 
 
 def _pow_rational(base: float, frac: Fraction) -> float:
@@ -181,15 +183,8 @@ def certificate_theta1(coeffs: Coefficients, test_fn: ScalarField | None = None,
                        theta1_lower_bound=theta1_lb, test_function=phi)
 
 
-def _riesz(h: ScalarField, g: ScalarField) -> ScalarField:
-    """H1_h representative of an L2 gradient: (Delta + h)^(-1) g."""
-    return helmholtz_solve(h, g)
-
-
 def minimize_in_ball(spec: ProblemSpec, center: ScalarField, radius: float,
-                     cfg: MountainPassConfig | None = None,
-                     start: ScalarField | None = None,
-                     solver_cfg: SolverConfig | None = None) -> ScalarField:
+                     start: ScalarField | None = None) -> ScalarField:
     """Minimize the regularized energy on the H1_h-ball around center.
 
     Projected H1-preconditioned descent; after each step any excursion is
@@ -198,7 +193,6 @@ def minimize_in_ball(spec: ProblemSpec, center: ScalarField, radius: float,
     """
     if spec.epsilon <= 0 or spec.q >= spec.two_star:
         raise ValueError("ball minimization requires epsilon > 0 and q < 2*")
-    cfg = cfg or MountainPassConfig()
     h = spec.coefficients.h
 
     def project(u: ScalarField) -> ScalarField:
@@ -214,7 +208,7 @@ def minimize_in_ball(spec: ProblemSpec, center: ScalarField, radius: float,
     def constrained_direction(u: ScalarField) -> ScalarField:
         """Riesz descent direction, projected onto the sphere tangent when the
         iterate sits on the boundary and the direction points outward."""
-        d = -1.0 * _riesz(h, energy_gradient(spec, u))
+        d = -1.0 * helmholtz_solve(h, energy_gradient(spec, u))
         dev = u - center
         r = h1h_norm(dev, h)
         if r >= radius * (1.0 - 1e-10):
@@ -230,14 +224,14 @@ def minimize_in_ball(spec: ProblemSpec, center: ScalarField, radius: float,
     # moves are capped at a small fraction of the ball so descent cannot
     # leap a ridge to lower ground outside the minimizer's basin
     max_move = 0.05 * radius
-    for _ in range(cfg.descent_max_iters):
+    for _ in range(DESCENT_MAX_ITERS):
         d = constrained_direction(u)
         gn = h1h_norm(d, h)
-        if gn <= cfg.descent_grad_tol:
+        if gn <= DESCENT_GRAD_TOL:
             break
-        if gn <= cfg.newton_trigger and is_interior(u) and u.min() > 0:
+        if gn <= NEWTON_TRIGGER and is_interior(u) and u.min() > 0:
             try:
-                cand = newton_refine(spec, u, solver_cfg)
+                cand = newton_refine(spec, u)
             except NewtonError:
                 pass
             else:
@@ -258,13 +252,13 @@ def minimize_in_ball(spec: ProblemSpec, center: ScalarField, radius: float,
                 f"ball descent stalled with constrained gradient norm {gn:.3e}"
             )
     else:
-        if gn > cfg.descent_grad_tol:
+        if gn > DESCENT_GRAD_TOL:
             raise DescentStallError(
                 f"ball descent hit the iteration cap at gradient norm {gn:.3e}"
             )
     if is_interior(u) and u.min() > 0:
         try:
-            cand = newton_refine(spec, u, solver_cfg)
+            cand = newton_refine(spec, u)
             if is_interior(cand):
                 u = cand
         except NewtonError:
@@ -302,21 +296,21 @@ def _sphere_samples(spec: ProblemSpec, center: ScalarField, radius: float,
 
 
 def sphere_barrier(spec: ProblemSpec, center: ScalarField, radius: float,
-                   cfg: MountainPassConfig, rng: np.random.Generator) -> float:
+                   rng: np.random.Generator) -> float:
     """Sampled inf of the energy on the sphere, minus the safety margin.
 
     For epsilon = 0 only strictly positive samples are admissible; the rest
     have infinite energy and are skipped.
     """
     best = np.inf
-    for s in _sphere_samples(spec, center, radius, cfg.sphere_samples, rng):
+    for s in _sphere_samples(spec, center, radius, SPHERE_SAMPLES, rng):
         if spec.epsilon <= 0 and s.min() <= 1e-10:
             continue
         val = energy(spec, s)
         best = min(best, val)
     if not np.isfinite(best):
         raise GeometryError("no admissible sphere sample; cannot estimate the barrier")
-    return best - cfg.eta_margin * abs(best)
+    return best - ETA_MARGIN * abs(best)
 
 
 def _interpolate_path(points: list[ScalarField], energies_of, size: int,
@@ -346,8 +340,7 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
                         sphere_center: ScalarField | None = None,
                         sphere_radius: float | None = None,
                         rng: np.random.Generator | None = None,
-                        path_seed: ScalarField | None = None,
-                        solver_cfg: SolverConfig | None = None):
+                        path_seed: ScalarField | None = None):
     """Discrete mountain-pass between u_low and u_high.
 
     Returns (v, c_level): the Newton-refined pass point and its energy.
@@ -363,7 +356,7 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
     if eta is None:
         if sphere_center is None or sphere_radius is None:
             raise ValueError("either eta or the sphere geometry must be given")
-        eta = sphere_barrier(spec, sphere_center, sphere_radius, cfg, rng)
+        eta = sphere_barrier(spec, sphere_center, sphere_radius, rng)
 
     e_low, e_high = energy(spec, u_low), energy(spec, u_high)
     if not (e_low < eta and e_high < eta):
@@ -382,17 +375,17 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
     # the polygon never tears; re-equispacing keeps the discretization
     # uniform, pinning the maximum at the ridge until it settles on the
     # saddle (up to lattice resolution; Newton finishes the job).
-    best_max = np.inf
+    best_max = max(path.energies)
     stall_sweeps = 0
-    for sweep in range(cfg.max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         i = path.max_index
         if i == 0 or i == size - 1:
             raise PathCollapseError("maximum-energy point reached an endpoint")
         u = path.points[i]
         g = energy_gradient(spec, u)
-        d = -1.0 * _riesz(h, g)
+        d = -1.0 * helmholtz_solve(h, g)
         gn = h1h_norm(d, h)
-        if gn <= cfg.grad_tol:
+        if gn <= PASS_GRAD_TOL:
             break
         seg = sum(h1h_norm(b - a, h) for a, b in
                   zip(path.points, path.points[1:])) / (size - 1)
@@ -419,12 +412,12 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
             stall_sweeps = 0
         else:
             stall_sweeps += 1
-            if stall_sweeps >= 50:
+            if stall_sweeps >= STALL_SWEEPS:
                 break  # lattice-resolution plateau; hand over to Newton
     else:
-        raise DescentStallError(f"no pass point within {cfg.max_sweeps} sweeps")
+        raise DescentStallError(f"no pass point within {MAX_SWEEPS} sweeps")
 
-    v = newton_refine(spec, path.points[path.max_index], solver_cfg)
+    v = newton_refine(spec, path.points[path.max_index])
     c_level = energy(spec, v)
     if c_level < eta - 1e-9 * max(1.0, abs(eta)):
         raise GeometryError(
@@ -526,9 +519,8 @@ def critical_limit(coeffs: Coefficients, theta: float,
     q_phase_start = len(eps_schedule) - 1  # diffs recorded across the q ascent
     for stage_idx, (eps, q) in enumerate(stages):
         spec = ProblemSpec(coeffs, q, theta=theta, epsilon=eps)
-        eta = sphere_barrier(spec, center, radius, cfg, rng)
-        u_low = minimize_in_ball(spec, center, radius, cfg, start=u_low,
-                                 solver_cfg=solver_cfg)
+        eta = sphere_barrier(spec, center, radius, rng)
+        u_low = minimize_in_ball(spec, center, radius, start=u_low)
         u_high = build_far_endpoint(spec, eta, radius, center)
         if energy(spec, u_low) >= eta:
             raise GeometryError(
@@ -536,12 +528,12 @@ def critical_limit(coeffs: Coefficients, theta: float,
             )
         v, c_level = mountain_pass_solve(
             spec, u_low, u_high, cfg.path_size, cfg, eta=eta,
-            rng=rng, path_seed=v, solver_cfg=solver_cfg)
+            rng=rng, path_seed=v)
         pass_history.append(c_level)
         if prev_low is not None and stage_idx > q_phase_start:
             low_diffs.append(float(np.abs(u_low.values - prev_low.values).max()))
         prev_low = u_low
-        if max(u_low.max(), v.max()) > cfg.blowup_factor * max(1.0, sup0):
+        if max(u_low.max(), v.max()) > BLOWUP_FACTOR * max(1.0, sup0):
             raise BlowupDetectedError(
                 f"family sup norm exploded at (eps={eps}, q={q})",
                 records=[(eps, q, u_low.max(), v.max())])
@@ -552,9 +544,9 @@ def critical_limit(coeffs: Coefficients, theta: float,
     crit = critical_spec(coeffs, theta)
     if u_low.min() <= 0:
         raise PositivityError("continued minimizer lost positivity before the limit")
-    u_star = newton_refine(crit, u_low, solver_cfg)
-    v_star = newton_refine(crit, v, solver_cfg)
-    eta_crit = sphere_barrier(crit, center, radius, cfg, rng)
+    u_star = newton_refine(crit, u_low)
+    v_star = newton_refine(crit, v)
+    eta_crit = sphere_barrier(crit, center, radius, rng)
     e_min, e_second = energy(crit, u_star), energy(crit, v_star)
     if not (e_min < eta_crit <= e_second + 1e-9):
         raise GeometryError(

@@ -100,6 +100,17 @@ def test_stability_blowup_exit_code(tmp_path):
     assert main(["stability-test", "--config", cfgp]) == 4
 
 
+def test_stability_member_without_solution_exit_code(tmp_path):
+    # at q = 7/3 the scalar fold is 0.0273, below theta: the first member
+    # has no solution, which is a solver failure
+    out = str(tmp_path / "out")
+    cfg = base_config("stability-test", out, theta=0.05,
+                      q_schedule=[10.0 / 3.0 - 1.0 / k for k in range(1, 7)])
+    cfg["grid"] = {"dim": 5, "resolutions": [6] * 5, "periods": [1.0] * 5}
+    cfgp = write_config(tmp_path, cfg)
+    assert main(["stability-test", "--config", cfgp]) == 3
+
+
 def test_bubble_mode(tmp_path):
     out = str(tmp_path / "out")
     cfg = base_config("bubble-check", out)

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 import lichtorus as lt
+from lichtorus import diagnostics
 from lichtorus.diagnostics import (
     BubbleSpec,
     StructuralViolationError,
@@ -77,6 +79,24 @@ class TestProfileCompare:
         r1 = rescaled_profile_compare(u, f, q)
         r2 = rescaled_profile_compare(2.0 * u, f, q)
         assert r2.mu == pytest.approx(2.0 ** (-(q - 2) / 2) * r1.mu, rel=1e-12)
+
+    def test_interpolates_only_the_ball(self, grid8, monkeypatch):
+        # every interpolated point lies in |x| <= window: the lattice ball
+        # {j in {-m..m}^3 : |j| <= window * s}, m = window * s
+        points = []
+        real = diagnostics.map_coordinates
+
+        def counting(values, coords, **kwargs):
+            points.append(int(np.prod(coords.shape[1:])))
+            return real(values, coords, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "map_coordinates", counting)
+        u = lt.constant_field(grid8, 0.7) + 0.1 * lt.cosine_field(grid8, 1.0, [1, 0, 0])
+        rescaled_profile_compare(u, lt.constant_field(grid8, 1.0), 5.0,
+                                 window=5.0, samples_per_unit=4)
+        j = np.arange(-20, 21) ** 2
+        ball = int((j[:, None, None] + j[None, :, None] + j[None, None, :] <= 400).sum())
+        assert points == [ball]
 
     def test_nonpositive_f_flagged(self, grid8):
         u = lt.constant_field(grid8, 1.0) + 0.5 * lt.cosine_field(grid8, 1.0, [1, 0, 0])

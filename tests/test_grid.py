@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -168,3 +171,15 @@ class TestNormsAndIntegrals:
         parts = lt.gradient(u)
         direct = sum(lt.l2_inner(p, p) for p in parts)
         assert gradient_energy(u) == pytest.approx(direct, rel=1e-12)
+
+
+def test_transforms_only_in_grid():
+    # grid.py is the one spectral-operator layer: no other module reaches
+    # for a transform, and there is one way back from Fourier space
+    package = Path(lt.__file__).parent
+    sources = {p.name: p.read_text() for p in package.glob("*.py")}
+    users = sorted(name for name, text in sources.items()
+                   if re.search(r"\b(np|numpy|scipy)\.fft\b", text))
+    assert users == ["grid.py"]
+    calls = sum(len(re.findall(r"\.irfftn\(", text)) for text in sources.values())
+    assert calls == 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lichtorus as lt
+from lichtorus import mountain
 from lichtorus.branch import build_subsolution
 from lichtorus.core import ProblemSpec, critical_spec, energy, regularized_residual
 from lichtorus.mountain import (
@@ -66,9 +67,9 @@ class TestMountainPass:
         rng = np.random.default_rng(0)
         center = lt.constant_field(grid, 0.0)
         radius = 1.0
-        eta = sphere_barrier(spec, center, radius, cfg, rng)
+        eta = sphere_barrier(spec, center, radius, rng)
         sub = build_subsolution(coeffs, theta, q=q)
-        u_low = minimize_in_ball(spec, center, radius, cfg, start=sub.field)
+        u_low = minimize_in_ball(spec, center, radius, start=sub.field)
         u_high = build_far_endpoint(spec, eta, radius, center)
         return spec, cfg, rng, eta, u_low, u_high
 
@@ -87,6 +88,31 @@ class TestMountainPass:
                                      cfg=cfg, eta=eta, rng=rng)
         assert c2 <= c1 + 1e-8
 
+    def test_stall_window_counts_from_last_lowering(self, unit_coeffs8, grid8,
+                                                    monkeypatch):
+        # a path through a seed far above the pass keeps lowering its
+        # maximum for many sweeps; the stage must end STALL_SWEEPS sweeps
+        # after the last lowering, not after the first STALL_SWEEPS
+        spec, cfg, rng, eta, u_low, u_high = self._stage(unit_coeffs8, grid8)
+        maxima = []
+        real = mountain._interpolate_path
+
+        def recording(*args):
+            path = real(*args)
+            maxima.append(max(path.energies))  # the first path, then one per sweep
+            return path
+
+        monkeypatch.setattr(mountain, "_interpolate_path", recording)
+        seed = lt.constant_field(grid8, 0.9) + lt.cosine_field(grid8, 0.3, [1, 0, 0])
+        mountain_pass_solve(spec, u_low, u_high, cfg=cfg, eta=eta, rng=rng,
+                            path_seed=seed)
+        best, last = maxima[0], 0
+        for sweep, level in enumerate(maxima[1:], start=1):
+            if level < best - 1e-12 * max(1.0, abs(best)):
+                best, last = level, sweep
+        assert last > 0
+        assert len(maxima) - 1 == last + mountain.STALL_SWEEPS
+
     def test_endpoints_must_be_below_barrier(self, unit_coeffs8, grid8):
         spec, cfg, rng, eta, u_low, u_high = self._stage(unit_coeffs8, grid8)
         bad_low = lt.constant_field(grid8, 0.93)  # near the ridge, I > eta
@@ -103,8 +129,8 @@ class TestMountainPass:
         cfg = MountainPassConfig()
         rng = np.random.default_rng(1)
         center = lt.constant_field(grid8, 0.0)
-        eta = sphere_barrier(spec, center, 1.0, cfg, rng)
-        u_low = minimize_in_ball(spec, center, 1.0, cfg,
+        eta = sphere_barrier(spec, center, 1.0, rng)
+        u_low = minimize_in_ball(spec, center, 1.0,
                                  start=lt.constant_field(grid8, 0.05))
         u_high = build_far_endpoint(spec, eta, 1.0, center)
         v, c_level = mountain_pass_solve(spec, u_low, u_high, cfg=cfg, eta=eta, rng=rng)
