@@ -35,6 +35,7 @@ from .diagnostics import (
     stability_experiment,
     standard_bubble,
 )
+from .errors import Blowup, LichtorusError, SolverFailure
 from .grid import (
     ScalarField,
     TorusGrid,

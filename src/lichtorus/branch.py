@@ -32,6 +32,7 @@ from .core import (
     residual,
     smallest_eigenpair,
 )
+from .errors import SolverFailure
 from .grid import ScalarField, helmholtz_operator, helmholtz_solve
 
 log = logging.getLogger(__name__)
@@ -40,29 +41,32 @@ GROWTH_WINDOW = 50          # iterations of strict sup growth that read as diver
 MONOTONICITY_TOL = 1e-12    # allowed iterate decrease, relative to the sup
 NEWTON_RES_TOL = 1e-10      # sup-norm residual at which Newton stops
 NEWTON_MAX_STEPS = 40
+MAX_HALVINGS = 60           # delta halvings tried for a positive psi_delta
+PROBE_NEWTON_TRIGGER = 1e-5  # existence probes attempt Newton below this step
+MAX_REFINE = 30             # secant-polish probes of the fold
 
 
-class SubsolutionError(RuntimeError):
+class SubsolutionError(SolverFailure):
     """Failed to construct a strict subsolution."""
 
 
-class MonotonicityError(RuntimeError):
+class MonotonicityError(SolverFailure):
     """An iterate decreased beyond tolerance: bug or insufficient K."""
 
 
-class IterationLimitError(RuntimeError):
+class IterationLimitError(SolverFailure):
     """Iteration cap reached without a convergence or divergence verdict."""
 
 
-class NewtonError(RuntimeError):
+class NewtonError(SolverFailure):
     """Newton refinement failed (singular Jacobian or no acceptable step)."""
 
 
-class NoSolutionError(RuntimeError):
+class NoSolutionError(SolverFailure):
     """No solution exists even at the smallest probed theta."""
 
 
-class BracketError(RuntimeError):
+class BracketError(SolverFailure):
     """Could not bracket the fold within the expansion cap."""
 
 
@@ -132,8 +136,8 @@ class FoldResult:
     accepted: list[BranchPoint]
 
 
-def build_subsolution(coeffs: Coefficients, theta: float, q: float | None = None,
-                      max_halvings: int = 60) -> Subsolution:
+def build_subsolution(coeffs: Coefficients, theta: float,
+                      q: float | None = None) -> Subsolution:
     """Strict subsolution w = t * psi_delta at the given (theta, q).
 
     psi_delta solves (Delta + H) psi = a - delta f^- - delta with
@@ -153,7 +157,7 @@ def build_subsolution(coeffs: Coefficients, theta: float, q: float | None = None
 
     delta = 1.0
     psi = None
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         rhs = coeffs.a - delta * f_minus - delta
         cand = helmholtz_solve(bigh, rhs)
         if cand.min() > 0:
@@ -162,7 +166,7 @@ def build_subsolution(coeffs: Coefficients, theta: float, q: float | None = None
         delta *= 0.5
     if psi is None:
         raise SubsolutionError(
-            f"psi_delta not positive after {max_halvings} delta halvings"
+            f"psi_delta not positive after {MAX_HALVINGS} delta halvings"
         )
 
     # w must lie under EVERY solution, which the touching-point argument
@@ -405,6 +409,16 @@ def _finish(spec, v, it, step, max_violation, cfg, k) -> MonotoneResult:
                           polished, "converged")
 
 
+def minimal_solution(spec: ProblemSpec, cfg: SolverConfig | None = None) -> MonotoneResult:
+    """Minimal solution at spec's (theta, q) from a constructed subsolution;
+    raises NoSolutionError when the iterates diverge."""
+    sub = build_subsolution(spec.coefficients, spec.theta, q=spec.q)
+    out = monotone_iterate(spec, sub, cfg)
+    if not out.converged:
+        raise NoSolutionError(f"no solution at theta={spec.theta} ({out.reason})")
+    return out
+
+
 def _branch_point(coeffs: Coefficients, theta: float, sol: ScalarField,
                   iterations: int) -> BranchPoint:
     spec = critical_spec(coeffs, theta)
@@ -452,11 +466,11 @@ def trace_branch(coeffs: Coefficients, theta_schedule, cfg: SolverConfig | None 
     return record
 
 
-def _existence_solve(coeffs, theta, warm: ScalarField | None, cfg: SolverConfig,
-                     newton_trigger: float = 1e-5) -> MonotoneResult:
+def _existence_solve(coeffs, theta, warm: ScalarField | None,
+                     cfg: SolverConfig) -> MonotoneResult:
     """Existence oracle at one theta: warm monotone iteration with early Newton."""
     spec = critical_spec(coeffs, theta)
-    probe_cfg = replace(cfg, newton_trigger=newton_trigger)
+    probe_cfg = replace(cfg, newton_trigger=PROBE_NEWTON_TRIGGER)
     start: Subsolution | ScalarField
     start = warm if warm is not None else build_subsolution(coeffs, theta)
     return monotone_iterate(spec, start, probe_cfg)
@@ -464,7 +478,7 @@ def _existence_solve(coeffs, theta, warm: ScalarField | None, cfg: SolverConfig,
 
 def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
                     tol: float = 1e-4, cfg: SolverConfig | None = None,
-                    lambda_tol: float = 1e-4, max_refine: int = 30) -> FoldResult:
+                    lambda_tol: float = 1e-4) -> FoldResult:
     """Locate the fold: largest theta admitting a minimal solution.
 
     Bisection on the existence dichotomy down to bracket width tol, then a
@@ -521,7 +535,7 @@ def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
     pts = [(theta_lo, accepted[-1].lam)]
     probe_cfg = replace(cfg, max_iters=min(cfg.max_iters, 30_000))
     last_diverged = False
-    while abs(pts[-1][1]) > lambda_tol and refine_steps < max_refine:
+    while abs(pts[-1][1]) > lambda_tol and refine_steps < MAX_REFINE:
         refine_steps += 1
         if (not last_diverged and len(pts) >= 2
                 and abs(pts[-1][1] - pts[-2][1]) > 0):

@@ -3,8 +3,10 @@
 Usage: lichtorus <mode> --config <path> [--out <dir>] [--seed <u64>] [--verbose]
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 BLOWUP verdict,
-5 I/O error.  Artifacts are written through a ".partial" rename so partial
-outputs are never listed in the report manifest.
+5 I/O error.  A failure's exit code is its LichtorusError class's
+`exit_code`; any other exception is a bug and propagates.  Artifacts are
+written through a ".partial" rename so partial outputs are never listed in
+the report manifest; failed runs write report.json too.
 """
 
 from __future__ import annotations
@@ -17,52 +19,29 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import branch as branch_mod
 from . import diagnostics as diag_mod
 from . import mountain as mountain_mod
-from .branch import (
-    BracketError,
-    IterationLimitError,
-    MonotonicityError,
-    NewtonError,
-    NoSolutionError,
-    SubsolutionError,
-)
 from .config import ConfigError, MODES, RunConfig, parse_config
 from .core import (
-    EigenSolverError,
-    PositivityError,
     critical_spec,
     energy,
     linearized_potential,
     residual,
     smallest_eigenpair,
 )
-from .diagnostics import BubbleSpec, StructuralViolationError
+from .diagnostics import BubbleSpec
+from .errors import LichtorusError
 from .fieldio import field_to_bytes
-from .grid import KrylovError, NonCoerciveOperatorError
-from .mountain import (
-    BlowupDetectedError,
-    DescentStallError,
-    GeometryError,
-    PathCollapseError,
-)
 
 log = logging.getLogger(__name__)
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_SOLVER = 3
 EXIT_BLOWUP = 4
 EXIT_IO = 5
 
-SOLVER_ERRORS = (NoSolutionError, BracketError, IterationLimitError,
-                 MonotonicityError, NewtonError, SubsolutionError,
-                 EigenSolverError, KrylovError, NonCoerciveOperatorError,
-                 PositivityError, DescentStallError, GeometryError,
-                 PathCollapseError, StructuralViolationError, ValueError)
+# what a failed run's stderr line calls its failure, by exit code
+FAILURE_LINES = {2: "config error", 3: "solver failure", 4: "blow-up detected"}
 
 
 def _fmt(x) -> str:
@@ -107,13 +86,10 @@ BRANCH_HEADER = ["theta", "lambda", "min_u", "max_u", "energy", "iterations",
                  "converged"]
 
 
-def _run_solve(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict, rng):
+def _run_solve(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
     spec = critical_spec(coeffs, cfg.theta) if cfg.q is None else \
         critical_spec(coeffs, cfg.theta).at(q=cfg.q)
-    sub = branch_mod.build_subsolution(coeffs, cfg.theta, q=spec.q)
-    out = branch_mod.monotone_iterate(spec, sub, cfg.solver_config())
-    if not out.converged:
-        raise NoSolutionError(f"no solution at theta={cfg.theta} ({out.reason})")
+    out = branch_mod.minimal_solution(spec, cfg.solver_config())
     sol = out.solution
     eig = smallest_eigenpair(linearized_potential(spec, sol))
     quantities.update({
@@ -131,7 +107,7 @@ def _run_solve(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict, r
     return EXIT_OK
 
 
-def _run_branch(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict, rng):
+def _run_branch(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
     record = branch_mod.trace_branch(coeffs, cfg.theta_schedule,
                                      cfg.solver_config(), q=cfg.q)
     quantities.update({
@@ -149,7 +125,7 @@ def _run_branch(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict, 
     return EXIT_OK
 
 
-def _run_fold(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict, rng):
+def _run_fold(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
     fold = branch_mod.find_theta_star(coeffs, theta_hint=cfg.theta_hint,
                                       tol=cfg.fold_tol, cfg=cfg.solver_config(),
                                       lambda_tol=cfg.lambda_tol)
@@ -168,7 +144,7 @@ def _run_fold(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict, rn
     return EXIT_OK
 
 
-def _run_mountain_pass(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict, rng):
+def _run_mountain_pass(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
     pair = mountain_mod.critical_limit(coeffs, cfg.theta,
                                        eps_schedule=cfg.epsilon_schedule,
                                        q_schedule=cfg.q_schedule,
@@ -196,7 +172,7 @@ def _run_mountain_pass(cfg: RunConfig, coeffs, writer: OutputWriter, quantities:
     return EXIT_OK
 
 
-def _run_certificate(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict, rng):
+def _run_certificate(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
     cert = mountain_mod.certificate_theta1(coeffs)
     quantities.update({
         "n": cert.n, "C_n": cert.c_n,
@@ -209,7 +185,7 @@ def _run_certificate(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: d
     return EXIT_OK
 
 
-def _run_stability(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict, rng):
+def _run_stability(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
     perturbations = None
     if cfg.a_perturbations is not None:
         perturbations = [coeffs.a * amp for amp in cfg.a_perturbations]
@@ -233,7 +209,7 @@ def _run_stability(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dic
     return EXIT_BLOWUP if result.verdict == "BLOWUP" else EXIT_OK
 
 
-def _run_bubble(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict, rng):
+def _run_bubble(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
     spec = BubbleSpec(n=cfg.dim, f0=cfg.bubble_f0)
     h1 = spec.r0 / cfg.bubble_spacing_denominator
     _, rep1 = diag_mod.standard_bubble(spec, cfg.bubble_window, spacing=h1)
@@ -283,12 +259,12 @@ def verify_manifest(out_dir: str) -> list[str]:
 def run(cfg: RunConfig, out_dir: str | None = None,
         seed: int | None = None) -> tuple[dict, int]:
     """Execute one configured run; returns (report, exit_code) and writes
-    the artifacts plus report.json into the output directory."""
+    the artifacts plus report.json into the output directory.  A failed run
+    still writes report.json, with the error and an empty manifest."""
     if seed is not None:
         cfg.seed = seed
     if out_dir is not None:
         cfg.out_dir = out_dir
-    rng = np.random.default_rng(cfg.seed)
 
     report = {
         "mode": cfg.mode,
@@ -297,21 +273,21 @@ def run(cfg: RunConfig, out_dir: str | None = None,
         "quantities": {},
         "timings": {},
         "files": [],
-        "status": "failed",
     }
-    try:
-        coeffs = cfg.coefficients()
-    except ValueError as exc:
-        raise ConfigError(f"coefficients: {exc}") from exc
-
     writer = OutputWriter(cfg.out_dir)
     t0 = time.perf_counter()
-    code = RUNNERS[cfg.mode](cfg, coeffs, writer, report["quantities"], rng)
+    try:
+        code = RUNNERS[cfg.mode](cfg, cfg.coefficients(), writer, report["quantities"])
+        report["files"] = writer.manifest
+    except LichtorusError as exc:
+        code = exc.exit_code
+        report["error_class"] = type(exc).__name__
+        report["error"] = str(exc)
     elapsed = time.perf_counter() - t0
     report["timings"][cfg.mode + "_seconds"] = elapsed
     report["timings"]["total_seconds"] = elapsed
-    report["files"] = writer.manifest
-    report["status"] = "blowup" if code == EXIT_BLOWUP else "ok"
+    report["exit_code"] = code
+    report["status"] = {EXIT_OK: "ok", EXIT_BLOWUP: "blowup"}.get(code, "failed")
     payload = json.dumps(report, indent=2, sort_keys=True, default=str).encode()
     writer_path = os.path.join(cfg.out_dir, "report.json")
     with open(writer_path + ".partial", "wb") as fh:
@@ -343,34 +319,25 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    if args.seed is not None and args.seed < 0:
-        print("config error: --seed must be a nonnegative integer", file=sys.stderr)
-        return EXIT_CONFIG
-
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed must be a nonnegative integer")
         cfg = parse_config(text)
+        if cfg.mode != args.mode:
+            raise ConfigError(f"mode: config says {cfg.mode!r} but the command "
+                              f"line says {args.mode!r}")
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if cfg.mode != args.mode:
-        print(f"config error: mode: config says {cfg.mode!r} but the command "
-              f"line says {args.mode!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        print(f"{FAILURE_LINES[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
     try:
         report, code = run(cfg, out_dir=args.out, seed=args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except BlowupDetectedError as exc:
-        print(f"blow-up detected: {exc}", file=sys.stderr)
-        return EXIT_BLOWUP
-    except SOLVER_ERRORS as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    if "error" in report:
+        print(f"{FAILURE_LINES[code]}: {report['error']}", file=sys.stderr)
+        return code
 
     for key, val in sorted(report["quantities"].items()):
         print(f"{key} = {val}")

@@ -10,10 +10,12 @@ normalized echo so a run is reproducible from the report alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .branch import SolverConfig
 from .core import Coefficients, critical_exponent
+from .errors import LichtorusError
 from .grid import ScalarField, TorusGrid, build_grid, constant_field, cosine_field
 from .mountain import MountainPassConfig
 
@@ -21,8 +23,10 @@ MODES = ("solve", "branch", "fold", "mountain-pass", "certificate",
          "stability-test", "bubble-check")
 
 
-class ConfigError(ValueError):
+class ConfigError(LichtorusError):
     """Invalid configuration, with the offending key path in the message."""
+
+    exit_code = 2
 
 
 @dataclass
@@ -79,7 +83,11 @@ class RunConfig:
 
     def coefficients(self) -> Coefficients:
         grid = self.grid()
-        return Coefficients(self.h.build(grid), self.f.build(grid), self.a.build(grid))
+        try:
+            return Coefficients(self.h.build(grid), self.f.build(grid),
+                                self.a.build(grid))
+        except ValueError as exc:
+            raise ConfigError(f"coefficients: {exc}") from exc
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(tol=self.tol, max_iters=self.max_iters, cap=self.cap)
@@ -244,8 +252,11 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"parameters.q: must lie in [2, {ts}]")
     q_schedule = _check_schedule(par.get("q_schedule"), "parameters.q_schedule",
                                  increasing=True)
-    if q_schedule and q_schedule[-1] > ts + 1e-12:
-        raise ConfigError(f"parameters.q_schedule: entries must be <= 2* = {ts}")
+    if q_schedule and not (2.0 <= q_schedule[0] and q_schedule[-1] <= ts + 1e-12):
+        raise ConfigError(f"parameters.q_schedule: entries must lie in [2, 2* = {ts}]")
+    if mode == "mountain-pass" and q_schedule and q_schedule[-1] >= ts:
+        raise ConfigError(f"parameters.q_schedule: mountain-pass entries must be "
+                          f"below 2* = {ts}")
     epsilon_schedule = _check_schedule(par.get("epsilon_schedule"),
                                        "parameters.epsilon_schedule", increasing=False)
     if epsilon_schedule and epsilon_schedule[-1] <= 0:
@@ -292,6 +303,11 @@ def parse_config(text: str) -> RunConfig:
     bubble_den = _get(sol, "bubble_spacing_denominator", int, "solver", default=64)
     if bubble_den < 8:
         raise ConfigError("solver.bubble_spacing_denominator: must be >= 8")
+    # the coarser bubble grid, spacing r0 / denominator, needs 3 points a side
+    r0 = math.sqrt(dim * (dim - 2) / bubble_f0)
+    if round(bubble_window / (r0 / bubble_den)) < 3:
+        raise ConfigError("solver.bubble_window: too small for the 4th-order "
+                          f"stencil (needs >= 3 grid spacings of {r0 / bubble_den:.3e})")
 
     out = raw.get("output") or {}
     if not isinstance(out, dict):

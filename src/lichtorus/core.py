@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SolverFailure
 from .grid import (
     NonCoerciveOperatorError,
     ScalarField,
@@ -37,11 +38,11 @@ log = logging.getLogger(__name__)
 POSITIVITY_FLOOR = 1e-12
 
 
-class PositivityError(ValueError):
+class PositivityError(SolverFailure):
     """A field that must be strictly positive was not."""
 
 
-class EigenSolverError(RuntimeError):
+class EigenSolverError(SolverFailure):
     """Inverse iteration failed to converge within its cap, or its first
     eigenpair contradicts the theory (a non-positive eigenfunction, or a
     negative first eigenvalue at a minimal solution)."""

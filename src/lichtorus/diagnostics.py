@@ -20,12 +20,13 @@ from scipy.ndimage import map_coordinates
 
 from .branch import NoSolutionError, SolverConfig, build_subsolution, monotone_iterate
 from .core import Coefficients, ProblemSpec, critical_exponent
+from .errors import SolverFailure
 from .grid import ScalarField, gradient
 
 log = logging.getLogger(__name__)
 
 
-class StructuralViolationError(RuntimeError):
+class StructuralViolationError(SolverFailure):
     """Blow-up forensics found f <= 0 at the concentration point."""
 
 

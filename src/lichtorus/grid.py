@@ -15,16 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .errors import SolverFailure
+
 
 class GridMismatchError(ValueError):
     """Raised when fields on different grids are combined."""
 
 
-class NonCoerciveOperatorError(ValueError):
+class NonCoerciveOperatorError(SolverFailure):
     """Raised when a Helmholtz solve is requested for a non-positive operator."""
 
 
-class KrylovError(RuntimeError):
+class KrylovError(SolverFailure):
     """Raised when the preconditioned CG iteration does not converge."""
 
 

@@ -24,8 +24,7 @@ from .branch import (
     BranchPoint,
     NewtonError,
     SolverConfig,
-    build_subsolution,
-    monotone_iterate,
+    minimal_solution,
     newton_refine,
     _branch_point,
 )
@@ -39,6 +38,7 @@ from .core import (
     energy_gradient,
     sobolev_constant_estimate,
 )
+from .errors import Blowup, SolverFailure
 from .grid import (
     ScalarField,
     constant_field,
@@ -61,24 +61,20 @@ ETA_MARGIN = 0.01           # relative safety margin of the sampled barrier
 BLOWUP_FACTOR = 100.0       # family sup over max(1, minimal sup) read as blow-up
 
 
-class GeometryError(RuntimeError):
+class GeometryError(SolverFailure):
     """Mountain-pass geometry violated (endpoints not below the barrier)."""
 
 
-class PathCollapseError(RuntimeError):
+class PathCollapseError(SolverFailure):
     """The path's maximum-energy point reached an endpoint."""
 
 
-class DescentStallError(RuntimeError):
+class DescentStallError(SolverFailure):
     """Constrained descent stalled above the gradient tolerance."""
 
 
-class BlowupDetectedError(RuntimeError):
+class BlowupDetectedError(Blowup):
     """The continuation family's sup norm grew without bound."""
-
-    def __init__(self, message, records=None):
-        super().__init__(message)
-        self.records = records or []
 
 
 @dataclass
@@ -334,29 +330,16 @@ def _interpolate_path(points: list[ScalarField], energies_of, size: int,
 
 
 def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarField,
-                        path_size: int | None = None,
-                        cfg: MountainPassConfig | None = None,
-                        eta: float | None = None,
-                        sphere_center: ScalarField | None = None,
-                        sphere_radius: float | None = None,
-                        rng: np.random.Generator | None = None,
+                        eta: float, path_size: int = 33,
                         path_seed: ScalarField | None = None):
     """Discrete mountain-pass between u_low and u_high.
 
     Returns (v, c_level): the Newton-refined pass point and its energy.
     Requires both endpoint energies below the sphere barrier eta.
     """
-    cfg = cfg or MountainPassConfig()
-    size = path_size or cfg.path_size
-    if size < 5:
+    if path_size < 5:
         raise ValueError("path_size must be at least 5")
     h = spec.coefficients.h
-    rng = rng or np.random.default_rng(cfg.seed)
-
-    if eta is None:
-        if sphere_center is None or sphere_radius is None:
-            raise ValueError("either eta or the sphere geometry must be given")
-        eta = sphere_barrier(spec, sphere_center, sphere_radius, rng)
 
     e_low, e_high = energy(spec, u_low), energy(spec, u_high)
     if not (e_low < eta and e_high < eta):
@@ -369,7 +352,7 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
         return energy(spec, p)
 
     knots = [u_low, u_high] if path_seed is None else [u_low, path_seed, u_high]
-    path = _interpolate_path(knots, efun, size, h)
+    path = _interpolate_path(knots, efun, path_size, h)
 
     # The max point's move is capped at one segment arclength per sweep so
     # the polygon never tears; re-equispacing keeps the discretization
@@ -379,7 +362,7 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
     stall_sweeps = 0
     for sweep in range(MAX_SWEEPS):
         i = path.max_index
-        if i == 0 or i == size - 1:
+        if i == 0 or i == path_size - 1:
             raise PathCollapseError("maximum-energy point reached an endpoint")
         u = path.points[i]
         g = energy_gradient(spec, u)
@@ -388,7 +371,7 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
         if gn <= PASS_GRAD_TOL:
             break
         seg = sum(h1h_norm(b - a, h) for a, b in
-                  zip(path.points, path.points[1:])) / (size - 1)
+                  zip(path.points, path.points[1:])) / (path_size - 1)
         e_u = path.energies[i]
         s = seg / gn
         moved = False
@@ -405,7 +388,7 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
             raise DescentStallError(
                 f"pass-point descent stalled at gradient norm {gn:.3e}"
             )
-        path = _interpolate_path(path.points, efun, size, h)
+        path = _interpolate_path(path.points, efun, path_size, h)
         cur_max = max(path.energies)
         if cur_max < best_max - 1e-12 * max(1.0, abs(best_max)):
             best_max = cur_max
@@ -471,7 +454,6 @@ def critical_limit(coeffs: Coefficients, theta: float,
     true critical equation (epsilon = 0, q = 2*).
     """
     cfg = cfg or MountainPassConfig()
-    solver_cfg = solver_cfg or SolverConfig()
     grid = coeffs.grid
     ts = critical_exponent(grid.dim)
     eps_default, qs_default = _default_schedules(ts)
@@ -485,11 +467,7 @@ def critical_limit(coeffs: Coefficients, theta: float,
     rng = np.random.default_rng(cfg.seed)
 
     # Minimal solution at the critical equation: the reference branch point.
-    sub = build_subsolution(coeffs, theta)
-    out = monotone_iterate(critical_spec(coeffs, theta), sub, solver_cfg)
-    if not out.converged:
-        raise BlowupDetectedError(
-            f"no minimal solution at theta={theta}: {out.reason}")
+    out = minimal_solution(critical_spec(coeffs, theta), solver_cfg)
     minimal_bp = _branch_point(coeffs, theta, out.solution, out.iterations)
 
     # Ball geometry from the certificate constants (zero-centered).
@@ -526,17 +504,15 @@ def critical_limit(coeffs: Coefficients, theta: float,
             raise GeometryError(
                 f"ball minimum not below the barrier at (eps={eps}, q={q})"
             )
-        v, c_level = mountain_pass_solve(
-            spec, u_low, u_high, cfg.path_size, cfg, eta=eta,
-            rng=rng, path_seed=v)
+        v, c_level = mountain_pass_solve(spec, u_low, u_high, eta,
+                                         cfg.path_size, path_seed=v)
         pass_history.append(c_level)
         if prev_low is not None and stage_idx > q_phase_start:
             low_diffs.append(float(np.abs(u_low.values - prev_low.values).max()))
         prev_low = u_low
         if max(u_low.max(), v.max()) > BLOWUP_FACTOR * max(1.0, sup0):
             raise BlowupDetectedError(
-                f"family sup norm exploded at (eps={eps}, q={q})",
-                records=[(eps, q, u_low.max(), v.max())])
+                f"family sup norm exploded at (eps={eps}, q={q})")
         log.debug("stage eps=%.1e q=%.6f: I(low)=%.8f c=%.8f", eps, q,
                   energy(spec, u_low), c_level)
 

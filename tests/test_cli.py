@@ -1,6 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import lichtorus
+from lichtorus import cli
 from lichtorus.cli import main, verify_manifest
 
 
@@ -109,6 +116,12 @@ def test_stability_member_without_solution_exit_code(tmp_path):
     cfg["grid"] = {"dim": 5, "resolutions": [6] * 5, "periods": [1.0] * 5}
     cfgp = write_config(tmp_path, cfg)
     assert main(["stability-test", "--config", cfgp]) == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["status"] == "failed"
+    assert report["error_class"] == "NoSolutionError"
+    assert report["exit_code"] == 3
+    assert report["files"] == []
+    assert "q=" in report["error"]
 
 
 def test_bubble_mode(tmp_path):
@@ -158,6 +171,65 @@ def test_solver_failure_exit_code(tmp_path):
     out = str(tmp_path / "out")
     cfgp = write_config(tmp_path, base_config("solve", out, theta=0.2))
     assert main(["solve", "--config", cfgp]) == 3
+
+
+def test_mountain_pass_above_fold_is_solver_failure(tmp_path):
+    # no minimal solution above the fold 4/27: a solver failure, not a blow-up
+    out = str(tmp_path / "out")
+    cfgp = write_config(tmp_path, base_config(
+        "mountain-pass", out, theta=0.2, epsilon_schedule=[1e-2], q_schedule=[5.5]))
+    assert main(["mountain-pass", "--config", cfgp]) == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["error_class"] == "NoSolutionError"
+
+
+CONFIG_GAPS = {
+    "stability q below 2": ("stability-test", dict(q_schedule=[1.5, 3.0, 5.0]),
+                            None, "parameters.q_schedule"),
+    "mountain-pass q below 2": ("mountain-pass", dict(q_schedule=[1.5, 5.5]),
+                                None, "parameters.q_schedule"),
+    "mountain-pass q at 2*": ("mountain-pass", dict(q_schedule=[5.5, 6.0]),
+                              None, "parameters.q_schedule"),
+    "bubble window below the stencil": ("bubble-check", {},
+                                        {"bubble_f0": 3.0, "bubble_window": 0.01},
+                                        "solver.bubble_window"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_GAPS))
+def test_config_gaps_exit_code(tmp_path, capsys, case):
+    mode, params, solver, key = CONFIG_GAPS[case]
+    cfg = base_config(mode, str(tmp_path / "out"), theta=0.1, **params)
+    if solver:
+        cfg["solver"] = solver
+    cfgp = write_config(tmp_path, cfg)
+    assert main([mode, "--config", cfgp]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+
+
+def test_bug_in_a_runner_propagates(tmp_path, monkeypatch):
+    # a ValueError is a programming error, not a solver failure
+    def broken(*args):
+        raise ValueError("broken runner")
+
+    monkeypatch.setitem(cli.RUNNERS, "solve", broken)
+    cfgp = write_config(tmp_path, base_config("solve", str(tmp_path / "out"),
+                                              theta=0.1))
+    with pytest.raises(ValueError, match="broken runner"):
+        main(["solve", "--config", cfgp])
+
+
+def test_failure_through_the_interpreter(tmp_path):
+    out = str(tmp_path / "out")
+    cfgp = write_config(tmp_path, base_config("solve", out, theta=0.2))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(lichtorus.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-m", "lichtorus.cli", "solve",
+                           "--config", cfgp], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 3
+    assert "solver failure: no solution at theta=0.2" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_manifest_tamper_detected(tmp_path):

@@ -7,7 +7,6 @@ from lichtorus.branch import build_subsolution
 from lichtorus.core import ProblemSpec, critical_spec, energy, regularized_residual
 from lichtorus.mountain import (
     GeometryError,
-    MountainPassConfig,
     build_far_endpoint,
     certificate_constant,
     certificate_theta1,
@@ -63,7 +62,6 @@ class TestMinimizeInBall:
 class TestMountainPass:
     def _stage(self, coeffs, grid, eps=1e-2, q=5.5, theta=0.1):
         spec = ProblemSpec(coeffs, q, theta=theta, epsilon=eps)
-        cfg = MountainPassConfig()
         rng = np.random.default_rng(0)
         center = lt.constant_field(grid, 0.0)
         radius = 1.0
@@ -71,21 +69,19 @@ class TestMountainPass:
         sub = build_subsolution(coeffs, theta, q=q)
         u_low = minimize_in_ball(spec, center, radius, start=sub.field)
         u_high = build_far_endpoint(spec, eta, radius, center)
-        return spec, cfg, rng, eta, u_low, u_high
+        return spec, eta, u_low, u_high
 
     def test_constant_saddle(self, unit_coeffs8, grid8):
-        spec, cfg, rng, eta, u_low, u_high = self._stage(unit_coeffs8, grid8)
-        v, c_level = mountain_pass_solve(spec, u_low, u_high, cfg=cfg, eta=eta, rng=rng)
+        spec, eta, u_low, u_high = self._stage(unit_coeffs8, grid8)
+        v, c_level = mountain_pass_solve(spec, u_low, u_high, eta=eta)
         oracle = regularized_constant_root(0.1, 5.5, 1e-2, branch="unstable")
         assert abs(v.values - oracle).max() <= 1e-8
         assert c_level >= eta
 
     def test_path_refinement_never_raises_level(self, unit_coeffs8, grid8):
-        spec, cfg, rng, eta, u_low, u_high = self._stage(unit_coeffs8, grid8)
-        v1, c1 = mountain_pass_solve(spec, u_low, u_high, path_size=17,
-                                     cfg=cfg, eta=eta, rng=rng)
-        v2, c2 = mountain_pass_solve(spec, u_low, u_high, path_size=34,
-                                     cfg=cfg, eta=eta, rng=rng)
+        spec, eta, u_low, u_high = self._stage(unit_coeffs8, grid8)
+        v1, c1 = mountain_pass_solve(spec, u_low, u_high, eta=eta, path_size=17)
+        v2, c2 = mountain_pass_solve(spec, u_low, u_high, eta=eta, path_size=34)
         assert c2 <= c1 + 1e-8
 
     def test_stall_window_counts_from_last_lowering(self, unit_coeffs8, grid8,
@@ -93,7 +89,7 @@ class TestMountainPass:
         # a path through a seed far above the pass keeps lowering its
         # maximum for many sweeps; the stage must end STALL_SWEEPS sweeps
         # after the last lowering, not after the first STALL_SWEEPS
-        spec, cfg, rng, eta, u_low, u_high = self._stage(unit_coeffs8, grid8)
+        spec, eta, u_low, u_high = self._stage(unit_coeffs8, grid8)
         maxima = []
         real = mountain._interpolate_path
 
@@ -104,8 +100,7 @@ class TestMountainPass:
 
         monkeypatch.setattr(mountain, "_interpolate_path", recording)
         seed = lt.constant_field(grid8, 0.9) + lt.cosine_field(grid8, 0.3, [1, 0, 0])
-        mountain_pass_solve(spec, u_low, u_high, cfg=cfg, eta=eta, rng=rng,
-                            path_seed=seed)
+        mountain_pass_solve(spec, u_low, u_high, eta=eta, path_seed=seed)
         best, last = maxima[0], 0
         for sweep, level in enumerate(maxima[1:], start=1):
             if level < best - 1e-12 * max(1.0, abs(best)):
@@ -114,10 +109,10 @@ class TestMountainPass:
         assert len(maxima) - 1 == last + mountain.STALL_SWEEPS
 
     def test_endpoints_must_be_below_barrier(self, unit_coeffs8, grid8):
-        spec, cfg, rng, eta, u_low, u_high = self._stage(unit_coeffs8, grid8)
+        spec, eta, u_low, u_high = self._stage(unit_coeffs8, grid8)
         bad_low = lt.constant_field(grid8, 0.93)  # near the ridge, I > eta
         with pytest.raises(GeometryError):
-            mountain_pass_solve(spec, bad_low, u_high, cfg=cfg, eta=eta, rng=rng)
+            mountain_pass_solve(spec, bad_low, u_high, eta=eta)
 
     def test_theta_zero_pass_point_is_solution_above_minimum(self, grid8):
         # no a-term: the pass point solves the regularized equation and its
@@ -126,14 +121,13 @@ class TestMountainPass:
         coeffs = lt.Coefficients(one, one, one)
         eps, q = 1e-4, 5.0
         spec = ProblemSpec(coeffs, q, theta=0.0, epsilon=eps)
-        cfg = MountainPassConfig()
         rng = np.random.default_rng(1)
         center = lt.constant_field(grid8, 0.0)
         eta = sphere_barrier(spec, center, 1.0, rng)
         u_low = minimize_in_ball(spec, center, 1.0,
                                  start=lt.constant_field(grid8, 0.05))
         u_high = build_far_endpoint(spec, eta, 1.0, center)
-        v, c_level = mountain_pass_solve(spec, u_low, u_high, cfg=cfg, eta=eta, rng=rng)
+        v, c_level = mountain_pass_solve(spec, u_low, u_high, eta=eta)
         assert regularized_residual(spec, v).sup_norm() <= 1e-10
         assert c_level > energy(spec, u_low)
 
