@@ -419,16 +419,15 @@ def minimal_solution(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Mono
     return out
 
 
-def _branch_point(coeffs: Coefficients, theta: float, sol: ScalarField,
-                  iterations: int) -> BranchPoint:
-    spec = critical_spec(coeffs, theta)
+def _branch_point(spec: ProblemSpec, sol: ScalarField, iterations: int) -> BranchPoint:
+    """First eigenvalue and energy of sol, a solution of spec's equation."""
     eig = smallest_eigenpair(linearized_potential(spec, sol))
     if eig.lam < -1e-8:
         raise EigenSolverError(
-            f"minimal solution at theta={theta} has negative first eigenvalue "
+            f"minimal solution at theta={spec.theta} has negative first eigenvalue "
             f"{eig.lam:.3e}; stability violated"
         )
-    return BranchPoint(theta=theta, solution=sol, lam=eig.lam,
+    return BranchPoint(theta=spec.theta, solution=sol, lam=eig.lam,
                        energy=energy(spec, sol), iterations=iterations,
                        converged=True)
 
@@ -461,7 +460,7 @@ def trace_branch(coeffs: Coefficients, theta_schedule, cfg: SolverConfig | None 
         if prev is not None:
             drop = float((prev.values - out.solution.values).max())
             record.monotonicity_violation = max(record.monotonicity_violation, drop)
-        record.points.append(_branch_point(coeffs, theta, out.solution, out.iterations))
+        record.points.append(_branch_point(spec, out.solution, out.iterations))
         prev = out.solution
     return record
 
@@ -525,7 +524,7 @@ def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
             theta_lo, sol, iters_lo = mid, out.solution, out.iterations
         else:
             theta_hi = mid
-    accepted = [_branch_point(coeffs, theta_lo, sol, iters_lo)]
+    accepted = [_branch_point(critical_spec(coeffs, theta_lo), sol, iters_lo)]
 
     # Phase D: secant polish on lambda^2 -> 0.  lambda^2 is asymptotically
     # linear in theta at a fold, so the extrapolated root estimates
@@ -555,7 +554,7 @@ def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
             break  # probe too close to the fold to classify; keep the best
         if out.converged:
             theta_lo, sol, iters_lo = proposal, out.solution, out.iterations
-            bp = _branch_point(coeffs, theta_lo, sol, iters_lo)
+            bp = _branch_point(critical_spec(coeffs, theta_lo), sol, iters_lo)
             accepted.append(bp)
             pts.append((theta_lo, bp.lam))
             last_diverged = False

@@ -294,6 +294,8 @@ def parse_config(text: str) -> RunConfig:
     if path_size < 5:
         raise ConfigError("solver.path_size: must be >= 5")
     ball_radius = _get(sol, "ball_radius", float, "solver")
+    if ball_radius is not None and ball_radius <= 0:
+        raise ConfigError("solver.ball_radius: must be positive")
     bubble_f0 = _get(sol, "bubble_f0", float, "solver", default=float(dim * (dim - 2)))
     if bubble_f0 <= 0:
         raise ConfigError("solver.bubble_f0: must be positive")

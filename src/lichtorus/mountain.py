@@ -52,7 +52,6 @@ log = logging.getLogger(__name__)
 
 PASS_GRAD_TOL = 1e-6        # H1_h Riesz-gradient norm that ends the pass search
 MAX_SWEEPS = 20_000
-STALL_SWEEPS = 50           # sweeps without lowering the path maximum
 DESCENT_GRAD_TOL = 1e-8     # ball descent: constrained gradient norm that ends it
 DESCENT_MAX_ITERS = 5000
 NEWTON_TRIGGER = 1e-3       # ball descent hands over to Newton below this norm
@@ -79,10 +78,12 @@ class BlowupDetectedError(Blowup):
 
 @dataclass
 class PathState:
-    """Ordered fields from u_low to u_high with their energies."""
+    """Ordered fields from u_low to u_high with their energies; spacing is
+    the H1_h arclength per segment of the path they were re-equispaced from."""
 
     points: list[ScalarField]
     energies: list[float]
+    spacing: float
 
     @property
     def max_index(self) -> int:
@@ -326,7 +327,8 @@ def _interpolate_path(points: list[ScalarField], energies_of, size: int,
         frac = (t - cum[j]) / seg[j] if seg[j] > 0 else 0.0
         out.append(points[j] + frac * (points[j + 1] - points[j]))
     out.append(points[-1])
-    return PathState(points=out, energies=[energies_of(p) for p in out])
+    return PathState(points=out, energies=[energies_of(p) for p in out],
+                     spacing=total / (size - 1))
 
 
 def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarField,
@@ -356,11 +358,11 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
 
     # The max point's move is capped at one segment arclength per sweep so
     # the polygon never tears; re-equispacing keeps the discretization
-    # uniform, pinning the maximum at the ridge until it settles on the
-    # saddle (up to lattice resolution; Newton finishes the job).
+    # uniform, pinning the maximum at the ridge.  The first sweep that does
+    # not lower the path maximum marks the lattice-resolution plateau, and
+    # Newton takes that maximum to the saddle.
     best_max = max(path.energies)
-    stall_sweeps = 0
-    for sweep in range(MAX_SWEEPS):
+    for _ in range(MAX_SWEEPS):
         i = path.max_index
         if i == 0 or i == path_size - 1:
             raise PathCollapseError("maximum-energy point reached an endpoint")
@@ -370,10 +372,8 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
         gn = h1h_norm(d, h)
         if gn <= PASS_GRAD_TOL:
             break
-        seg = sum(h1h_norm(b - a, h) for a, b in
-                  zip(path.points, path.points[1:])) / (path_size - 1)
         e_u = path.energies[i]
-        s = seg / gn
+        s = path.spacing / gn
         moved = False
         for _ in range(60):
             cand = u + s * d
@@ -390,13 +390,9 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
             )
         path = _interpolate_path(path.points, efun, path_size, h)
         cur_max = max(path.energies)
-        if cur_max < best_max - 1e-12 * max(1.0, abs(best_max)):
-            best_max = cur_max
-            stall_sweeps = 0
-        else:
-            stall_sweeps += 1
-            if stall_sweeps >= STALL_SWEEPS:
-                break  # lattice-resolution plateau; hand over to Newton
+        if cur_max >= best_max - 1e-12 * max(1.0, abs(best_max)):
+            break
+        best_max = cur_max
     else:
         raise DescentStallError(f"no pass point within {MAX_SWEEPS} sweeps")
 
@@ -467,8 +463,9 @@ def critical_limit(coeffs: Coefficients, theta: float,
     rng = np.random.default_rng(cfg.seed)
 
     # Minimal solution at the critical equation: the reference branch point.
-    out = minimal_solution(critical_spec(coeffs, theta), solver_cfg)
-    minimal_bp = _branch_point(coeffs, theta, out.solution, out.iterations)
+    crit = critical_spec(coeffs, theta)
+    out = minimal_solution(crit, solver_cfg)
+    minimal_bp = _branch_point(crit, out.solution, out.iterations)
 
     # Ball geometry from the certificate constants (zero-centered).
     if cfg.ball_radius is not None:
@@ -500,7 +497,8 @@ def critical_limit(coeffs: Coefficients, theta: float,
         eta = sphere_barrier(spec, center, radius, rng)
         u_low = minimize_in_ball(spec, center, radius, start=u_low)
         u_high = build_far_endpoint(spec, eta, radius, center)
-        if energy(spec, u_low) >= eta:
+        e_low = energy(spec, u_low)
+        if e_low >= eta:
             raise GeometryError(
                 f"ball minimum not below the barrier at (eps={eps}, q={q})"
             )
@@ -514,10 +512,9 @@ def critical_limit(coeffs: Coefficients, theta: float,
             raise BlowupDetectedError(
                 f"family sup norm exploded at (eps={eps}, q={q})")
         log.debug("stage eps=%.1e q=%.6f: I(low)=%.8f c=%.8f", eps, q,
-                  energy(spec, u_low), c_level)
+                  e_low, c_level)
 
     # Final refinement on the true critical equation.
-    crit = critical_spec(coeffs, theta)
     if u_low.min() <= 0:
         raise PositivityError("continued minimizer lost positivity before the limit")
     u_star = newton_refine(crit, u_low)

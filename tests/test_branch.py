@@ -8,11 +8,18 @@ from lichtorus.branch import (
     SubsolutionError,
     build_subsolution,
     find_theta_star,
+    minimal_solution,
     monotone_iterate,
     newton_refine,
     trace_branch,
 )
-from lichtorus.core import critical_spec, residual
+from lichtorus.core import (
+    critical_spec,
+    energy,
+    linearized_potential,
+    residual,
+    smallest_eigenpair,
+)
 
 from conftest import constant_roots, linearized_constant_potential
 
@@ -186,6 +193,15 @@ class TestTraceBranch:
                                    build_subsolution(unit_coeffs8, th))
             results.append(out.converged)
         assert results == sorted(results) or all(results)
+
+    def test_subcritical_q_point_matches_solve(self, unit_coeffs8):
+        # a branch at q < 2* linearizes at its own equation, as solve does
+        spec = critical_spec(unit_coeffs8, 0.1).at(q=4.0)
+        sol = minimal_solution(spec).solution
+        lam = smallest_eigenpair(linearized_potential(spec, sol)).lam
+        point = trace_branch(unit_coeffs8, [0.1], q=4.0).points[0]
+        assert abs(point.lam - lam) <= 1e-8
+        assert abs(point.energy - energy(spec, sol)) <= 1e-8
 
     def test_requires_ascending_schedule(self, unit_coeffs8):
         with pytest.raises(ValueError):

@@ -193,6 +193,9 @@ CONFIG_GAPS = {
     "bubble window below the stencil": ("bubble-check", {},
                                         {"bubble_f0": 3.0, "bubble_window": 0.01},
                                         "solver.bubble_window"),
+    "mountain-pass ball radius not positive": ("mountain-pass", {},
+                                               {"ball_radius": -1.0},
+                                               "solver.ball_radius"),
 }
 
 

@@ -4,7 +4,13 @@ import pytest
 import lichtorus as lt
 from lichtorus import mountain
 from lichtorus.branch import build_subsolution
-from lichtorus.core import ProblemSpec, critical_spec, energy, regularized_residual
+from lichtorus.core import (
+    ProblemSpec,
+    critical_spec,
+    energy,
+    regularized_residual,
+    residual,
+)
 from lichtorus.mountain import (
     GeometryError,
     build_far_endpoint,
@@ -84,11 +90,11 @@ class TestMountainPass:
         v2, c2 = mountain_pass_solve(spec, u_low, u_high, eta=eta, path_size=34)
         assert c2 <= c1 + 1e-8
 
-    def test_stall_window_counts_from_last_lowering(self, unit_coeffs8, grid8,
-                                                    monkeypatch):
-        # a path through a seed far above the pass keeps lowering its
-        # maximum for many sweeps; the stage must end STALL_SWEEPS sweeps
-        # after the last lowering, not after the first STALL_SWEEPS
+    def test_search_stops_at_first_sweep_without_lowering(self, unit_coeffs8, grid8,
+                                                          monkeypatch):
+        # a path through a seed far above the pass lowers its maximum for
+        # many sweeps; the search hands that maximum to Newton at the first
+        # sweep that does not lower it
         spec, eta, u_low, u_high = self._stage(unit_coeffs8, grid8)
         maxima = []
         real = mountain._interpolate_path
@@ -100,13 +106,16 @@ class TestMountainPass:
 
         monkeypatch.setattr(mountain, "_interpolate_path", recording)
         seed = lt.constant_field(grid8, 0.9) + lt.cosine_field(grid8, 0.3, [1, 0, 0])
-        mountain_pass_solve(spec, u_low, u_high, eta=eta, path_seed=seed)
-        best, last = maxima[0], 0
-        for sweep, level in enumerate(maxima[1:], start=1):
-            if level < best - 1e-12 * max(1.0, abs(best)):
-                best, last = level, sweep
-        assert last > 0
-        assert len(maxima) - 1 == last + mountain.STALL_SWEEPS
+        v, _ = mountain_pass_solve(spec, u_low, u_high, eta=eta, path_seed=seed)
+
+        def lowers(best, level):
+            return level < best - 1e-12 * max(1.0, abs(best))
+
+        assert len(maxima) > 2
+        assert all(lowers(a, b) for a, b in zip(maxima[:-2], maxima[1:-1]))
+        assert not lowers(maxima[-2], maxima[-1])
+        oracle = regularized_constant_root(0.1, 5.5, 1e-2, branch="unstable")
+        assert abs(v.values - oracle).max() <= 1e-8
 
     def test_endpoints_must_be_below_barrier(self, unit_coeffs8, grid8):
         spec, eta, u_low, u_high = self._stage(unit_coeffs8, grid8)
@@ -163,7 +172,6 @@ class TestCriticalLimit:
     def test_residuals_at_limit(self, pair8):
         coeffs, pair = pair8
         spec = critical_spec(coeffs, 0.1)
-        from lichtorus.core import residual
         assert residual(spec, pair.minimal_refined).sup_norm() <= 1e-9
         assert residual(spec, pair.second).sup_norm() <= 1e-9
 
@@ -176,6 +184,19 @@ class TestCriticalLimit:
         assert abs(pair.minimal_refined.values - c1).max() <= 1e-6
         assert abs(pair.second.values - c2).max() <= 1e-6
         assert pair.minimal.energy < pair.eta <= pair.second_energy + 1e-9
+
+    def test_two_solutions_nonconstant_coefficients(self, grid8):
+        one = lt.constant_field(grid8, 1.0)
+        f = one + lt.cosine_field(grid8, 0.2, [0, 1, 0])
+        a = one + lt.cosine_field(grid8, 0.3, [1, 0, 0])
+        coeffs = lt.Coefficients(one, f, a)
+        pair = critical_limit(coeffs, 0.08)
+        spec = critical_spec(coeffs, 0.08)
+        assert pair.minimal.energy < pair.eta <= pair.second_energy
+        assert residual(spec, pair.minimal_refined).sup_norm() <= 1e-10
+        assert residual(spec, pair.second).sup_norm() <= 1e-10
+        assert pair.separation >= 1e-3
+        assert (pair.minimal.solution.values <= pair.second.values).all()
 
 
 class TestCertificate:
