@@ -5,9 +5,8 @@ from a strict subsolution w, iterate v <- (Delta + K)^(-1)(F(., v) + K v) with
 F(x, u) = f u^(q-1) + theta a u^(-(q+1)) - h u and K large enough that
 F + K id is nonnegative and nondecreasing on the current range.  Iterates are
 pointwise nondecreasing; they converge to the smallest positive solution or
-grow without bound when none exists.  The fold theta_star is bracketed by
-bisection on that existence dichotomy and polished by a secant iteration that
-drives the first eigenvalue of the linearization to zero.
+grow without bound when none exists.  The fold theta_star is located by
+Newton on the extended system, certified by one probe each side.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .core import (
     smallest_eigenpair,
 )
 from .errors import SolverFailure
-from .grid import ScalarField, helmholtz_operator, helmholtz_solve
+from .grid import ScalarField, helmholtz_operator, helmholtz_solve, laplacian
 
 log = logging.getLogger(__name__)
 
@@ -43,7 +42,6 @@ NEWTON_RES_TOL = 1e-10      # sup-norm residual at which Newton stops
 NEWTON_MAX_STEPS = 40
 MAX_HALVINGS = 60           # delta halvings tried for a positive psi_delta
 PROBE_NEWTON_TRIGGER = 1e-5  # existence probes attempt Newton below this step
-MAX_REFINE = 30             # secant-polish probes of the fold
 
 
 class SubsolutionError(SolverFailure):
@@ -98,11 +96,8 @@ class MonotoneResult:
     converged: bool
     solution: ScalarField | None
     iterations: int
-    final_step: float
-    sup_final: float
     max_violation: float
     residual_norm: float | None
-    polished: bool
     reason: str
 
 
@@ -121,10 +116,6 @@ class BranchRecord:
     points: list[BranchPoint] = field(default_factory=list)
     monotonicity_violation: float = 0.0
 
-    @property
-    def thetas(self) -> list[float]:
-        return [p.theta for p in self.points]
-
 
 @dataclass
 class FoldResult:
@@ -133,7 +124,6 @@ class FoldResult:
     last_branch_point: BranchPoint
     bisection_steps: int
     refinement_steps: int
-    accepted: list[BranchPoint]
 
 
 def build_subsolution(coeffs: Coefficients, theta: float,
@@ -206,31 +196,37 @@ def build_subsolution(coeffs: Coefficients, theta: float,
     return Subsolution(field=w, delta=delta, scale=float(best), shift_k=k0)
 
 
-def _solve_symmetric(w: ScalarField, rhs: ScalarField, rtol: float = 1e-12,
-                     maxiter: int = 3000) -> ScalarField:
-    """Solve (Delta + W) x = rhs for symmetric, possibly indefinite W via MINRES."""
+def _solve_symmetric(w: ScalarField, rhs: ScalarField,
+                     border: ScalarField | None = None) -> tuple[ScalarField, float]:
+    """Solve (Delta + W) x = rhs for symmetric, possibly indefinite W via MINRES.
+
+    With a border b it solves [[Delta + W, b], [b^T, 0]] [x; s] = [rhs; 0],
+    symmetric too and regular at a simple fold, instead.  Returns (x, s),
+    s = 0 without a border; the preconditioner is diag((Delta + shift)^-1, 1).
+    """
     grid = w.grid
-    shape = grid.resolutions
-    n = grid.npoints
+    shape, n = grid.resolutions, grid.npoints
     apply, precondition = helmholtz_operator(
         grid, w.values, max(1.0, abs(float(w.values.mean()))))
+    b = np.zeros((0, n)) if border is None else border.values.reshape(1, n)
+    size = n + len(b)
 
     def matvec(x):
-        return apply(x.reshape(shape)).ravel()
+        return np.concatenate([apply(x[:n].reshape(shape)).ravel() + x[n:] @ b, b @ x[:n]])
 
-    op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    pre = LinearOperator((n, n), matvec=lambda x: precondition(x.reshape(shape)).ravel(),
-                         dtype=np.float64)
-    b = rhs.values.ravel()
-    x, info = minres(op, b, rtol=rtol, maxiter=maxiter, M=pre)
-    resid = np.linalg.norm(matvec(x) - b)
-    bn = np.linalg.norm(b)
+    op = LinearOperator((size, size), matvec=matvec, dtype=np.float64)
+    pre = LinearOperator((size, size), dtype=np.float64, matvec=lambda x: np.concatenate(
+        [precondition(x[:n].reshape(shape)).ravel(), x[n:]]))
+    rhs_vec = np.concatenate([rhs.values.ravel(), np.zeros(len(b))])
+    x, info = minres(op, rhs_vec, rtol=1e-12, maxiter=3000, M=pre)
+    resid = np.linalg.norm(matvec(x) - rhs_vec)
+    bn = np.linalg.norm(rhs_vec)
     if info != 0 or (bn > 0 and resid > 1e-6 * bn):
         raise NewtonError(
             f"linearized solve failed (minres info={info}, rel residual={resid / max(bn, 1e-300):.3e}); "
             "Jacobian singular or nearly so"
         )
-    return ScalarField(grid, x.reshape(shape))
+    return ScalarField(grid, x[:n].reshape(shape)), float(x[n:].sum())
 
 
 def newton_refine(spec: ProblemSpec, u0: ScalarField) -> ScalarField:
@@ -253,9 +249,8 @@ def newton_refine(spec: ProblemSpec, u0: ScalarField) -> ScalarField:
         if rn <= NEWTON_RES_TOL:
             return u
         w = pot_fn(spec, u)
-        step = _solve_symmetric(w, -r)
+        step, _ = _solve_symmetric(w, -r)
         alpha = 1.0
-        accepted = False
         while alpha >= 1e-8:
             cand = u + alpha * step
             if positivity and cand.min() <= 10 * POSITIVITY_FLOOR:
@@ -264,10 +259,9 @@ def newton_refine(spec: ProblemSpec, u0: ScalarField) -> ScalarField:
             cand_r = res_fn(spec, cand)
             if cand_r.sup_norm() <= (1.0 - 0.25 * alpha) * rn:
                 u, r, rn = cand, cand_r, cand_r.sup_norm()
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             raise NewtonError(f"no acceptable Newton step (residual {rn:.3e})")
     if rn <= NEWTON_RES_TOL:
         return u
@@ -345,8 +339,7 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,
                        and all(b > a for a, b in
                                zip(sup_history[-window - 1:], sup_history[-window:])))
             if growing:
-                return MonotoneResult(False, None, it, step, v.max(),
-                                      max_violation, None, False,
+                return MonotoneResult(False, None, it, max_violation, None,
                                       "monotonicity lost in under-resolved growth")
             raise MonotonicityError(
                 f"iterate decreased by {violation:.3e} (relative to sup) "
@@ -359,11 +352,10 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,
         sup_history.append(sup)
 
         if sup > cap:
-            return MonotoneResult(False, None, it, step, sup, max_violation,
-                                  None, False, "cap exceeded")
+            return MonotoneResult(False, None, it, max_violation, None, "cap exceeded")
 
         if step <= cfg.tol:
-            return _finish(spec, v, it, step, max_violation, cfg, k)
+            return _finish(spec, v, it, max_violation, cfg, k)
 
         if newton_trigger > 0 and step <= newton_trigger:
             try:
@@ -377,24 +369,20 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,
                     newton_trigger *= 0.25
                 else:
                     rn = residual(spec, u).sup_norm()
-                    return MonotoneResult(True, u, it, step, u.max(), max_violation,
-                                          rn, True, "newton")
+                    return MonotoneResult(True, u, it, max_violation, rn, "newton")
 
     tail = sup_history[-(GROWTH_WINDOW + 1):]
     if len(tail) > GROWTH_WINDOW and all(b > a for a, b in zip(tail, tail[1:])):
-        return MonotoneResult(False, None, cfg.max_iters, step,
-                              sup_history[-1], max_violation, None, False,
+        return MonotoneResult(False, None, cfg.max_iters, max_violation, None,
                               "sustained growth at iteration limit")
     raise IterationLimitError(
         f"no verdict after {cfg.max_iters} iterations (last step {step:.3e})"
     )
 
 
-def _finish(spec, v, it, step, max_violation, cfg, k) -> MonotoneResult:
-    polished = False
+def _finish(spec, v, it, max_violation, cfg, k) -> MonotoneResult:
     try:
         v = newton_refine(spec, v)
-        polished = True
     except NewtonError as exc:
         log.debug("newton polish declined: %s", exc)
     rn = residual(spec, v).sup_norm()
@@ -405,8 +393,7 @@ def _finish(spec, v, it, step, max_violation, cfg, k) -> MonotoneResult:
             f"step size converged but the residual is {rn:.3e} "
             f"(K = {k:.3e}); the iteration stalled without a solution"
         )
-    return MonotoneResult(True, v, it, step, v.max(), max_violation, rn,
-                          polished, "converged")
+    return MonotoneResult(True, v, it, max_violation, rn, "converged")
 
 
 def minimal_solution(spec: ProblemSpec, cfg: SolverConfig | None = None) -> MonotoneResult:
@@ -449,11 +436,7 @@ def trace_branch(coeffs: Coefficients, theta_schedule, cfg: SolverConfig | None 
     for theta in thetas:
         spec = critical_spec(coeffs, theta) if q is None else \
             ProblemSpec(coeffs, q, theta=theta, epsilon=0.0)
-        start: Subsolution | ScalarField
-        if prev is None:
-            start = build_subsolution(coeffs, theta, q=spec.q)
-        else:
-            start = prev
+        start = prev if prev is not None else build_subsolution(coeffs, theta, q=spec.q)
         out = monotone_iterate(spec, start, cfg)
         if not out.converged:
             raise NoSolutionError(f"no minimal solution at theta={theta} ({out.reason})")
@@ -469,10 +452,74 @@ def _existence_solve(coeffs, theta, warm: ScalarField | None,
                      cfg: SolverConfig) -> MonotoneResult:
     """Existence oracle at one theta: warm monotone iteration with early Newton."""
     spec = critical_spec(coeffs, theta)
-    probe_cfg = replace(cfg, newton_trigger=PROBE_NEWTON_TRIGGER)
-    start: Subsolution | ScalarField
     start = warm if warm is not None else build_subsolution(coeffs, theta)
-    return monotone_iterate(spec, start, probe_cfg)
+    return monotone_iterate(spec, start, replace(cfg, newton_trigger=PROBE_NEWTON_TRIGGER))
+
+
+def _fold_newton(coeffs: Coefficients, sol: ScalarField, theta: float, tol: float,
+                 cfg: SolverConfig, lambda_tol: float) -> tuple[float, BranchPoint, float, int]:
+    """Newton on the minimally extended system (Griewank & Reddien 1984) from
+    the minimal solution sol at theta: (theta_star, lower certificate, upper
+    probe theta, Newton steps), or NewtonError.
+
+    The equations are F = 0 and g = 0, where [[F_u, phi0], [phi0^T, 0]]
+    [v; g] = [0; 1] and phi0 is the first eigenvector at sol.  F_u is
+    symmetric, so g_u = -v^2 W'(u) and g_theta = -sum v^2 dW/dtheta; a step is
+    three bordered solves (v - phi0, -F, -F_theta) and a 2x2 solve for
+    (dtheta, mu) in du = z1 + dtheta z2 + mu v.
+    """
+    spec = critical_spec(coeffs, theta)
+    u, q, f, a = sol, spec.q, coeffs.f.values, coeffs.a.values
+    phi0 = smallest_eigenpair(linearized_potential(spec, sol)).vector
+    phi0 = phi0 * (1.0 / np.linalg.norm(phi0.values))
+    for steps in range(NEWTON_MAX_STEPS + 1):
+        spec = critical_spec(coeffs, theta)
+        w = linearized_potential(spec, u)
+        y, g = _solve_symmetric(w, -(laplacian(phi0) + w * phi0), phi0)
+        v, uv, r = phi0 + y, u.values, residual(spec, u)
+        f_theta = ScalarField(u.grid, -a * uv ** (-(q + 1.0)))
+        g_u = v.values ** 2 * ((q - 1.0) * (q - 2.0) * f * uv ** (q - 3.0)
+                               + (q + 1.0) * (q + 2.0) * theta * a * uv ** (-(q + 3.0)))
+        j22 = float(np.sum(g_u * v.values))
+        if r.sup_norm() <= NEWTON_RES_TOL and abs(g) <= NEWTON_RES_TOL:
+            break
+        if steps == NEWTON_MAX_STEPS:
+            raise NewtonError(f"extended Newton did not converge in {steps} steps")
+        z1, s1 = _solve_symmetric(w, -r, phi0)
+        z2, s2 = _solve_symmetric(w, -f_theta, phi0)
+        g_theta = -(q + 1.0) * float(np.sum(v.values ** 2 * a * uv ** (-(q + 2.0))))
+        jac = [[s2, g], [float(np.sum(g_u * z2.values)) + g_theta, j22]]
+        dtheta, mu = np.linalg.solve(jac, [-s1, -g - float(np.sum(g_u * z1.values))])
+        du = z1 + dtheta * z2 + mu * v
+        alpha = 1.0
+        while (u + alpha * du).min() <= 10 * POSITIVITY_FLOOR or theta + alpha * dtheta <= 0:
+            alpha *= 0.5
+            if alpha < 1e-8:
+                raise NewtonError("extended Newton: no positive step")
+        u, theta = u + alpha * du, float(theta + alpha * dtheta)
+
+    # Certify from below.  At a quadratic fold the minimal solution at
+    # theta* - delta is u* - s v + O(s^2), delta = s^2 j22 / (2 s2) with
+    # s2 = -v.F_theta, and its first eigenvalue is s j22 / |v|^2 + O(s^2);
+    # delta aims that eigenvalue at lambda_tol / 2.
+    s2 = -float(np.sum(v.values * f_theta.values))
+    if not (j22 > 0 and s2 > 0):
+        raise NewtonError(f"not a quadratic fold (j22 = {j22:.3e}, s2 = {s2:.3e})")
+    delta = (lambda_tol * float(np.sum(v.values ** 2))) ** 2 / (8.0 * j22 * s2)
+    delta = max(min(delta, 0.5 * tol), 4.0 * np.spacing(theta))
+    spec_lo = critical_spec(coeffs, theta - delta)
+    u_lo = newton_refine(spec_lo, u - float(np.sqrt(2.0 * s2 * delta / j22)) * v)
+    if float((sol.values - u_lo.values).max()) > 1e-8:
+        raise NewtonError("the lower fold certificate lies below the warm start")
+    point = _branch_point(spec_lo, u_lo, steps)
+    if not 0.0 <= point.lam <= lambda_tol:
+        raise NewtonError(f"the lower fold certificate has lambda = {point.lam:.3e}")
+
+    # Certify from above: the existence oracle diverges just past the fold.
+    theta_hi = point.theta + 0.99 * tol
+    if _existence_solve(coeffs, theta_hi, u_lo, cfg).converged:
+        raise NewtonError(f"a minimal solution exists at {theta_hi}, past the fold")
+    return theta, point, theta_hi, steps
 
 
 def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
@@ -480,103 +527,56 @@ def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
                     lambda_tol: float = 1e-4) -> FoldResult:
     """Locate the fold: largest theta admitting a minimal solution.
 
-    Bisection on the existence dichotomy down to bracket width tol, then a
-    secant polish on lambda(theta) -> 0 (secant in lambda^2, which is
-    asymptotically linear in theta at a fold).
+    Doubling brackets the fold on the existence dichotomy; Newton on the
+    extended system then locates it from the last converged point, certified
+    by one solution below it and one diverging probe above it.  Bisection to
+    bracket width tol is the fallback when that Newton fails.
     """
     cfg = cfg or SolverConfig()
     if theta_hint <= 0:
         raise ValueError("theta_hint must be positive")
 
     # Phase A: a theta where a solution exists.
-    theta = theta_hint
-    sol = None
-    while theta >= tol:
-        out = _existence_solve(coeffs, theta, None, cfg)
+    theta_lo = theta_hint
+    while theta_lo >= tol:
+        out = _existence_solve(coeffs, theta_lo, None, cfg)
         if out.converged:
-            sol = out.solution
             break
-        theta *= 0.5
-    if sol is None:
+        theta_lo *= 0.5
+    else:
         raise NoSolutionError(f"no solution even at theta = {tol}")
-    theta_lo, iters_lo = theta, out.iterations
+    sol, iters_lo = out.solution, out.iterations
 
     # Phase B: bracket from above by doubling.
-    theta_hi = None
     for _ in range(60):
-        cand = 2.0 * theta_lo
-        out = _existence_solve(coeffs, cand, sol, cfg)
-        if out.converged:
-            theta_lo, sol, iters_lo = cand, out.solution, out.iterations
-        else:
-            theta_hi = cand
+        out = _existence_solve(coeffs, 2.0 * theta_lo, sol, cfg)
+        if not out.converged:
             break
-    if theta_hi is None:
-        raise BracketError("no fold found within the doubling cap; is f <= 0 somewhere?")
-
-    # Phase C: bisection to the requested bracket width.
-    bisection_steps = 0
-    while theta_hi - theta_lo > tol:
-        mid = 0.5 * (theta_lo + theta_hi)
-        out = _existence_solve(coeffs, mid, sol, cfg)
-        bisection_steps += 1
-        if out.converged:
-            theta_lo, sol, iters_lo = mid, out.solution, out.iterations
-        else:
-            theta_hi = mid
-    accepted = [_branch_point(critical_spec(coeffs, theta_lo), sol, iters_lo)]
-
-    # Phase D: secant polish on lambda^2 -> 0.  lambda^2 is asymptotically
-    # linear in theta at a fold, so the extrapolated root estimates
-    # theta_star; probes target 90% of the gap to stay on the convergent
-    # side (a probe just above the fold converges very slowly to nowhere).
-    refine_steps = 0
-    pts = [(theta_lo, accepted[-1].lam)]
-    probe_cfg = replace(cfg, max_iters=min(cfg.max_iters, 30_000))
-    last_diverged = False
-    while abs(pts[-1][1]) > lambda_tol and refine_steps < MAX_REFINE:
-        refine_steps += 1
-        if (not last_diverged and len(pts) >= 2
-                and abs(pts[-1][1] - pts[-2][1]) > 0):
-            (ta, la), (tb, lb) = pts[-2], pts[-1]
-            root = tb + lb**2 * (tb - ta) / (la**2 - lb**2)
-            proposal = theta_lo + 0.9 * (root - theta_lo)
-        else:
-            # after a failed probe (or without two points) fall back to
-            # bisection, which always makes bracket progress
-            proposal = theta_lo + 0.5 * (theta_hi - theta_lo)
-        proposal = min(proposal, theta_hi - 1e-15 * max(1.0, theta_hi))
-        if proposal <= theta_lo:
-            break
-        try:
-            out = _existence_solve(coeffs, proposal, sol, probe_cfg)
-        except IterationLimitError:
-            break  # probe too close to the fold to classify; keep the best
-        if out.converged:
-            theta_lo, sol, iters_lo = proposal, out.solution, out.iterations
-            bp = _branch_point(critical_spec(coeffs, theta_lo), sol, iters_lo)
-            accepted.append(bp)
-            pts.append((theta_lo, bp.lam))
-            last_diverged = False
-        else:
-            theta_hi = proposal
-            last_diverged = True
-
-    # Fold estimate: extrapolate lambda^2 to zero when two points are
-    # available; with a single point, lambda <= lambda_tol already certifies
-    # that theta_lo sits at the fold to quadratic accuracy.
-    if len(pts) >= 2 and abs(pts[-1][1] - pts[-2][1]) > 0:
-        (ta, la), (tb, lb) = pts[-2], pts[-1]
-        est = tb + lb**2 * (tb - ta) / (la**2 - lb**2)
-        theta_star = min(max(est, np.nextafter(theta_lo, np.inf)), theta_hi)
-    elif abs(pts[-1][1]) <= lambda_tol:
-        theta_star = theta_lo + 0.01 * (theta_hi - theta_lo)
+        theta_lo, sol, iters_lo = 2.0 * theta_lo, out.solution, out.iterations
     else:
+        raise BracketError("no fold found within the doubling cap; is f <= 0 somewhere?")
+    theta_hi = 2.0 * theta_lo
+
+    # Phase C: Newton on the extended system, or bisection when it fails.
+    bisection_steps = refine_steps = 0
+    try:
+        theta_star, point, theta_hi, refine_steps = _fold_newton(
+            coeffs, sol, theta_lo, tol, cfg, lambda_tol)
+    except (NewtonError, EigenSolverError) as exc:
+        log.info("extended Newton failed (%s); bisecting", exc)
+        while theta_hi - theta_lo > tol:
+            mid = 0.5 * (theta_lo + theta_hi)
+            out = _existence_solve(coeffs, mid, sol, cfg)
+            bisection_steps += 1
+            if out.converged:
+                theta_lo, sol, iters_lo = mid, out.solution, out.iterations
+            else:
+                theta_hi = mid
+        point = _branch_point(critical_spec(coeffs, theta_lo), sol, iters_lo)
         theta_star = 0.5 * (theta_lo + theta_hi)
 
-    log.info("fold: theta_star=%.8f bracket=(%.8f, %.8f) lambda=%.3e",
-             theta_star, theta_lo, theta_hi, pts[-1][1])
-    return FoldResult(theta_star=float(theta_star), bracket=(theta_lo, theta_hi),
-                      last_branch_point=accepted[-1],
-                      bisection_steps=bisection_steps,
-                      refinement_steps=refine_steps, accepted=accepted)
+    log.info("fold: theta_star=%.12f bracket=(%.12f, %.12f) lambda=%.3e",
+             theta_star, point.theta, theta_hi, point.lam)
+    return FoldResult(theta_star=float(theta_star), bracket=(point.theta, theta_hi),
+                      last_branch_point=point, bisection_steps=bisection_steps,
+                      refinement_steps=refine_steps)

@@ -137,7 +137,7 @@ def _run_fold(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
         "refinement_steps": fold.refinement_steps,
     })
     if "csv" in cfg.formats:
-        writer.write_csv("branch.csv", BRANCH_HEADER, _branch_rows(fold.accepted))
+        writer.write_csv("branch.csv", BRANCH_HEADER, _branch_rows([fold.last_branch_point]))
     if "field" in cfg.formats:
         writer.write_bytes("solution.field",
                            field_to_bytes(fold.last_branch_point.solution))

@@ -55,9 +55,16 @@ class TorusGrid:
             if not (length > 0):
                 raise ValueError(f"period {length} must be positive")
 
+    @functools.cached_property
+    def _sizes(self) -> tuple[float, int, float]:
+        """(volume, npoints, cell_volume), computed once per grid."""
+        volume = float(np.prod(self.periods))
+        npoints = int(np.prod(self.resolutions))
+        return volume, npoints, volume / npoints
+
     @property
     def volume(self) -> float:
-        return float(np.prod(self.periods))
+        return self._sizes[0]
 
     @property
     def _axes_order(self) -> tuple[int, ...]:
@@ -65,11 +72,11 @@ class TorusGrid:
 
     @property
     def npoints(self) -> int:
-        return int(np.prod(self.resolutions))
+        return self._sizes[1]
 
     @property
     def cell_volume(self) -> float:
-        return self.volume / self.npoints
+        return self._sizes[2]
 
     @functools.cached_property
     def axes(self) -> tuple[NDArray, ...]:

@@ -310,9 +310,11 @@ def sphere_barrier(spec: ProblemSpec, center: ScalarField, radius: float,
     return best - ETA_MARGIN * abs(best)
 
 
-def _interpolate_path(points: list[ScalarField], energies_of, size: int,
-                      h: ScalarField) -> PathState:
-    """Re-equispace a polygonal path in H1_h arclength, endpoints fixed."""
+def _interpolate_path(spec: ProblemSpec, points: list[ScalarField],
+                      end_energies: tuple[float, float], size: int) -> PathState:
+    """Re-equispace a polygonal path in H1_h arclength; the endpoints stay
+    fixed and keep their energies end_energies."""
+    h = spec.coefficients.h
     seg = [h1h_norm(b - a, h) for a, b in zip(points, points[1:])]
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = cum[-1]
@@ -327,14 +329,15 @@ def _interpolate_path(points: list[ScalarField], energies_of, size: int,
         frac = (t - cum[j]) / seg[j] if seg[j] > 0 else 0.0
         out.append(points[j] + frac * (points[j + 1] - points[j]))
     out.append(points[-1])
-    return PathState(points=out, energies=[energies_of(p) for p in out],
-                     spacing=total / (size - 1))
+    energies = [end_energies[0], *(energy(spec, p) for p in out[1:-1]), end_energies[1]]
+    return PathState(points=out, energies=energies, spacing=total / (size - 1))
 
 
 def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarField,
-                        eta: float, path_size: int = 33,
+                        e_low: float, e_high: float, eta: float, path_size: int = 33,
                         path_seed: ScalarField | None = None):
-    """Discrete mountain-pass between u_low and u_high.
+    """Discrete mountain-pass between u_low and u_high, whose energies are
+    e_low and e_high.
 
     Returns (v, c_level): the Newton-refined pass point and its energy.
     Requires both endpoint energies below the sphere barrier eta.
@@ -343,18 +346,15 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
         raise ValueError("path_size must be at least 5")
     h = spec.coefficients.h
 
-    e_low, e_high = energy(spec, u_low), energy(spec, u_high)
     if not (e_low < eta and e_high < eta):
         raise GeometryError(
             f"endpoints not below the barrier: I(low)={e_low:.6f}, "
             f"I(high)={e_high:.6f}, eta={eta:.6f}"
         )
 
-    def efun(p):
-        return energy(spec, p)
-
+    ends = (e_low, e_high)
     knots = [u_low, u_high] if path_seed is None else [u_low, path_seed, u_high]
-    path = _interpolate_path(knots, efun, path_size, h)
+    path = _interpolate_path(spec, knots, ends, path_size)
 
     # The max point's move is capped at one segment arclength per sweep so
     # the polygon never tears; re-equispacing keeps the discretization
@@ -377,7 +377,7 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
         moved = False
         for _ in range(60):
             cand = u + s * d
-            e_cand = efun(cand)
+            e_cand = energy(spec, cand)
             if e_cand < e_u - 1e-4 * s * gn**2:
                 path.points[i] = cand
                 path.energies[i] = e_cand
@@ -388,7 +388,7 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
             raise DescentStallError(
                 f"pass-point descent stalled at gradient norm {gn:.3e}"
             )
-        path = _interpolate_path(path.points, efun, path_size, h)
+        path = _interpolate_path(spec, path.points, ends, path_size)
         cur_max = max(path.energies)
         if cur_max >= best_max - 1e-12 * max(1.0, abs(best_max)):
             break
@@ -411,10 +411,10 @@ def _default_schedules(two_star: float):
     return eps, qs
 
 
-def build_far_endpoint(spec: ProblemSpec, eta: float,
-                       min_distance: float, center: ScalarField) -> ScalarField:
+def build_far_endpoint(spec: ProblemSpec, eta: float, min_distance: float,
+                       center: ScalarField) -> tuple[ScalarField, float]:
     """T * psi with int f psi^(2*) > 0, T doubled until the energy drops
-    below eta and the point leaves the ball."""
+    below eta and the point leaves the ball; returns it with its energy."""
     coeffs = spec.coefficients
     grid = spec.grid
     ts = spec.two_star
@@ -431,9 +431,9 @@ def build_far_endpoint(spec: ProblemSpec, eta: float,
     h = coeffs.h
     for _ in range(80):
         cand = t * psi
-        if (energy(spec, cand) < eta
-                and h1h_norm(cand - center, h) > min_distance):
-            return cand
+        e_cand = energy(spec, cand)
+        if e_cand < eta and h1h_norm(cand - center, h) > min_distance:
+            return cand, e_cand
         t *= 2.0
     raise GeometryError("far endpoint: energy did not drop below eta")
 
@@ -496,13 +496,9 @@ def critical_limit(coeffs: Coefficients, theta: float,
         spec = ProblemSpec(coeffs, q, theta=theta, epsilon=eps)
         eta = sphere_barrier(spec, center, radius, rng)
         u_low = minimize_in_ball(spec, center, radius, start=u_low)
-        u_high = build_far_endpoint(spec, eta, radius, center)
+        u_high, e_high = build_far_endpoint(spec, eta, radius, center)
         e_low = energy(spec, u_low)
-        if e_low >= eta:
-            raise GeometryError(
-                f"ball minimum not below the barrier at (eps={eps}, q={q})"
-            )
-        v, c_level = mountain_pass_solve(spec, u_low, u_high, eta,
+        v, c_level = mountain_pass_solve(spec, u_low, u_high, e_low, e_high, eta,
                                          cfg.path_size, path_seed=v)
         pass_history.append(c_level)
         if prev_low is not None and stage_idx > q_phase_start:

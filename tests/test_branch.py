@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lichtorus as lt
+from lichtorus import branch
 from lichtorus.branch import (
     NewtonError,
     NoSolutionError,
@@ -150,6 +151,46 @@ class TestFoldLocation:
         fold = find_theta_star(lt.Coefficients(h, f, a), theta_hint=0.1, tol=1e-4)
         assert 0.1 < fold.theta_star < 0.2
         assert abs(fold.last_branch_point.lam) <= 1e-3
+
+    @pytest.mark.parametrize("dim, res, hint, exact", [
+        (3, 8, 0.1, 4.0 / 27.0),
+        (5, 6, 0.05, 256.0 / 3125.0),
+    ])
+    def test_fold_exact_for_unit_constants(self, dim, res, hint, exact):
+        # constant coefficients keep the minimal solutions constant, so the
+        # discrete fold is the scalar one
+        g = lt.build_grid(dim, [res] * dim, [1.0] * dim)
+        one = lt.constant_field(g, 1.0)
+        fold = find_theta_star(lt.Coefficients(one, one, one), theta_hint=hint, tol=1e-4)
+        assert abs(fold.theta_star - exact) <= 1e-12
+        assert fold.bisection_steps == 0 and fold.refinement_steps > 0
+
+    def test_one_probe_past_the_fold(self, unit_coeffs8, monkeypatch):
+        # one converged and one diverged doubling probe, then the one
+        # diverging probe that certifies the fold from above
+        probes = []
+        real = branch._existence_solve
+
+        def counting(coeffs, theta, *args):
+            probes.append(theta)
+            return real(coeffs, theta, *args)
+
+        monkeypatch.setattr(branch, "_existence_solve", counting)
+        fold = find_theta_star(unit_coeffs8, theta_hint=0.1, tol=1e-4)
+        assert len(probes) <= 4
+        assert probes[-1] == fold.bracket[1]
+
+    def test_bisection_fallback(self, unit_coeffs8, monkeypatch):
+        def failing(*args):
+            raise NewtonError("forced failure of the extended Newton")
+
+        monkeypatch.setattr(branch, "_fold_newton", failing)
+        fold = find_theta_star(unit_coeffs8, theta_hint=0.1, tol=1e-4)
+        lo, hi = fold.bracket
+        assert lo < fold.theta_star <= hi
+        assert hi - lo <= 1e-4
+        assert lo < 4.0 / 27.0 <= hi
+        assert fold.bisection_steps > 0 and fold.refinement_steps == 0
 
     def test_no_solution_error(self, grid8):
         # f so large that no positive solution exists at any probed theta

@@ -3,13 +3,15 @@ import pytest
 
 import lichtorus as lt
 from lichtorus import mountain
-from lichtorus.branch import build_subsolution
+from lichtorus.branch import build_subsolution, find_theta_star, newton_refine
 from lichtorus.core import (
     ProblemSpec,
     critical_spec,
     energy,
+    linearized_potential,
     regularized_residual,
     residual,
+    smallest_eigenpair,
 )
 from lichtorus.mountain import (
     GeometryError,
@@ -74,20 +76,20 @@ class TestMountainPass:
         eta = sphere_barrier(spec, center, radius, rng)
         sub = build_subsolution(coeffs, theta, q=q)
         u_low = minimize_in_ball(spec, center, radius, start=sub.field)
-        u_high = build_far_endpoint(spec, eta, radius, center)
-        return spec, eta, u_low, u_high
+        u_high, e_high = build_far_endpoint(spec, eta, radius, center)
+        return spec, eta, u_low, u_high, (energy(spec, u_low), e_high)
 
     def test_constant_saddle(self, unit_coeffs8, grid8):
-        spec, eta, u_low, u_high = self._stage(unit_coeffs8, grid8)
-        v, c_level = mountain_pass_solve(spec, u_low, u_high, eta=eta)
+        spec, eta, u_low, u_high, ends = self._stage(unit_coeffs8, grid8)
+        v, c_level = mountain_pass_solve(spec, u_low, u_high, *ends, eta=eta)
         oracle = regularized_constant_root(0.1, 5.5, 1e-2, branch="unstable")
         assert abs(v.values - oracle).max() <= 1e-8
         assert c_level >= eta
 
     def test_path_refinement_never_raises_level(self, unit_coeffs8, grid8):
-        spec, eta, u_low, u_high = self._stage(unit_coeffs8, grid8)
-        v1, c1 = mountain_pass_solve(spec, u_low, u_high, eta=eta, path_size=17)
-        v2, c2 = mountain_pass_solve(spec, u_low, u_high, eta=eta, path_size=34)
+        spec, eta, u_low, u_high, ends = self._stage(unit_coeffs8, grid8)
+        v1, c1 = mountain_pass_solve(spec, u_low, u_high, *ends, eta=eta, path_size=17)
+        v2, c2 = mountain_pass_solve(spec, u_low, u_high, *ends, eta=eta, path_size=34)
         assert c2 <= c1 + 1e-8
 
     def test_search_stops_at_first_sweep_without_lowering(self, unit_coeffs8, grid8,
@@ -95,7 +97,7 @@ class TestMountainPass:
         # a path through a seed far above the pass lowers its maximum for
         # many sweeps; the search hands that maximum to Newton at the first
         # sweep that does not lower it
-        spec, eta, u_low, u_high = self._stage(unit_coeffs8, grid8)
+        spec, eta, u_low, u_high, ends = self._stage(unit_coeffs8, grid8)
         maxima = []
         real = mountain._interpolate_path
 
@@ -106,7 +108,7 @@ class TestMountainPass:
 
         monkeypatch.setattr(mountain, "_interpolate_path", recording)
         seed = lt.constant_field(grid8, 0.9) + lt.cosine_field(grid8, 0.3, [1, 0, 0])
-        v, _ = mountain_pass_solve(spec, u_low, u_high, eta=eta, path_seed=seed)
+        v, _ = mountain_pass_solve(spec, u_low, u_high, *ends, eta=eta, path_seed=seed)
 
         def lowers(best, level):
             return level < best - 1e-12 * max(1.0, abs(best))
@@ -118,10 +120,11 @@ class TestMountainPass:
         assert abs(v.values - oracle).max() <= 1e-8
 
     def test_endpoints_must_be_below_barrier(self, unit_coeffs8, grid8):
-        spec, eta, u_low, u_high = self._stage(unit_coeffs8, grid8)
+        spec, eta, u_low, u_high, ends = self._stage(unit_coeffs8, grid8)
         bad_low = lt.constant_field(grid8, 0.93)  # near the ridge, I > eta
         with pytest.raises(GeometryError):
-            mountain_pass_solve(spec, bad_low, u_high, eta=eta)
+            mountain_pass_solve(spec, bad_low, u_high, energy(spec, bad_low), ends[1],
+                                eta=eta)
 
     def test_theta_zero_pass_point_is_solution_above_minimum(self, grid8):
         # no a-term: the pass point solves the regularized equation and its
@@ -135,10 +138,11 @@ class TestMountainPass:
         eta = sphere_barrier(spec, center, 1.0, rng)
         u_low = minimize_in_ball(spec, center, 1.0,
                                  start=lt.constant_field(grid8, 0.05))
-        u_high = build_far_endpoint(spec, eta, 1.0, center)
-        v, c_level = mountain_pass_solve(spec, u_low, u_high, eta=eta)
+        u_high, e_high = build_far_endpoint(spec, eta, 1.0, center)
+        e_low = energy(spec, u_low)
+        v, c_level = mountain_pass_solve(spec, u_low, u_high, e_low, e_high, eta=eta)
         assert regularized_residual(spec, v).sup_norm() <= 1e-10
-        assert c_level > energy(spec, u_low)
+        assert c_level > e_low
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +151,16 @@ def pair8():
     one = lt.constant_field(g, 1.0)
     coeffs = lt.Coefficients(one, one, one)
     return coeffs, critical_limit(coeffs, 0.1)
+
+
+@pytest.fixture(scope="module")
+def nonconstant_pair8():
+    g = lt.build_grid(3, [8, 8, 8], [1.0, 1.0, 1.0])
+    one = lt.constant_field(g, 1.0)
+    f = one + lt.cosine_field(g, 0.2, [0, 1, 0])
+    a = one + lt.cosine_field(g, 0.3, [1, 0, 0])
+    coeffs = lt.Coefficients(one, f, a)
+    return coeffs, critical_limit(coeffs, 0.08)
 
 
 class TestCriticalLimit:
@@ -185,18 +199,43 @@ class TestCriticalLimit:
         assert abs(pair.second.values - c2).max() <= 1e-6
         assert pair.minimal.energy < pair.eta <= pair.second_energy + 1e-9
 
-    def test_two_solutions_nonconstant_coefficients(self, grid8):
-        one = lt.constant_field(grid8, 1.0)
-        f = one + lt.cosine_field(grid8, 0.2, [0, 1, 0])
-        a = one + lt.cosine_field(grid8, 0.3, [1, 0, 0])
-        coeffs = lt.Coefficients(one, f, a)
-        pair = critical_limit(coeffs, 0.08)
+    def test_two_solutions_nonconstant_coefficients(self, nonconstant_pair8):
+        coeffs, pair = nonconstant_pair8
         spec = critical_spec(coeffs, 0.08)
         assert pair.minimal.energy < pair.eta <= pair.second_energy
         assert residual(spec, pair.minimal_refined).sup_norm() <= 1e-10
         assert residual(spec, pair.second).sup_norm() <= 1e-10
         assert pair.separation >= 1e-3
         assert (pair.minimal.solution.values <= pair.second.values).all()
+
+    def test_second_solution_is_the_upper_branch(self, nonconstant_pair8):
+        # an oracle independent of the mountain pass: start the upper branch
+        # at the fold, continue it down to theta = 0.08 by natural-parameter
+        # Newton, and arrive at the second solution
+        coeffs, pair = nonconstant_pair8
+        fold = find_theta_star(coeffs, theta_hint=0.05)
+        lower = fold.last_branch_point
+        spec = critical_spec(coeffs, lower.theta)
+        u, q, a, f = lower.solution.values, spec.q, coeffs.a.values, coeffs.f.values
+        phi = smallest_eigenpair(linearized_potential(spec, lower.solution)).vector
+        # fold normal form: the two branches at theta* - delta are
+        # u* -+ s phi with delta = kappa s^2 and
+        # kappa = (1/2) <W'(u*) phi^3> / <F_theta phi>; the lower
+        # certificate, within 1e-10 of theta*, stands in for u*
+        w_prime = -((q - 1) * (q - 2) * f * u ** (q - 3)
+                    + (q + 1) * (q + 2) * lower.theta * a * u ** (-(q + 3)))
+        kappa = 0.5 * np.sum(w_prime * phi.values ** 3) / np.sum(
+            -a * u ** (-(q + 1)) * phi.values)
+        theta = fold.theta_star * (1.0 - 1e-4)
+        s = np.sqrt((lower.theta - theta) / kappa)
+        v = newton_refine(critical_spec(coeffs, theta), lower.solution + s * phi)
+        upper = smallest_eigenpair(linearized_potential(critical_spec(coeffs, theta), v))
+        assert upper.lam < 0
+        gaps = np.geomspace(fold.theta_star - theta, fold.theta_star - 0.08, 24)
+        for theta in np.append(fold.theta_star - gaps[1:-1], 0.08):
+            v = newton_refine(critical_spec(coeffs, theta), v)
+        assert abs(v.values - pair.second.values).max() <= 1e-8
+        assert abs(energy(critical_spec(coeffs, 0.08), v) - pair.pass_level) <= 1e-10
 
 
 class TestCertificate:
