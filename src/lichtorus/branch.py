@@ -170,6 +170,14 @@ def build_subsolution(coeffs: Coefficients, theta: float,
     base = (coeffs.a - delta * f_minus - delta - k0 * psi).values
     fpow = coeffs.f.values * psi.values ** (spec.q - 1.0)
     apow = theta * coeffs.a.values * psi.values ** (-(spec.q + 1.0))
+    # All three powers of t are positive, so
+    #   t max(base) - t^(q-1) min(fpow) - t^(-(q+1)) min(apow)
+    # bounds r(t) at every point.  Where it is negative by more than 1e-9 of
+    # the largest sizes of its three terms, far beyond the few ulps the array
+    # pass rounds by, every point's computed r(t) is negative too and the
+    # array pass is skipped; the scan's outcome is the same, bit for bit.
+    base_hi, fpow_lo, apow_lo = base.max(), fpow.min(), apow.min()
+    base_abs, fpow_abs, apow_abs = (np.abs(v).max() for v in (base, fpow, apow))
     per_octave = 32
     scales = 2.0 ** (-np.arange(60 * per_octave + 1) / per_octave)
     floor = 10 * POSITIVITY_FLOOR / psi.min()
@@ -177,8 +185,13 @@ def build_subsolution(coeffs: Coefficients, theta: float,
     for t in scales[::-1]:  # ascend from the smallest scale
         if t < floor:
             continue
-        r_max = (t * base - t ** (spec.q - 1.0) * fpow
-                 - t ** (-(spec.q + 1.0)) * apow).max()
+        tf, ta = t ** (spec.q - 1.0), t ** (-(spec.q + 1.0))
+        bound = t * base_hi - tf * fpow_lo - ta * apow_lo
+        margin = 1e-9 * (t * base_abs + tf * fpow_abs + ta * apow_abs)
+        if bound < -margin:
+            best = t
+            continue
+        r_max = (t * base - tf * fpow - ta * apow).max()
         if r_max < 0:
             best = t
         else:

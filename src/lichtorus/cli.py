@@ -45,6 +45,8 @@ FAILURE_LINES = {2: "config error", 3: "solver failure", 4: "blow-up detected"}
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return ""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
@@ -84,6 +86,8 @@ def _branch_rows(points) -> list[list]:
 
 BRANCH_HEADER = ["theta", "lambda", "min_u", "max_u", "energy", "iterations",
                  "converged"]
+STABILITY_HEADER = ["q", "sup_u", "min_u", "mu", "deviation", "sup_diff",
+                    "grad_diff", "verdict"]
 
 
 def _run_solve(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
@@ -198,14 +202,12 @@ def _run_stability(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dic
         "final_diff": result.sup_differences[-1] if result.sup_differences else None,
     })
     if "csv" in cfg.formats:
-        rows = []
+        # a member's differences are to the member before it; the first has none
         diffs = [None] + result.sup_differences
-        for m, d in zip(result.members, diffs):
-            rows.append([m.q, m.sup_u, m.min_u, m.mu, m.deviation,
-                         "" if d is None else d, result.verdict])
-        writer.write_csv("stability.csv",
-                         ["q", "sup_u", "min_u", "mu", "deviation", "sup_diff",
-                          "verdict"], rows)
+        grad_diffs = [None] + result.gradient_differences
+        rows = [[m.q, m.sup_u, m.min_u, m.mu, m.deviation, d, g, result.verdict]
+                for m, d, g in zip(result.members, diffs, grad_diffs)]
+        writer.write_csv("stability.csv", STABILITY_HEADER, rows)
     return EXIT_BLOWUP if result.verdict == "BLOWUP" else EXIT_OK
 
 

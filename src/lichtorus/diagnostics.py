@@ -5,9 +5,12 @@ mu = (sup u)^(-(q-2)/2), like the radial profile
 
     U(x) = (1 + f0 |x|^2 / (n(n-2)))^(-(n-2)/2),
 
-which solves Delta U = f0 U^(2*-1) on R^n.  The stability experiment solves
-the subcritical family and issues CONVERGED when no concentration is seen,
-keeping BLOWUP as a first-class outcome with the profile evidence attached.
+which solves Delta U = f0 U^(2*-1) on R^n.  The comparison means something
+only while mu is well below the torus periods (mu/period <= 0.1,
+CONCENTRATION_RATIO).  The stability experiment solves the subcritical family,
+locates every member's peak and mu, compares with the bubble only the members
+that concentrate, and issues CONVERGED when no concentration is seen, keeping
+BLOWUP as a first-class outcome with the profile evidence attached.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ from .errors import SolverFailure
 from .grid import ScalarField, gradient
 
 log = logging.getLogger(__name__)
+
+# mu / min(period) at or below which the rescaled window stays well inside one
+# period, so that the bubble comparison means something
+CONCENTRATION_RATIO = 0.1
 
 
 class StructuralViolationError(SolverFailure):
@@ -68,6 +75,17 @@ class BubbleResidualReport:
     interior_points: int
 
 
+@dataclass(frozen=True)
+class Peak:
+    """Where u peaks, f0 = f there, and the blow-up scale mu of that peak."""
+
+    center_index: tuple[int, ...]
+    value: float
+    f0: float
+    mu: float
+    mu_over_period: float
+
+
 @dataclass
 class ProfileReport:
     mu: float
@@ -84,7 +102,7 @@ class StabilityMember:
     sup_u: float
     min_u: float
     mu: float
-    deviation: float
+    deviation: float | None  # None unless mu/period <= CONCENTRATION_RATIO
     iterations: int
 
 
@@ -138,6 +156,28 @@ def standard_bubble(spec: BubbleSpec, window_half_width: float,
     return LocalField(values=u, spacing=h, half_width=m * h), report
 
 
+def locate_peak(u: ScalarField, f: ScalarField, q: float) -> Peak:
+    """The peak of u and its blow-up scale mu = (sup u)^(-(q-2)/2).
+
+    Raises StructuralViolationError when f <= 0 at the peak, where blow-up
+    is structurally impossible.
+    """
+    grid = u.grid
+    center_index = np.unravel_index(int(np.argmax(u.values)), grid.resolutions)
+    peak = float(u.values[center_index])
+    if peak <= 0:
+        raise ValueError("u must have a positive maximum")
+    f0 = float(f.values[center_index])
+    if f0 <= 0:
+        raise StructuralViolationError(
+            f"f = {f0:.3e} <= 0 at the concentration point; blow-up there is "
+            "structurally impossible"
+        )
+    mu = peak ** (-(q - 2.0) / 2.0)
+    return Peak(center_index=tuple(int(i) for i in center_index), value=peak,
+                f0=f0, mu=mu, mu_over_period=mu / min(grid.periods))
+
+
 def rescaled_profile_compare(u: ScalarField, f: ScalarField, q: float,
                              window: float = 5.0,
                              samples_per_unit: int | None = None) -> ProfileReport:
@@ -153,20 +193,9 @@ def rescaled_profile_compare(u: ScalarField, f: ScalarField, q: float,
     if samples_per_unit is None:
         # the window lattice has (2 * window * s + 1)^n points; keep it flat
         samples_per_unit = {3: 4, 4: 2, 5: 1}[n]
-    idx_flat = int(np.argmax(u.values))
-    center_index = np.unravel_index(idx_flat, grid.resolutions)
-    peak = float(u.values[center_index])
-    if peak <= 0:
-        raise ValueError("u must have a positive maximum")
-    f0 = float(f.values[center_index])
-    if f0 <= 0:
-        raise StructuralViolationError(
-            f"f = {f0:.3e} <= 0 at the concentration point; blow-up there is "
-            "structurally impossible"
-        )
-    mu = peak ** (-(q - 2.0) / 2.0)
+    peak = locate_peak(u, f, q)
 
-    spec = BubbleSpec(n=n, f0=f0)
+    spec = BubbleSpec(n=n, f0=peak.f0)
     m = int(window * samples_per_unit)
     axis = np.arange(-m, m + 1) / samples_per_unit
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
@@ -178,15 +207,26 @@ def rescaled_profile_compare(u: ScalarField, f: ScalarField, q: float,
     coords = []
     for ax in range(n):
         spacing = grid.periods[ax] / grid.resolutions[ax]
-        coords.append(center_index[ax] + mesh[ax][ball] * mu / spacing)
+        coords.append(peak.center_index[ax] + mesh[ax][ball] * peak.mu / spacing)
     sampled = map_coordinates(u.values, np.stack(coords), order=3, mode="grid-wrap")
-    rescaled = sampled / peak  # mu^(2/(q-2)) u with mu = peak^(-(q-2)/2)
+    rescaled = sampled / peak.value  # mu^(2/(q-2)) u with mu = peak^(-(q-2)/2)
     deviation = float(np.abs(rescaled - target).max())
 
-    ratio = mu / min(grid.periods)
-    return ProfileReport(mu=mu, center_index=tuple(int(i) for i in center_index),
-                         f0=f0, deviation=deviation, mu_over_period=ratio,
-                         concentrated=bool(ratio <= 0.1 and deviation <= 0.1))
+    ratio = peak.mu_over_period
+    return ProfileReport(mu=peak.mu, center_index=peak.center_index,
+                         f0=peak.f0, deviation=deviation, mu_over_period=ratio,
+                         concentrated=bool(ratio <= CONCENTRATION_RATIO
+                                           and deviation <= 0.1))
+
+
+def member_profile(u: ScalarField, f: ScalarField, q: float) -> tuple[Peak, float | None]:
+    """The peak of u and, only where mu/period <= CONCENTRATION_RATIO, the
+    deviation of rescaled_profile_compare; None where the comparison would
+    wrap the torus and mean nothing."""
+    peak = locate_peak(u, f, q)
+    if peak.mu_over_period > CONCENTRATION_RATIO:
+        return peak, None
+    return peak, rescaled_profile_compare(u, f, q).deviation
 
 
 def stability_experiment(coeffs: Coefficients, theta: float, q_schedule,
@@ -195,9 +235,14 @@ def stability_experiment(coeffs: Coefficients, theta: float, q_schedule,
     """Solve the subcritical family (EL_{q_k}) with perturbed a and classify.
 
     a_perturbations: optional list of fields added to a (same length as the
-    q schedule).  Verdict CONVERGED when successive sup-norm differences
-    decrease and no concentration indicators fire; BLOWUP otherwise, with
-    the per-member mu and profile evidence in the record.
+    q schedule).  Every member records its peak, mu and minimum; the bubble
+    deviation is computed only for members with mu/period <=
+    CONCENTRATION_RATIO and is None for the rest.  The result also carries the
+    successive sup-norm and gradient sup-norm differences (the C^0 and C^1
+    content of the stability theorem).  Verdict CONVERGED when successive
+    sup-norm differences decrease and no concentration indicators fire;
+    BLOWUP otherwise, with the per-member mu and profile evidence in the
+    record.
     """
     cfg = cfg or SolverConfig()
     qs = [float(q) for q in q_schedule]
@@ -222,9 +267,9 @@ def stability_experiment(coeffs: Coefficients, theta: float, q_schedule,
                 "stability experiment inputs are inconsistent"
             )
         sol = out.solution
-        profile = rescaled_profile_compare(sol, coeffs.f, q)
+        peak, deviation = member_profile(sol, coeffs.f, q)
         members.append(StabilityMember(q=q, sup_u=sol.max(), min_u=sol.min(),
-                                       mu=profile.mu, deviation=profile.deviation,
+                                       mu=peak.mu, deviation=deviation,
                                        iterations=out.iterations))
         sols.append(sol)
 

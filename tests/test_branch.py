@@ -51,6 +51,62 @@ class TestSubsolution:
         assert residual(spec, sub.field).max() < 0
 
 
+def brute_force_subsolution(coeffs, theta):
+    """build_subsolution at the critical q with the full array pass at every
+    scale of the scan: the reference the scalar-bound scan must reproduce."""
+    grid = coeffs.grid
+    q = critical_spec(coeffs, theta).q
+    k0 = max(0.0, 1.0 - coeffs.h.min())
+    f_minus = lt.ScalarField(grid, np.maximum(-coeffs.f.values, 0.0))
+    delta = 1.0
+    for _ in range(branch.MAX_HALVINGS + 1):
+        psi = lt.helmholtz_solve(coeffs.h + k0, coeffs.a - delta * f_minus - delta)
+        if psi.min() > 0:
+            break
+        delta *= 0.5
+    base = (coeffs.a - delta * f_minus - delta - k0 * psi).values
+    fpow = coeffs.f.values * psi.values ** (q - 1.0)
+    apow = theta * coeffs.a.values * psi.values ** (-(q + 1.0))
+    scales = 2.0 ** (-np.arange(60 * 32 + 1) / 32)
+    floor = 10 * branch.POSITIVITY_FLOOR / psi.min()
+    best = None
+    for t in scales[::-1]:
+        if t < floor:
+            continue
+        r_max = (t * base - t ** (q - 1.0) * fpow - t ** (-(q + 1.0)) * apow).max()
+        if r_max < 0:
+            best = t
+        else:
+            break
+    return best, delta, best * psi
+
+
+SCAN_CASES = {
+    # name: (h, f, a, theta) as (constant, cosine amplitude, cosine mode)
+    "unit": ((1.0, 0.0, [1, 0, 0]), (1.0, 0.0, [1, 0, 0]), (1.0, 0.0, [1, 0, 0]), 0.1),
+    "cosine a": ((1.0, 0.0, [1, 0, 0]), (1.0, 0.0, [1, 0, 0]), (1.0, 0.3, [1, 0, 0]), 0.1),
+    "sign-changing f": ((1.0, 0.3, [0, 1, 0]), (0.0, 1.0, [1, 0, 0]),
+                        (1.0, 0.5, [1, 1, 0]), 0.08),
+    "stops below 1, a = 3 + cos": ((1.0, 0.0, [1, 0, 0]), (1.0, 0.0, [1, 0, 0]),
+                                   (3.0, 0.3, [1, 0, 0]), 1e-6),
+    "stops below 1, a = 2 + cos": ((1.0, 0.0, [1, 0, 0]), (1.0, 0.0, [1, 0, 0]),
+                                   (2.0, 0.3, [1, 0, 0]), 1e-4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_scale_scan_matches_the_array_pass(grid8, case):
+    *fields, theta = SCAN_CASES[case]
+    coeffs = lt.Coefficients(*(lt.constant_field(grid8, c) + amp * lt.cosine_field(grid8, 1.0, k)
+                               for c, amp, k in fields))
+    sub = build_subsolution(coeffs, theta)
+    scale, delta, w = brute_force_subsolution(coeffs, theta)
+    assert (sub.scale, sub.delta) == (scale, delta)
+    assert sub.field.values.tobytes() == w.values.tobytes()
+    if case.startswith("stops below 1"):
+        assert sub.scale < 1.0
+
+
 class TestMonotoneIterate:
     def test_converges_to_stable_root(self, unit_coeffs8):
         c1, _ = constant_roots(0.1, 6.0)

@@ -95,7 +95,13 @@ def test_stability_mode_csv_rows(tmp_path):
     assert main(["stability-test", "--config", cfgp]) == 0
     rows = (tmp_path / "out" / "stability.csv").read_text().splitlines()
     assert len(rows) == 7  # header + 6 members
-    assert all(row.endswith("CONVERGED") for row in rows[1:])
+    assert rows[0] == "q,sup_u,min_u,mu,deviation,sup_diff,grad_diff,verdict"
+    cells = [dict(zip(rows[0].split(","), row.split(","))) for row in rows[1:]]
+    assert all(c["verdict"] == "CONVERGED" for c in cells)
+    # every member has mu/period >= 1, so none is compared with the bubble
+    assert all(c["deviation"] == "" for c in cells)
+    assert cells[0]["sup_diff"] == cells[0]["grad_diff"] == ""
+    assert all(float(c["grad_diff"]) >= 0 for c in cells[1:])
 
 
 def test_stability_blowup_exit_code(tmp_path):

@@ -6,6 +6,7 @@ from lichtorus import diagnostics
 from lichtorus.diagnostics import (
     BubbleSpec,
     StructuralViolationError,
+    member_profile,
     rescaled_profile_compare,
     stability_experiment,
     standard_bubble,
@@ -52,15 +53,20 @@ class TestStandardBubble:
             standard_bubble(BubbleSpec(n=3, f0=3.0), 0.01, spacing=0.01)
 
 
+def transplanted_bubble(mu: float):
+    """(u, f): a bubble of scale mu at f0 = 3 (R0 = 1) on the unit 96^3 torus."""
+    g = lt.build_grid(3, [96, 96, 96], [1.0, 1.0, 1.0])
+    mesh = g.meshgrid()
+    r2 = sum(((x - 0.5 + 0.5) % 1.0 - 0.5) ** 2 for x in mesh)
+    profile = (1.0 + (r2 / mu**2)) ** (-0.5)
+    return lt.ScalarField(g, mu ** (-0.5) * profile), lt.constant_field(g, 3.0)
+
+
 class TestProfileCompare:
     def test_transplanted_bubble(self):
-        g = lt.build_grid(3, [96, 96, 96], [1.0, 1.0, 1.0])
-        mu, f0, q = 0.05, 3.0, 6.0
-        mesh = g.meshgrid()
-        r2 = sum(((x - 0.5 + 0.5) % 1.0 - 0.5) ** 2 for x in mesh)
-        profile = (1.0 + (r2 / mu**2)) ** (-0.5)  # R0 = 1 at f0 = 3
-        u = lt.ScalarField(g, mu ** (-0.5) * profile)
-        rep = rescaled_profile_compare(u, lt.constant_field(g, f0), q)
+        mu, q = 0.05, 6.0
+        u, f = transplanted_bubble(mu)
+        rep = rescaled_profile_compare(u, f, q)
         assert rep.deviation <= 2e-2
         assert rep.mu == pytest.approx(mu, rel=1e-12)
         assert rep.concentrated
@@ -105,13 +111,33 @@ class TestProfileCompare:
             rescaled_profile_compare(u, f, 6.0)
 
 
-@pytest.fixture(scope="module")
-def experiment():
+class TestMemberProfile:
+    def test_concentrated_member_matches_the_comparison(self):
+        u, f = transplanted_bubble(0.05)
+        peak, deviation = member_profile(u, f, 6.0)
+        rep = rescaled_profile_compare(u, f, 6.0)
+        assert peak.mu_over_period == pytest.approx(0.05, rel=1e-12)
+        assert deviation == rep.deviation
+        assert (peak.mu, peak.f0, peak.center_index) == (rep.mu, rep.f0, rep.center_index)
+
+    def test_nonpositive_f_flagged(self, grid8):
+        u = lt.constant_field(grid8, 1.0) + 0.5 * lt.cosine_field(grid8, 1.0, [1, 0, 0])
+        f = lt.constant_field(grid8, -1.0) + 0.5 * lt.cosine_field(grid8, 1.0, [0, 1, 0])
+        with pytest.raises(StructuralViolationError):
+            member_profile(u, f, 6.0)
+
+
+def unit_family():
     g = lt.build_grid(3, [8, 8, 8], [1.0, 1.0, 1.0])
     one = lt.constant_field(g, 1.0)
     coeffs = lt.Coefficients(one, one, one)
     qs = [6.0 - 1.0 / k for k in range(1, 7)]
     return coeffs, qs, stability_experiment(coeffs, 0.1, qs)
+
+
+@pytest.fixture(scope="module")
+def experiment():
+    return unit_family()
 
 
 class TestStabilityExperiment:
@@ -133,6 +159,22 @@ class TestStabilityExperiment:
     def test_mu_bounded_away_from_zero(self, experiment):
         _, _, res = experiment
         assert min(m.mu for m in res.members) > 1e-3
+
+    def test_profile_interpolated_only_where_concentrated(self, monkeypatch):
+        # every member of the unit family has mu/period >= 1: its bubble
+        # comparison would wrap the torus, so none is interpolated
+        calls = []
+        real = diagnostics.map_coordinates
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "map_coordinates", counting)
+        _, _, res = unit_family()
+        assert calls == []
+        assert all(m.deviation is None for m in res.members)
+        assert min(m.mu for m in res.members) >= 1.0
 
     def test_perturbed_family_converges_to_unperturbed_limit(self):
         # a_k = a (1 + 0.1/k): at large k the perturbed member matches the
