@@ -3,9 +3,11 @@
 The minimal solution is constructed by the sub/supersolution scheme: starting
 from a strict subsolution w, iterate v <- (Delta + K)^(-1)(F(., v) + K v) with
 F(x, u) = f u^(q-1) + theta a u^(-(q+1)) - h u and K large enough that
-F + K id is nonnegative and nondecreasing on the current range.  Iterates are
-pointwise nondecreasing; they converge to the smallest positive solution or
-grow without bound when none exists.  The fold theta_star is located by
+F + K id is nondecreasing on the comparison range (Sattinger 1972), a
+one-sided bound on -F'.  Then each iterate is a subsolution above the last,
+so iterates are pointwise nondecreasing and stay above w > 0; F + K id need
+not be nonnegative.  They converge to the smallest positive solution or grow
+without bound when none exists.  The fold theta_star is located by
 Newton on the extended system, certified by one probe each side.
 """
 
@@ -282,18 +284,23 @@ def newton_refine(spec: ProblemSpec, u0: ScalarField) -> ScalarField:
 
 
 def _bound_constant(spec: ProblemSpec, floor: float, sup: float) -> float:
-    """K such that F + K id is nonnegative and nondecreasing on [floor, sup].
+    """K >= 1 such that F + K id is nondecreasing in u on [floor, sup].
 
-    Callers pass the current iterate's range with headroom on the sup: one
-    iteration step grows the sup by at most 1 + 1/(q-1) + 1/(q+1) < 1.3 when
-    K satisfies this bound, so the range covers the next comparison too.
+    That needs K >= -F'(x, t) = h - (q-1) f t^(q-2) + (q+1) theta a t^(-(q+2))
+    for t in the range.  Each term is monotone in t (q >= 2, a >= 0), so its
+    worst case sits at an end: floor for the a term, and for the f term floor
+    where f >= 0 and sup where f < 0.  Where f >= 0 the bound therefore holds
+    on all of [floor, inf); only points with f < 0 depend on sup covering the
+    next iterate, and the caller's monotonicity check catches a miss.
     """
     c = spec.coefficients
     q = spec.q
-    bound = (np.abs(c.h.values)
-             + (q - 1.0) * np.abs(c.f.values) * sup ** (q - 2.0)
+    f = c.f.values
+    # the f term at its worst end: floor where f >= 0, sup where f < 0
+    f_term = (q - 1.0) * np.minimum(f * floor ** (q - 2.0), f * sup ** (q - 2.0))
+    bound = (c.h.values - f_term
              + (q + 1.0) * spec.theta * c.a.values * floor ** (-(q + 2.0)))
-    return float(bound.max()) + 1.0
+    return 1.0 + max(0.0, float(bound.max()))
 
 
 def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,
@@ -329,8 +336,8 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,
     step = np.inf
 
     for it in range(1, cfg.max_iters + 1):
-        # iterates are nondecreasing, so the current min is a valid floor for
-        # this step's comparison range; 1.3x headroom covers the next sup
+        # iterates are nondecreasing, so the current min floors this step's
+        # comparison range; the 1.3x sup headroom matters only where f < 0
         k = _bound_constant(spec, v.min(), 1.3 * v.max())
         vv = v.values
         f_of_v = (c.f.values * vv ** (q - 1.0)

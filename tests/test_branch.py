@@ -107,6 +107,43 @@ def test_scale_scan_matches_the_array_pass(grid8, case):
         assert sub.scale < 1.0
 
 
+BOUND_CASES = {
+    # name: (f as (constant, cosine amplitude), theta, floor, top)
+    "f >= 0": ((1.0, 0.4), 0.05, 0.8, 2.6),
+    "sign-changing f, f term dominates": ((0.6, 1.3), 0.05, 0.8, 2.6),
+    "sign-changing f, a term dominates": ((0.6, 1.3), 0.1, 0.3, 0.4),
+    "f >= 0, K = 1": ((10.0, 0.0), 0.05, 0.8, 2.6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
+def test_bound_constant_is_the_one_sided_bound(grid8, case):
+    # K - 1 must dominate -F'(x, t) = h - (q-1) f t^(q-2) + (q+1) theta a t^(-(q+2))
+    # over [floor, top], brute-forced on a dense t grid that holds both ends
+    (f0, famp), theta, floor, top = BOUND_CASES[case]
+    one = lt.constant_field(grid8, 1.0)
+    coeffs = lt.Coefficients(one + 0.3 * lt.cosine_field(grid8, 1.0, [0, 1, 0]),
+                             f0 * one + famp * lt.cosine_field(grid8, 1.0, [1, 0, 0]),
+                             one + 0.3 * lt.cosine_field(grid8, 1.0, [0, 0, 1]))
+    spec = critical_spec(coeffs, theta)
+    q = spec.q
+    k = branch._bound_constant(spec, floor, top)
+    h, f, a = (c.values[..., None] for c in (coeffs.h, coeffs.f, coeffs.a))
+
+    def worst(t):
+        return float((h - (q - 1.0) * f * t ** (q - 2.0)
+                      + (q + 1.0) * theta * a * t ** (-(q + 2.0))).max())
+
+    brute = worst(np.geomspace(floor, top, 2001))
+    assert k >= 1.0
+    assert k - 1.0 >= brute - 1e-12 * abs(brute)
+    if coeffs.f.min() >= 0:
+        # every term is worst at floor, so the bound is attained there and
+        # holds on all of [floor, inf)
+        assert k - 1.0 == pytest.approx(max(brute, 0.0), rel=1e-12, abs=1e-12)
+        assert k - 1.0 >= worst(np.geomspace(floor, 1e3 * top, 2001)) - 1e-12 * abs(brute)
+
+
 class TestMonotoneIterate:
     def test_converges_to_stable_root(self, unit_coeffs8):
         c1, _ = constant_roots(0.1, 6.0)
@@ -122,6 +159,14 @@ class TestMonotoneIterate:
         out = monotone_iterate(spec, build_subsolution(unit_coeffs8, 0.2))
         assert not out.converged
         assert out.solution is None
+
+    def test_probe_diverges_in_tens_of_iterations(self, unit_coeffs8):
+        # a K no larger than monotonicity needs takes a probe past the fold
+        # to the cap in a few dozen steps
+        out = monotone_iterate(critical_spec(unit_coeffs8, 0.2),
+                               build_subsolution(unit_coeffs8, 0.2))
+        assert out.reason == "cap exceeded"
+        assert out.iterations <= 25
 
     def test_iterates_nondecreasing(self, unit_coeffs8):
         out = monotone_iterate(critical_spec(unit_coeffs8, 0.12),
@@ -235,6 +280,33 @@ class TestFoldLocation:
         fold = find_theta_star(unit_coeffs8, theta_hint=0.1, tol=1e-4)
         assert len(probes) <= 4
         assert probes[-1] == fold.bracket[1]
+
+    def test_picard_work_of_a_fold(self, unit_coeffs8, monkeypatch):
+        iterations = []
+        real = branch.monotone_iterate
+
+        def counting(*args, **kwargs):
+            out = real(*args, **kwargs)
+            iterations.append(out.iterations)
+            return out
+
+        monkeypatch.setattr(branch, "monotone_iterate", counting)
+        fold = find_theta_star(unit_coeffs8, theta_hint=0.1, tol=1e-4)
+        assert abs(fold.theta_star - 4.0 / 27.0) <= 1e-12
+        assert sum(iterations) <= 100
+
+    def test_sign_changing_f(self, grid8):
+        # where f < 0 the bound takes the f term at the top of the range; the
+        # probes past the fold must keep pointwise monotonicity up to the cap
+        one = lt.constant_field(grid8, 1.0)
+        f = 0.6 * one + 1.3 * lt.cosine_field(grid8, 1.0, [1, 0, 0])
+        a = one + 0.3 * lt.cosine_field(grid8, 1.0, [0, 1, 0])
+        fold = find_theta_star(lt.Coefficients(one, f, a), 0.05, 1e-4)
+        lo, hi = fold.bracket
+        assert fold.bisection_steps == 0
+        assert 0.0 <= fold.last_branch_point.lam <= 1e-4
+        assert lo < fold.theta_star <= hi
+        assert fold.theta_star == pytest.approx(0.298597, abs=1e-6)
 
     def test_bisection_fallback(self, unit_coeffs8, monkeypatch):
         def failing(*args):
