@@ -3,10 +3,13 @@
 The minimal solution is constructed by the sub/supersolution scheme: starting
 from a strict subsolution w, iterate v <- (Delta + K)^(-1)(F(., v) + K v) with
 F(x, u) = f u^(q-1) + theta a u^(-(q+1)) - h u and K large enough that
-F + K id is nondecreasing on the comparison range (Sattinger 1972), a
-one-sided bound on -F'.  Then each iterate is a subsolution above the last,
-so iterates are pointwise nondecreasing and stay above w > 0; F + K id need
-not be nonnegative.  They converge to the smallest positive solution or grow
+F + K id is nondecreasing on the comparison range (Sattinger 1972).  Two
+things suffice: K >= B, a one-sided bound on -F' over the range, for that
+monotonicity, and K > 0, so that (Delta + K)^(-1) exists and preserves
+order.  Then each iterate is a subsolution above the last, so iterates are
+pointwise nondecreasing and stay above w > 0; F + K id need not be
+nonnegative, and K needs no headroom above B, which would only slow the
+contraction.  They converge to the smallest positive solution or grow
 without bound when none exists.  The fold theta_star is located by
 Newton on the extended system, certified by one probe each side.
 """
@@ -44,6 +47,7 @@ NEWTON_RES_TOL = 1e-10      # sup-norm residual at which Newton stops
 NEWTON_MAX_STEPS = 40
 MAX_HALVINGS = 60           # delta halvings tried for a positive psi_delta
 PROBE_NEWTON_TRIGGER = 1e-5  # existence probes attempt Newton below this step
+K_MIN = 0.1                 # smallest Picard shift; bounds (Delta + K)^(-1) by 1/K_MIN
 
 
 class SubsolutionError(SolverFailure):
@@ -133,9 +137,13 @@ def build_subsolution(coeffs: Coefficients, theta: float,
     """Strict subsolution w = t * psi_delta at the given (theta, q).
 
     psi_delta solves (Delta + H) psi = a - delta f^- - delta with
-    H = h + K0 >= 1; delta halves from 1 until psi is positive, then the
-    scale t is chosen so that every smaller scale is a strict subsolution
-    too, which places w under every positive solution.
+    H = h + K0 >= 1; delta halves from 1 until psi is positive.  The scale t
+    then ascends the log grid 2^(i/32) over [2^-60, 2^60] and stops below the
+    first scale whose residual is not strictly negative, so every smaller
+    scale is a strict subsolution too, which places w under every positive
+    solution and as high along the ray t psi as one 2% step allows.  Where
+    every scale of the range is a strict subsolution, as past the fold,
+    t = 1.
     """
     grid = coeffs.grid
     if coeffs.a.max() <= 0:
@@ -176,27 +184,23 @@ def build_subsolution(coeffs: Coefficients, theta: float,
     #   t max(base) - t^(q-1) min(fpow) - t^(-(q+1)) min(apow)
     # bounds r(t) at every point.  Where it is negative by more than 1e-9 of
     # the largest sizes of its three terms, far beyond the few ulps the array
-    # pass rounds by, every point's computed r(t) is negative too and the
-    # array pass is skipped; the scan's outcome is the same, bit for bit.
-    base_hi, fpow_lo, apow_lo = base.max(), fpow.min(), apow.min()
-    base_abs, fpow_abs, apow_abs = (np.abs(v).max() for v in (base, fpow, apow))
+    # pass rounds by, every point's computed r(t) is negative too; only the
+    # other scales take the array pass, and the scan's outcome is the same,
+    # bit for bit.
     per_octave = 32
-    scales = 2.0 ** (-np.arange(60 * per_octave + 1) / per_octave)
+    scales = 2.0 ** (np.arange(-60 * per_octave, 60 * per_octave + 1) / per_octave)
     floor = 10 * POSITIVITY_FLOOR / psi.min()
-    best = None
-    for t in scales[::-1]:  # ascend from the smallest scale
-        if t < floor:
-            continue
-        tf, ta = t ** (spec.q - 1.0), t ** (-(spec.q + 1.0))
-        bound = t * base_hi - tf * fpow_lo - ta * apow_lo
-        margin = 1e-9 * (t * base_abs + tf * fpow_abs + ta * apow_abs)
-        if bound < -margin:
-            best = t
-            continue
-        r_max = (t * base - tf * fpow - ta * apow).max()
-        if r_max < 0:
-            best = t
-        else:
+    scales = scales[scales >= floor]
+    tf, ta = scales ** (spec.q - 1.0), scales ** (-(spec.q + 1.0))
+    bound = scales * base.max() - tf * fpow.min() - ta * apow.min()
+    margin = 1e-9 * (scales * np.abs(base).max() + tf * np.abs(fpow).max()
+                     + ta * np.abs(apow).max())
+    best = 1.0 if floor <= 1.0 else None  # no sign change in the range
+    for i in np.flatnonzero(~(bound < -margin)):  # ascend from the smallest scale
+        t = scales[i]
+        r = t * base - t ** (spec.q - 1.0) * fpow - t ** (-(spec.q + 1.0)) * apow
+        if not r.max() < 0:
+            best = scales[i - 1] if i > 0 else None
             break
     if best is None:
         raise SubsolutionError(
@@ -284,14 +288,21 @@ def newton_refine(spec: ProblemSpec, u0: ScalarField) -> ScalarField:
 
 
 def _bound_constant(spec: ProblemSpec, floor: float, sup: float) -> float:
-    """K >= 1 such that F + K id is nondecreasing in u on [floor, sup].
+    """K = max(B, K_MIN) such that F + K id is nondecreasing in u on [floor, sup].
 
-    That needs K >= -F'(x, t) = h - (q-1) f t^(q-2) + (q+1) theta a t^(-(q+2))
-    for t in the range.  Each term is monotone in t (q >= 2, a >= 0), so its
-    worst case sits at an end: floor for the a term, and for the f term floor
-    where f >= 0 and sup where f < 0.  Where f >= 0 the bound therefore holds
-    on all of [floor, inf); only points with f < 0 depend on sup covering the
-    next iterate, and the caller's monotonicity check catches a miss.
+    That needs K >= B, the max over x and over t in the range of
+    -F'(x, t) = h - (q-1) f t^(q-2) + (q+1) theta a t^(-(q+2)).  Each term is
+    monotone in t (q >= 2, a >= 0), so its worst case sits at an end: floor
+    for the a term, and for the f term floor where f >= 0 and sup where
+    f < 0.  Where f >= 0 the bound therefore holds on all of [floor, inf);
+    only points with f < 0 depend on sup covering the next iterate, and the
+    caller's monotonicity check catches a miss.
+
+    K > 0 makes Delta + K invertible with an order-preserving inverse, and
+    K_MIN keeps that inverse bounded where B <= 0.  Nothing needs K >= 1:
+    near the solution B tends to the first eigenvalue of the linearization,
+    and headroom above B only holds the mean-mode contraction at 1 - B/K
+    instead of near 0.
     """
     c = spec.coefficients
     q = spec.q
@@ -300,7 +311,7 @@ def _bound_constant(spec: ProblemSpec, floor: float, sup: float) -> float:
     f_term = (q - 1.0) * np.minimum(f * floor ** (q - 2.0), f * sup ** (q - 2.0))
     bound = (c.h.values - f_term
              + (q + 1.0) * spec.theta * c.a.values * floor ** (-(q + 2.0)))
-    return 1.0 + max(0.0, float(bound.max()))
+    return max(float(bound.max()), K_MIN)
 
 
 def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,

@@ -67,17 +67,17 @@ def brute_force_subsolution(coeffs, theta):
     base = (coeffs.a - delta * f_minus - delta - k0 * psi).values
     fpow = coeffs.f.values * psi.values ** (q - 1.0)
     apow = theta * coeffs.a.values * psi.values ** (-(q + 1.0))
-    scales = 2.0 ** (-np.arange(60 * 32 + 1) / 32)
+    scales = 2.0 ** (np.arange(-60 * 32, 60 * 32 + 1) / 32)
     floor = 10 * branch.POSITIVITY_FLOOR / psi.min()
-    best = None
-    for t in scales[::-1]:
+    best, below = 1.0, None  # no sign change in the range: the unit scale
+    for t in scales:
         if t < floor:
             continue
         r_max = (t * base - t ** (q - 1.0) * fpow - t ** (-(q + 1.0)) * apow).max()
-        if r_max < 0:
-            best = t
-        else:
+        if not r_max < 0:
+            best = below
             break
+        below = t
     return best, delta, best * psi
 
 
@@ -91,6 +91,10 @@ SCAN_CASES = {
                                    (3.0, 0.3, [1, 0, 0]), 1e-6),
     "stops below 1, a = 2 + cos": ((1.0, 0.0, [1, 0, 0]), (1.0, 0.0, [1, 0, 0]),
                                    (2.0, 0.3, [1, 0, 0]), 1e-4),
+    "climbs past 1, a = 1.04": ((1.0, 0.0, [1, 0, 0]), (1.0, 0.0, [1, 0, 0]),
+                                (1.04, 0.0, [1, 0, 0]), 0.05),
+    "no sign change, unit past the fold": ((1.0, 0.0, [1, 0, 0]), (1.0, 0.0, [1, 0, 0]),
+                                           (1.0, 0.0, [1, 0, 0]), 0.2),
 }
 
 
@@ -105,6 +109,13 @@ def test_scale_scan_matches_the_array_pass(grid8, case):
     assert sub.field.values.tobytes() == w.values.tobytes()
     if case.startswith("stops below 1"):
         assert sub.scale < 1.0
+    if case.startswith("climbs past 1"):
+        # psi = a - 1 = 0.04; the scan climbs to within a step of the solution
+        assert sub.scale > 1.0
+        sol = minimal_solution(critical_spec(coeffs, theta)).solution
+        assert sub.field.min() >= 0.95 * sol.min()
+    if case.startswith("no sign change"):
+        assert sub.scale == 1.0
 
 
 BOUND_CASES = {
@@ -112,14 +123,15 @@ BOUND_CASES = {
     "f >= 0": ((1.0, 0.4), 0.05, 0.8, 2.6),
     "sign-changing f, f term dominates": ((0.6, 1.3), 0.05, 0.8, 2.6),
     "sign-changing f, a term dominates": ((0.6, 1.3), 0.1, 0.3, 0.4),
-    "f >= 0, K = 1": ((10.0, 0.0), 0.05, 0.8, 2.6),
+    "f >= 0, K = K_MIN": ((10.0, 0.0), 0.05, 0.8, 2.6),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BOUND_CASES))
 def test_bound_constant_is_the_one_sided_bound(grid8, case):
-    # K - 1 must dominate -F'(x, t) = h - (q-1) f t^(q-2) + (q+1) theta a t^(-(q+2))
-    # over [floor, top], brute-forced on a dense t grid that holds both ends
+    # K must dominate -F'(x, t) = h - (q-1) f t^(q-2) + (q+1) theta a t^(-(q+2))
+    # over [floor, top], brute-forced on a dense t grid that holds both ends,
+    # and stay at least K_MIN > 0
     (f0, famp), theta, floor, top = BOUND_CASES[case]
     one = lt.constant_field(grid8, 1.0)
     coeffs = lt.Coefficients(one + 0.3 * lt.cosine_field(grid8, 1.0, [0, 1, 0]),
@@ -135,13 +147,15 @@ def test_bound_constant_is_the_one_sided_bound(grid8, case):
                       + (q + 1.0) * theta * a * t ** (-(q + 2.0))).max())
 
     brute = worst(np.geomspace(floor, top, 2001))
-    assert k >= 1.0
-    assert k - 1.0 >= brute - 1e-12 * abs(brute)
+    assert k >= brute - 1e-12 * abs(brute)
+    assert k >= branch.K_MIN
     if coeffs.f.min() >= 0:
         # every term is worst at floor, so the bound is attained there and
         # holds on all of [floor, inf)
-        assert k - 1.0 == pytest.approx(max(brute, 0.0), rel=1e-12, abs=1e-12)
-        assert k - 1.0 >= worst(np.geomspace(floor, 1e3 * top, 2001)) - 1e-12 * abs(brute)
+        assert k == pytest.approx(max(brute, branch.K_MIN), rel=1e-12, abs=1e-12)
+        assert k >= worst(np.geomspace(floor, 1e3 * top, 2001)) - 1e-12 * abs(brute)
+    if case.endswith("K_MIN"):
+        assert brute < branch.K_MIN and k == branch.K_MIN
 
 
 class TestMonotoneIterate:
@@ -167,6 +181,14 @@ class TestMonotoneIterate:
                                build_subsolution(unit_coeffs8, 0.2))
         assert out.reason == "cap exceeded"
         assert out.iterations <= 25
+
+    def test_converges_in_a_few_steps_from_the_subsolution(self, unit_coeffs8):
+        # the scale scan starts within a step of the solution and K = B
+        # contracts the mean mode to near 0
+        out = monotone_iterate(critical_spec(unit_coeffs8, 0.1),
+                               build_subsolution(unit_coeffs8, 0.1))
+        assert out.converged
+        assert out.iterations <= 8
 
     def test_iterates_nondecreasing(self, unit_coeffs8):
         out = monotone_iterate(critical_spec(unit_coeffs8, 0.12),

@@ -218,6 +218,18 @@ class TestStabilityExperiment:
             c1, _ = constant_roots(theta, q)
             assert abs(member.sup_u - c1) <= 1e-9
 
+    def test_picard_work_of_the_n5_family(self):
+        # q_k = 10/3 - 2^-k with a-bumps of 0.04 2^-k: every member starts
+        # within a scan step of its solution
+        g = lt.build_grid(5, [6] * 5, [1.0] * 5)
+        one = lt.constant_field(g, 1.0)
+        coeffs = lt.Coefficients(one, one, one)
+        qs = [10.0 / 3.0 - 2.0 ** -k for k in range(2, 8)]
+        perts = [coeffs.a * (0.04 * 2.0 ** -k) for k in range(6)]
+        res = stability_experiment(coeffs, 0.05, qs, perts)
+        assert res.verdict == "CONVERGED"
+        assert sum(m.iterations for m in res.members) <= 60
+
     def test_gradient_differences_decrease_for_nonconstant_a(self):
         g = lt.build_grid(3, [8, 8, 8], [1.0, 1.0, 1.0])
         one = lt.constant_field(g, 1.0)
