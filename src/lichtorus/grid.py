@@ -214,10 +214,11 @@ def cosine_field(grid: TorusGrid, amplitude: float, wavevector, phase: float = 0
     """amplitude * cos(2 pi sum_i k_i x_i / L_i + phase) with integer k."""
     if len(wavevector) != grid.dim:
         raise ValueError("wavevector length must equal grid dim")
-    mesh = grid.meshgrid()
     arg = np.zeros(grid.resolutions)
-    for k, x, length in zip(wavevector, mesh, grid.periods):
-        arg += 2.0 * np.pi * int(k) * x / length
+    for axis, (k, x, length) in enumerate(zip(wavevector, grid.axes, grid.periods)):
+        shape = [1] * grid.dim
+        shape[axis] = x.size
+        arg += (2.0 * np.pi * int(k) * x / length).reshape(shape)
     return ScalarField(grid, amplitude * np.cos(arg + phase))
 
 
@@ -230,14 +231,15 @@ def _check_same_grid(*fields: ScalarField) -> TorusGrid:
 
 
 def _fourier_multiply(grid: TorusGrid, values: NDArray, multiplier,
-                      divide: bool = False) -> NDArray:
+                      divide: bool = False, transformed: bool = False) -> NDArray:
     """irfftn(multiplier * rfftn(values)), or irfftn(rfftn(values) / multiplier)
     when divide is set: the one place where the package leaves Fourier space.
+    With transformed set, values already is rfftn of the field.
 
     Dividing by the symbol, rather than multiplying by its reciprocal,
     saves a rounding per mode.
     """
-    vhat = np.fft.rfftn(values)
+    vhat = values if transformed else np.fft.rfftn(values)
     vhat = vhat / multiplier if divide else multiplier * vhat
     return np.fft.irfftn(vhat, s=grid.resolutions, axes=grid._axes_order)
 
@@ -248,9 +250,10 @@ def laplacian(u: ScalarField) -> ScalarField:
 
 
 def gradient(u: ScalarField) -> list[ScalarField]:
-    """Spectral partial derivatives along each axis."""
+    """Spectral partial derivatives along each axis, from one forward transform."""
     grid = u.grid
-    return [ScalarField(grid, _fourier_multiply(grid, u.values, 1j * omega))
+    uhat = np.fft.rfftn(u.values)
+    return [ScalarField(grid, _fourier_multiply(grid, uhat, 1j * omega, transformed=True))
             for omega in grid._wavenumbers]
 
 
@@ -300,30 +303,112 @@ def h1h_norm(u: ScalarField, h: ScalarField) -> float:
     return float(np.sqrt(q))
 
 
-def _pcg(apply_a, apply_m, b: NDArray, tol: float, max_iter: int) -> tuple[NDArray, int]:
-    """Preconditioned conjugate gradients on raw arrays."""
+def _pcg(rest, apply_m, b: NDArray, tol: float, max_iter: int) -> tuple[NDArray, int]:
+    """Preconditioned conjugate gradients on raw arrays for A = M^(-1) + rest,
+    with M = apply_m symmetric positive definite and rest a cheap symmetric
+    map: one application of M per iteration and none of M^(-1).
+
+    Each direction p carries q = M^(-1) p by the recurrence q <- r + beta q,
+    since z = M r gives M^(-1) z = r, so A p = q + rest(p).  The start
+    x0 = M b has the residual b - A x0 = -rest(x0).
+    """
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b), 0
     x = apply_m(b)
-    r = b - apply_a(x)
-    z = apply_m(r)
-    p = z.copy()
-    rz = float(np.vdot(r, z))
+    r = -rest(x)
+    p = q = np.zeros_like(b)
+    rz = np.inf  # the first direction is z itself
     for it in range(max_iter):
         rnorm = float(np.linalg.norm(r))
         if rnorm <= tol * bnorm:
             return x, it
-        ap = apply_a(p)
+        z = apply_m(r)
+        rz_new = float(np.vdot(r, z))
+        beta = rz_new / rz
+        p = z + beta * p
+        q = r + beta * q
+        rz = rz_new
+        ap = q + rest(p)
         alpha = rz / float(np.vdot(p, ap))
         x = x + alpha * p
         r = r - alpha * ap
-        z = apply_m(r)
-        rz_new = float(np.vdot(r, z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
     raise KrylovError(f"PCG stalled at relative residual {rnorm / bnorm:.3e} "
                       f"after {max_iter} iterations")
+
+
+def minres(rest, apply_m, b: NDArray, rtol: float, maxiter: int,
+           callback=None) -> tuple[NDArray, int]:
+    """Preconditioned MINRES (Paige & Saunders 1975) on flat arrays for the
+    symmetric, possibly indefinite A = M^(-1) + rest, with M = apply_m
+    symmetric positive definite: one application of M per iteration.
+
+    The recurrences and stopping tests are those of
+    scipy.sparse.linalg.minres from x0 = 0, except that A v costs no
+    application of M^(-1): the Lanczos vector is v = y / beta with y = M r2,
+    so A v = r2 / beta + rest(v).  callback(x) runs once per iteration.
+    Returns (x, info), info = maxiter when the iteration limit ended the
+    solve and 0 otherwise.
+    """
+    eps = np.finfo(np.float64).eps
+    x = np.zeros_like(b)
+    r1 = r2 = b
+    y = apply_m(r1)
+    beta1 = float(np.inner(r1, y))
+    if beta1 < 0:
+        raise ValueError("indefinite preconditioner")
+    if beta1 == 0:
+        return x, 0
+    beta1 = np.sqrt(beta1)
+
+    oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
+    tnorm2, gmax, gmin = 0.0, 0.0, np.finfo(np.float64).max
+    cs, sn = -1.0, 0.0
+    w = w2 = np.zeros_like(b)
+    for itn in range(1, maxiter + 1):
+        s = 1.0 / beta
+        v = s * y
+        y = s * r2 + rest(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = float(np.inner(v, y))
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = apply_m(r2)
+        oldb, beta = beta, float(np.inner(r2, y))
+        if beta < 0:
+            raise ValueError("non-symmetric matrix")
+        beta = np.sqrt(beta)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        exhausted = itn == 1 and beta / beta1 <= 10 * eps  # b spans an invariant subspace
+
+        # apply the previous rotation, then compute the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = np.linalg.norm([gbar, dbar])
+        gamma = max(np.linalg.norm([gbar, beta]), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x = x + phi * w
+
+        # anorm >= beta1 > 0; test1 is ||r|| / (||A|| ||x||), test2 ||A r|| / (||A|| ||r||)
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        anorm = np.sqrt(tnorm2)
+        ynorm = np.linalg.norm(x)
+        test1 = phibar / (anorm * ynorm) if ynorm > 0 else np.inf
+        test2 = root / anorm
+        if callback is not None:
+            callback(x)
+        if (exhausted or test1 <= rtol or test2 <= rtol or 1 + test1 <= 1 or 1 + test2 <= 1
+                or anorm * ynorm * eps >= beta1 or gmax / gmin >= 0.1 / eps):
+            return x, 0
+    return x, maxiter
 
 
 def helmholtz_operator(grid: TorusGrid, c, shift: float = 1.0):
@@ -350,12 +435,17 @@ def helmholtz_solve(c, rhs: ScalarField, tol: float = 1e-10,
                     max_iter: int = 500) -> ScalarField:
     """Solve (Delta + c) u = rhs for constant c > 0 or a variable field c.
 
-    Constant c: direct spectral division, exact to roundoff.  Variable c:
-    CG preconditioned by the constant-mean-c spectral inverse; the operator
-    must be positive definite (mean c > 0 is a necessary condition, checked;
-    genuine non-coercivity surfaces as CG failure).
+    Constant c, a number or a field with one value: direct spectral
+    division, exact to roundoff.  Variable c: CG preconditioned by the
+    constant-mean-c spectral inverse; the operator must be positive definite
+    (mean c > 0 is a necessary condition, checked; genuine non-coercivity
+    surfaces as CG failure).
     """
     grid = rhs.grid
+    if isinstance(c, ScalarField):
+        _check_same_grid(c, rhs)
+        if c.min() == c.max():
+            c = c.min()
     if isinstance(c, (int, float)):
         cval = float(c)
         if cval <= 0:
@@ -363,12 +453,12 @@ def helmholtz_solve(c, rhs: ScalarField, tol: float = 1e-10,
         _, inverse = helmholtz_operator(grid, cval, cval)
         return ScalarField(grid, inverse(rhs.values))
 
-    _check_same_grid(c, rhs)
     cbar = float(c.values.mean())
     if cbar <= 0:
         raise NonCoerciveOperatorError(
             f"mean of variable coefficient is {cbar:.3e} <= 0; operator cannot be coercive"
         )
-    apply, precondition = helmholtz_operator(grid, c.values, cbar)
-    x, _ = _pcg(apply, precondition, rhs.values, tol, max_iter)
+    _, precondition = helmholtz_operator(grid, c.values, cbar)
+    dc = c.values - cbar
+    x, _ = _pcg(lambda y: dc * y, precondition, rhs.values, tol, max_iter)
     return ScalarField(grid, x)

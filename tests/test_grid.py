@@ -1,15 +1,22 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lichtorus as lt
+from lichtorus import branch
+from lichtorus import grid as grid_module
 from lichtorus.grid import (
     GridMismatchError,
     NonCoerciveOperatorError,
+    _fourier_multiply,
     gradient_energy,
     h1h_quadratic_form,
+    helmholtz_operator,
 )
 
 from conftest import smooth_random_field
@@ -102,6 +109,15 @@ class TestLaplacian:
             assert abs(lt.integrate(lt.laplacian(u))) < 1e-12
 
 
+@pytest.fixture
+def round_trips(monkeypatch):
+    """Counts forward transforms, one per round trip through Fourier space."""
+    calls = []
+    rfftn = np.fft.rfftn
+    monkeypatch.setattr(np.fft, "rfftn", lambda *a, **k: calls.append(1) or rfftn(*a, **k))
+    return calls
+
+
 class TestHelmholtz:
     def test_constants(self, grid8):
         u = lt.helmholtz_solve(1.0, lt.constant_field(grid8, 1.0))
@@ -128,6 +144,17 @@ class TestHelmholtz:
         c = lt.constant_field(grid8, -1.0)
         with pytest.raises(NonCoerciveOperatorError):
             lt.helmholtz_solve(c, lt.constant_field(grid8, 1.0))
+        with pytest.raises(NonCoerciveOperatorError, match="mean of variable coefficient"):
+            lt.helmholtz_solve(c + 0.5 * lt.cosine_field(grid8, 1.0, [1, 0, 0]),
+                               lt.constant_field(grid8, 1.0))
+
+    def test_constant_field_coefficient_is_the_direct_division(self, grid8, round_trips):
+        rhs = smooth_random_field(grid8, np.random.default_rng(19))
+        expected = lt.helmholtz_solve(1.1, rhs)
+        round_trips.clear()
+        u = lt.helmholtz_solve(lt.constant_field(grid8, 1.1), rhs)
+        assert len(round_trips) == 1
+        assert np.array_equal(u.values, expected.values)
 
     def test_roundtrip_random(self, grid8):
         rng = np.random.default_rng(17)
@@ -183,3 +210,121 @@ def test_transforms_only_in_grid():
     assert users == ["grid.py"]
     calls = sum(len(re.findall(r"\.irfftn\(", text)) for text in sources.values())
     assert calls == 1
+
+
+def test_gradient_is_one_forward_transform_and_bit_identical(grid8, round_trips):
+    u = smooth_random_field(grid8, np.random.default_rng(29))
+    round_trips.clear()
+    parts = lt.gradient(u)
+    assert len(round_trips) == 1
+    for part, omega in zip(parts, grid8._wavenumbers):
+        assert np.array_equal(part.values, _fourier_multiply(grid8, u.values, 1j * omega))
+
+
+def test_cosine_field_is_bit_identical_to_the_meshgrid_form():
+    g = lt.build_grid(4, [6, 8, 4, 10], [1.0, 2.5, 0.7, 3.0])
+    wavevector, phase = [1, -2, 0, 3], 0.4
+    arg = np.zeros(g.resolutions)
+    for k, x, length in zip(wavevector, g.meshgrid(), g.periods):
+        arg += 2.0 * np.pi * k * x / length
+    field = lt.cosine_field(g, 1.7, wavevector, phase)
+    assert np.array_equal(field.values, 1.7 * np.cos(arg + phase))
+
+
+def test_import_leaves_scipy_sparse_out():
+    env = dict(os.environ, PYTHONPATH=str(Path(lt.__file__).parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, lichtorus; print('scipy.sparse' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def _symmetric_system(w, border=None):
+    """(Delta + W) x = rhs, bordered by [[., b], [b^T, 0]] when a border is
+    given, on flat arrays: the full operator, the preconditioner
+    M = diag((Delta + shift)^-1, 1) and the rest A - M^-1."""
+    grid = w.grid
+    shape, n = grid.resolutions, grid.npoints
+    shift = max(1.0, abs(float(w.values.mean())))
+    apply, precondition = helmholtz_operator(grid, w.values, shift)
+    b = np.zeros((0, n)) if border is None else border.values.reshape(1, n)
+
+    def full(x):
+        return np.concatenate([apply(x[:n].reshape(shape)).ravel() + x[n:] @ b, b @ x[:n]])
+
+    def pre(x):
+        return np.concatenate([precondition(x[:n].reshape(shape)).ravel(), x[n:]])
+
+    def rest(x):
+        return np.concatenate([(w.values.ravel() - shift) * x[:n] + x[n:] @ b,
+                               b @ x[:n] - x[n:]])
+
+    return full, pre, rest, n + len(b)
+
+
+class TestKrylov:
+    @pytest.mark.parametrize("bordered", [False, True], ids=["unbordered SPD", "bordered indefinite"])
+    def test_minres_matches_scipy(self, grid8, bordered):
+        from scipy.sparse.linalg import LinearOperator
+        from scipy.sparse.linalg import minres as scipy_minres
+
+        one = lt.constant_field(grid8, 1.0)
+        wave = lt.cosine_field(grid8, 1.0, [1, 0, 0])
+        if bordered:  # Delta + W has one negative eigenvalue; the border is regular
+            w, border = -30.0 * one + 5.0 * wave, one + 0.3 * lt.cosine_field(grid8, 1.0, [0, 1, 0])
+        else:
+            w, border = 10.0 * one + 9.5 * wave, None
+        full, pre, rest, size = _symmetric_system(w, border)
+        rhs = np.concatenate([smooth_random_field(grid8, np.random.default_rng(5)).values.ravel(),
+                              np.zeros(size - grid8.npoints)])
+
+        counts = {"scipy": 0, "own": 0}
+
+        def counter(key):
+            return lambda xk: counts.__setitem__(key, counts[key] + 1)
+
+        ref, ref_info = scipy_minres(
+            LinearOperator((size, size), matvec=full, dtype=np.float64), rhs, rtol=1e-12,
+            maxiter=3000, M=LinearOperator((size, size), matvec=pre, dtype=np.float64),
+            callback=counter("scipy"))
+        x, info = grid_module.minres(rest, pre, rhs, rtol=1e-12, maxiter=3000,
+                                     callback=counter("own"))
+        assert ref_info == 0 and info == 0
+        assert counts["own"] == counts["scipy"] > 5
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert np.linalg.norm(full(x) - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+    def test_pcg_makes_one_round_trip_per_iteration(self, grid8, monkeypatch, round_trips):
+        iterations = []
+        pcg = grid_module._pcg
+
+        def counted(*args, **kwargs):
+            x, it = pcg(*args, **kwargs)
+            iterations.append(it)
+            return x, it
+        monkeypatch.setattr(grid_module, "_pcg", counted)
+        c = lt.constant_field(grid8, 10.0) + 9.5 * lt.cosine_field(grid8, 1.0, [1, 1, 0])
+        rhs = smooth_random_field(grid8, np.random.default_rng(11))
+        round_trips.clear()
+        lt.helmholtz_solve(c, rhs)
+        (k,) = iterations
+        assert k > 5
+        assert len(round_trips) <= k + 3
+
+    @pytest.mark.parametrize("bordered", [False, True], ids=["plain", "bordered"])
+    def test_minres_makes_one_round_trip_per_iteration(self, grid8, monkeypatch,
+                                                       round_trips, bordered):
+        iterations = []
+        solver = branch.minres
+
+        def counted(*args, callback=None, **kwargs):
+            return solver(*args, callback=lambda xk: iterations.append(1), **kwargs)
+        monkeypatch.setattr(branch, "minres", counted)
+        one = lt.constant_field(grid8, 1.0)
+        w = -30.0 * one + 5.0 * lt.cosine_field(grid8, 1.0, [1, 0, 0])
+        rhs = smooth_random_field(grid8, np.random.default_rng(13))
+        round_trips.clear()
+        branch._solve_symmetric(w, rhs, one if bordered else None)
+        k = len(iterations)
+        assert k > 5
+        assert len(round_trips) <= k + 3
