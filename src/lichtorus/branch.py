@@ -17,7 +17,7 @@ Newton on the extended system, certified by one probe each side.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +45,7 @@ MONOTONICITY_TOL = 1e-12    # allowed iterate decrease, relative to the sup
 NEWTON_RES_TOL = 1e-10      # sup-norm residual at which Newton stops
 NEWTON_MAX_STEPS = 40
 MAX_HALVINGS = 60           # delta halvings tried for a positive psi_delta
-PROBE_NEWTON_TRIGGER = 1e-5  # existence probes attempt Newton below this step
+NEWTON_TRIGGER = 1e-5       # Picard step at or below which Newton is first tried
 K_MIN = 0.1                 # smallest Picard shift; bounds (Delta + K)^(-1) by 1/K_MIN
 
 
@@ -93,7 +93,6 @@ class SolverConfig:
     tol: float = 1e-8                 # sup-norm step size declaring convergence
     max_iters: int = 200_000
     cap: float | None = None          # divergence cap; default 1e6 x initial sup
-    newton_trigger: float = 0.0       # attempt Newton early once step <= trigger
 
 
 @dataclass
@@ -131,9 +130,8 @@ class FoldResult:
     refinement_steps: int
 
 
-def build_subsolution(coeffs: Coefficients, theta: float,
-                      q: float | None = None) -> Subsolution:
-    """Strict subsolution w = t * psi_delta at the given (theta, q).
+def build_subsolution(spec: ProblemSpec) -> Subsolution:
+    """Strict subsolution w = t * psi_delta at spec's (theta, q).
 
     psi_delta solves (Delta + H) psi = a - delta f^- - delta with
     H = h + K0 >= 1; delta halves from 1 until psi is positive.  The scale t
@@ -144,11 +142,10 @@ def build_subsolution(coeffs: Coefficients, theta: float,
     every scale of the range is a strict subsolution, as past the fold,
     t = 1.
     """
+    coeffs, theta = spec.coefficients, spec.theta
     grid = coeffs.grid
     if coeffs.a.max() <= 0:
         raise SubsolutionError("a vanishes identically; no positive subsolution")
-    spec = critical_spec(coeffs, theta) if q is None else \
-        ProblemSpec(coeffs, q, theta=theta, epsilon=0.0)
 
     k0 = max(0.0, 1.0 - coeffs.h.min())
     bigh = coeffs.h + k0
@@ -326,7 +323,8 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,
 
     Accepts either a constructed Subsolution or a warm-start field that is a
     subsolution at spec's theta (e.g. a minimal solution at a smaller theta).
-    Returns Converged with the Newton-polished solution, or Diverged when the
+    Newton takes over once a step is at most NEWTON_TRIGGER.  Returns
+    Converged with the Newton-polished solution, or Diverged when the
     iterates blow past the cap / keep growing at the iteration limit.
     """
     cfg = cfg or SolverConfig()
@@ -349,7 +347,7 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,
     cap = cfg.cap if cfg.cap is not None else 1e6 * sup0
     sup_history = [sup0]
     max_violation = 0.0
-    newton_trigger = cfg.newton_trigger
+    trigger = NEWTON_TRIGGER
     step = np.inf
 
     for it in range(1, cfg.max_iters + 1):
@@ -394,16 +392,16 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,
         if step <= cfg.tol:
             return _finish(spec, v, it, max_violation, cfg, k)
 
-        if newton_trigger > 0 and step <= newton_trigger:
+        if step <= trigger:
             try:
                 u = newton_refine(spec, v)
             except NewtonError:
-                newton_trigger *= 0.25  # retry later, closer to the solution
+                trigger *= 0.25  # retry later, closer to the solution
             else:
                 # the minimal solution dominates every iterate; a refined point
                 # below v means Newton strayed off the minimal branch
                 if float((v.values - u.values).max()) > 1e-8:
-                    newton_trigger *= 0.25
+                    trigger *= 0.25
                 else:
                     rn = residual(spec, u).sup_norm()
                     return MonotoneResult(True, u, it, max_violation, rn, "newton")
@@ -433,13 +431,15 @@ def _finish(spec, v, it, max_violation, cfg, k) -> MonotoneResult:
     return MonotoneResult(True, v, it, max_violation, rn, "converged")
 
 
-def minimal_solution(spec: ProblemSpec, cfg: SolverConfig | None = None) -> MonotoneResult:
-    """Minimal solution at spec's (theta, q) from a constructed subsolution;
-    raises NoSolutionError when the iterates diverge."""
-    sub = build_subsolution(spec.coefficients, spec.theta, q=spec.q)
-    out = monotone_iterate(spec, sub, cfg)
+def minimal_solution(spec: ProblemSpec, cfg: SolverConfig | None = None,
+                     start: Subsolution | ScalarField | None = None) -> MonotoneResult:
+    """Minimal solution at spec's (theta, q) by monotone iteration from start,
+    a subsolution there (build_subsolution(spec) when None); raises
+    NoSolutionError when the iterates diverge."""
+    out = monotone_iterate(spec, build_subsolution(spec) if start is None else start, cfg)
     if not out.converged:
-        raise NoSolutionError(f"no solution at theta={spec.theta} ({out.reason})")
+        raise NoSolutionError(
+            f"no solution at theta={spec.theta}, q={spec.q} ({out.reason})")
     return out
 
 
@@ -463,7 +463,6 @@ def trace_branch(coeffs: Coefficients, theta_schedule, cfg: SolverConfig | None 
     The previous minimal solution is a strict subsolution at the next theta
     (the right side increases with theta), so it seeds the next iteration.
     """
-    cfg = cfg or SolverConfig()
     thetas = [float(t) for t in theta_schedule]
     if any(b <= a for a, b in zip(thetas, thetas[1:])):
         raise ValueError("theta schedule must be strictly increasing")
@@ -471,12 +470,8 @@ def trace_branch(coeffs: Coefficients, theta_schedule, cfg: SolverConfig | None 
     record = BranchRecord()
     prev: ScalarField | None = None
     for theta in thetas:
-        spec = critical_spec(coeffs, theta) if q is None else \
-            ProblemSpec(coeffs, q, theta=theta, epsilon=0.0)
-        start = prev if prev is not None else build_subsolution(coeffs, theta, q=spec.q)
-        out = monotone_iterate(spec, start, cfg)
-        if not out.converged:
-            raise NoSolutionError(f"no minimal solution at theta={theta} ({out.reason})")
+        spec = critical_spec(coeffs, theta).at(q=q)
+        out = minimal_solution(spec, cfg, prev)
         if prev is not None:
             drop = float((prev.values - out.solution.values).max())
             record.monotonicity_violation = max(record.monotonicity_violation, drop)
@@ -486,15 +481,13 @@ def trace_branch(coeffs: Coefficients, theta_schedule, cfg: SolverConfig | None 
 
 
 def _existence_solve(coeffs, theta, warm: ScalarField | None,
-                     cfg: SolverConfig) -> MonotoneResult:
-    """Existence oracle at one theta: warm monotone iteration with early Newton."""
-    spec = critical_spec(coeffs, theta)
-    start = warm if warm is not None else build_subsolution(coeffs, theta)
-    return monotone_iterate(spec, start, replace(cfg, newton_trigger=PROBE_NEWTON_TRIGGER))
+                     cfg: SolverConfig | None) -> MonotoneResult:
+    """Existence probe at one theta: the minimal solution, or NoSolutionError."""
+    return minimal_solution(critical_spec(coeffs, theta), cfg, warm)
 
 
 def _fold_newton(coeffs: Coefficients, sol: ScalarField, theta: float, tol: float,
-                 cfg: SolverConfig, lambda_tol: float) -> tuple[float, BranchPoint, float, int]:
+                 cfg: SolverConfig | None, lambda_tol: float) -> tuple[float, BranchPoint, float, int]:
     """Newton on the minimally extended system (Griewank & Reddien 1984) from
     the minimal solution sol at theta: (theta_star, lower certificate, upper
     probe theta, Newton steps), or NewtonError.
@@ -554,9 +547,11 @@ def _fold_newton(coeffs: Coefficients, sol: ScalarField, theta: float, tol: floa
 
     # Certify from above: the existence oracle diverges just past the fold.
     theta_hi = point.theta + 0.99 * tol
-    if _existence_solve(coeffs, theta_hi, u_lo, cfg).converged:
-        raise NewtonError(f"a minimal solution exists at {theta_hi}, past the fold")
-    return theta, point, theta_hi, steps
+    try:
+        _existence_solve(coeffs, theta_hi, u_lo, cfg)
+    except NoSolutionError:
+        return theta, point, theta_hi, steps
+    raise NewtonError(f"a minimal solution exists at {theta_hi}, past the fold")
 
 
 def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
@@ -569,25 +564,27 @@ def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
     by one solution below it and one diverging probe above it.  Bisection to
     bracket width tol is the fallback when that Newton fails.
     """
-    cfg = cfg or SolverConfig()
     if theta_hint <= 0:
         raise ValueError("theta_hint must be positive")
 
     # Phase A: a theta where a solution exists.
     theta_lo = theta_hint
     while theta_lo >= tol:
-        out = _existence_solve(coeffs, theta_lo, None, cfg)
-        if out.converged:
+        try:
+            out = _existence_solve(coeffs, theta_lo, None, cfg)
+        except NoSolutionError:
+            theta_lo *= 0.5
+        else:
             break
-        theta_lo *= 0.5
     else:
         raise NoSolutionError(f"no solution even at theta = {tol}")
     sol, iters_lo = out.solution, out.iterations
 
     # Phase B: bracket from above by doubling.
     for _ in range(60):
-        out = _existence_solve(coeffs, 2.0 * theta_lo, sol, cfg)
-        if not out.converged:
+        try:
+            out = _existence_solve(coeffs, 2.0 * theta_lo, sol, cfg)
+        except NoSolutionError:
             break
         theta_lo, sol, iters_lo = 2.0 * theta_lo, out.solution, out.iterations
     else:
@@ -603,12 +600,13 @@ def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
         log.info("extended Newton failed (%s); bisecting", exc)
         while theta_hi - theta_lo > tol:
             mid = 0.5 * (theta_lo + theta_hi)
-            out = _existence_solve(coeffs, mid, sol, cfg)
             bisection_steps += 1
-            if out.converged:
-                theta_lo, sol, iters_lo = mid, out.solution, out.iterations
-            else:
+            try:
+                out = _existence_solve(coeffs, mid, sol, cfg)
+            except NoSolutionError:
                 theta_hi = mid
+            else:
+                theta_lo, sol, iters_lo = mid, out.solution, out.iterations
         point = _branch_point(critical_spec(coeffs, theta_lo), sol, iters_lo)
         theta_star = 0.5 * (theta_lo + theta_hi)
 

@@ -23,13 +23,7 @@ from . import branch as branch_mod
 from . import diagnostics as diag_mod
 from . import mountain as mountain_mod
 from .config import ConfigError, MODES, RunConfig, parse_config
-from .core import (
-    critical_spec,
-    energy,
-    linearized_potential,
-    residual,
-    smallest_eigenpair,
-)
+from .core import critical_spec
 from .diagnostics import BubbleSpec
 from .errors import LichtorusError
 from .fieldio import field_to_bytes
@@ -54,20 +48,25 @@ def _fmt(x) -> str:
     return str(x)
 
 
-class OutputWriter:
-    """Atomic artifact writer with a hash manifest."""
+def _write_atomic(path: str, data: bytes):
+    """Write data to path through a ".partial" file and a rename."""
+    with open(path + ".partial", "wb") as fh:
+        fh.write(data)
+    os.replace(path + ".partial", path)
 
-    def __init__(self, directory: str):
+
+class OutputWriter:
+    """Atomic artifact writer with a hash manifest; write_csv and write_field
+    skip artifacts whose format the run did not ask for."""
+
+    def __init__(self, directory: str, formats: list[str]):
         self.directory = directory
+        self.formats = formats
         self.manifest: list[dict] = []
         os.makedirs(directory, exist_ok=True)
 
     def write_bytes(self, name: str, data: bytes):
-        path = os.path.join(self.directory, name)
-        partial = path + ".partial"
-        with open(partial, "wb") as fh:
-            fh.write(data)
-        os.replace(partial, path)
+        _write_atomic(os.path.join(self.directory, name), data)
         self.manifest.append({
             "name": name,
             "bytes": len(data),
@@ -75,9 +74,14 @@ class OutputWriter:
         })
 
     def write_csv(self, name: str, header: list[str], rows: list[list]):
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(cell) for cell in row) for row in rows]
-        self.write_bytes(name, ("\n".join(lines) + "\n").encode())
+        if "csv" in self.formats:
+            lines = [",".join(header)]
+            lines += [",".join(_fmt(cell) for cell in row) for row in rows]
+            self.write_bytes(name, ("\n".join(lines) + "\n").encode())
+
+    def write_field(self, name: str, u):
+        if "field" in self.formats:
+            self.write_bytes(name, field_to_bytes(u))
 
 
 def _branch_rows(points) -> list[list]:
@@ -91,23 +95,18 @@ STABILITY_HEADER = ["q", "sup_u", "min_u", "mu", "deviation", "sup_diff",
 
 
 def _run_solve(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
-    spec = critical_spec(coeffs, cfg.theta) if cfg.q is None else \
-        critical_spec(coeffs, cfg.theta).at(q=cfg.q)
+    spec = critical_spec(coeffs, cfg.theta).at(q=cfg.q)
     out = branch_mod.minimal_solution(spec, cfg.solver_config())
-    sol = out.solution
-    eig = smallest_eigenpair(linearized_potential(spec, sol))
+    point = branch_mod._branch_point(spec, out.solution, out.iterations)
+    sol = point.solution
     quantities.update({
         "theta": cfg.theta, "iterations": out.iterations,
-        "residual_norm": residual(spec, sol).sup_norm(),
+        "residual_norm": out.residual_norm,
         "min_u": sol.min(), "max_u": sol.max(),
-        "energy": energy(spec, sol), "lambda": eig.lam,
+        "energy": point.energy, "lambda": point.lam,
     })
-    if "field" in cfg.formats:
-        writer.write_bytes("solution.field", field_to_bytes(sol))
-    if "csv" in cfg.formats:
-        writer.write_csv("branch.csv", BRANCH_HEADER, _branch_rows(
-            [branch_mod.BranchPoint(cfg.theta, sol, eig.lam,
-                                    energy(spec, sol), out.iterations, True)]))
+    writer.write_field("solution.field", sol)
+    writer.write_csv("branch.csv", BRANCH_HEADER, _branch_rows([point]))
     return EXIT_OK
 
 
@@ -121,11 +120,8 @@ def _run_branch(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
         "lambda_min": min(p.lam for p in record.points),
         "monotonicity_violation": record.monotonicity_violation,
     })
-    if "csv" in cfg.formats:
-        writer.write_csv("branch.csv", BRANCH_HEADER, _branch_rows(record.points))
-    if "field" in cfg.formats:
-        writer.write_bytes("solution.field",
-                           field_to_bytes(record.points[-1].solution))
+    writer.write_csv("branch.csv", BRANCH_HEADER, _branch_rows(record.points))
+    writer.write_field("solution.field", record.points[-1].solution)
     return EXIT_OK
 
 
@@ -140,11 +136,8 @@ def _run_fold(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
         "bisection_steps": fold.bisection_steps,
         "refinement_steps": fold.refinement_steps,
     })
-    if "csv" in cfg.formats:
-        writer.write_csv("branch.csv", BRANCH_HEADER, _branch_rows([fold.last_branch_point]))
-    if "field" in cfg.formats:
-        writer.write_bytes("solution.field",
-                           field_to_bytes(fold.last_branch_point.solution))
+    writer.write_csv("branch.csv", BRANCH_HEADER, _branch_rows([fold.last_branch_point]))
+    writer.write_field("solution.field", fold.last_branch_point.solution)
     return EXIT_OK
 
 
@@ -167,12 +160,10 @@ def _run_mountain_pass(cfg: RunConfig, coeffs, writer: OutputWriter, quantities:
         "merged_within_tolerance": not distinct,
         "sup_differences": pair.sup_differences,
     })
-    if "field" in cfg.formats:
-        writer.write_bytes("minimal.field", field_to_bytes(pair.minimal_refined))
-        writer.write_bytes("second.field", field_to_bytes(pair.second))
-    if "csv" in cfg.formats:
-        rows = [[i, lvl] for i, lvl in enumerate(pair.pass_history)]
-        writer.write_csv("pass_levels.csv", ["stage", "pass_level"], rows)
+    writer.write_field("minimal.field", pair.minimal_refined)
+    writer.write_field("second.field", pair.second)
+    writer.write_csv("pass_levels.csv", ["stage", "pass_level"],
+                     [[i, lvl] for i, lvl in enumerate(pair.pass_history)])
     return EXIT_OK
 
 
@@ -184,8 +175,7 @@ def _run_certificate(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: d
         "t0": cert.t0, "t1": cert.t1, "phi_t0": cert.phi_t0,
         "theta1_lower_bound": cert.theta1_lower_bound,
     })
-    if "field" in cfg.formats:
-        writer.write_bytes("test_function.field", field_to_bytes(cert.test_function))
+    writer.write_field("test_function.field", cert.test_function)
     return EXIT_OK
 
 
@@ -201,13 +191,12 @@ def _run_stability(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dic
         "subsolution_floor": result.subsolution_floor,
         "final_diff": result.sup_differences[-1] if result.sup_differences else None,
     })
-    if "csv" in cfg.formats:
-        # a member's differences are to the member before it; the first has none
-        diffs = [None] + result.sup_differences
-        grad_diffs = [None] + result.gradient_differences
-        rows = [[m.q, m.sup_u, m.min_u, m.mu, m.deviation, d, g, result.verdict]
-                for m, d, g in zip(result.members, diffs, grad_diffs)]
-        writer.write_csv("stability.csv", STABILITY_HEADER, rows)
+    # a member's differences are to the member before it; the first has none
+    diffs = [None] + result.sup_differences
+    grad_diffs = [None] + result.gradient_differences
+    rows = [[m.q, m.sup_u, m.min_u, m.mu, m.deviation, d, g, result.verdict]
+            for m, d, g in zip(result.members, diffs, grad_diffs)]
+    writer.write_csv("stability.csv", STABILITY_HEADER, rows)
     return EXIT_BLOWUP if result.verdict == "BLOWUP" else EXIT_OK
 
 
@@ -223,10 +212,9 @@ def _run_bubble(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
         "residual_half_spacing": rep2.max_rel_residual,
         "refinement_ratio": ratio,
     })
-    if "csv" in cfg.formats:
-        writer.write_csv("bubble.csv", ["spacing", "max_rel_residual"],
-                         [[rep1.spacing, rep1.max_rel_residual],
-                          [rep2.spacing, rep2.max_rel_residual]])
+    writer.write_csv("bubble.csv", ["spacing", "max_rel_residual"],
+                     [[rep1.spacing, rep1.max_rel_residual],
+                      [rep2.spacing, rep2.max_rel_residual]])
     return EXIT_OK
 
 
@@ -276,7 +264,7 @@ def run(cfg: RunConfig, out_dir: str | None = None,
         "timings": {},
         "files": [],
     }
-    writer = OutputWriter(cfg.out_dir)
+    writer = OutputWriter(cfg.out_dir, cfg.formats)
     t0 = time.perf_counter()
     try:
         code = RUNNERS[cfg.mode](cfg, cfg.coefficients(), writer, report["quantities"])
@@ -290,11 +278,8 @@ def run(cfg: RunConfig, out_dir: str | None = None,
     report["timings"]["total_seconds"] = elapsed
     report["exit_code"] = code
     report["status"] = {EXIT_OK: "ok", EXIT_BLOWUP: "blowup"}.get(code, "failed")
-    payload = json.dumps(report, indent=2, sort_keys=True, default=str).encode()
-    writer_path = os.path.join(cfg.out_dir, "report.json")
-    with open(writer_path + ".partial", "wb") as fh:
-        fh.write(payload)
-    os.replace(writer_path + ".partial", writer_path)
+    _write_atomic(os.path.join(cfg.out_dir, "report.json"),
+                  json.dumps(report, indent=2, sort_keys=True, default=str).encode())
     return report, code
 
 

@@ -235,10 +235,9 @@ def smallest_eigenpair(w: ScalarField, tol: float = 1e-10,
     lam_old = None
     for it in range(1, max_iters + 1):
         y = helmholtz_solve(shifted, v, tol=1e-12, max_iter=2000)
-        nrm = lp_norm(y, 2.0)
-        v = y * (1.0 / nrm)
-        av = laplacian(v) + w * v
-        lam = l2_inner(v, av) / l2_inner(v, v)
+        # (Delta + W - sigma) y = v, so <y, (Delta + W) y> = sigma <y, y> + <y, v>
+        lam = sigma + l2_inner(y, v) / l2_inner(y, y)
+        v = y * (1.0 / lp_norm(y, 2.0))
         if lam_old is not None and abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
             break
         lam_old = lam

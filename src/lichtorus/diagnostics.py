@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-from .branch import NoSolutionError, SolverConfig, build_subsolution, monotone_iterate
+from .branch import SolverConfig, build_subsolution, minimal_solution
 from .core import Coefficients, ProblemSpec, critical_exponent
 from .errors import SolverFailure
 from .grid import ScalarField, gradient
@@ -39,20 +39,16 @@ class StructuralViolationError(SolverFailure):
 
 @dataclass(frozen=True)
 class BubbleSpec:
-    """Parameters of a standard bubble: dimension, f0 = f(x0) > 0, scale mu."""
+    """Parameters of a standard bubble: dimension and f0 = f(x0) > 0."""
 
     n: int
     f0: float
-    mu: float = 1.0
-    center: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.n not in (3, 4, 5):
             raise ValueError("n must be 3, 4 or 5")
         if self.f0 <= 0:
             raise ValueError("f0 must be positive")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
 
     @property
     def r0(self) -> float:
@@ -244,7 +240,6 @@ def stability_experiment(coeffs: Coefficients, theta: float, q_schedule,
     BLOWUP otherwise, with the per-member mu and profile evidence in the
     record.
     """
-    cfg = cfg or SolverConfig()
     qs = [float(q) for q in q_schedule]
     ts = critical_exponent(coeffs.grid.dim)
     if any(q < 2.0 or q > ts + 1e-12 for q in qs):
@@ -258,14 +253,9 @@ def stability_experiment(coeffs: Coefficients, theta: float, q_schedule,
         a_k = coeffs.a if a_perturbations is None else coeffs.a + a_perturbations[k]
         coeffs_k = Coefficients(coeffs.h, coeffs.f, a_k)
         spec = ProblemSpec(coeffs_k, q, theta=theta, epsilon=0.0)
-        sub = build_subsolution(coeffs_k, theta, q=q)
+        sub = build_subsolution(spec)
         floor = min(floor, sub.field.min())
-        out = monotone_iterate(spec, sub, cfg)
-        if not out.converged:
-            raise NoSolutionError(
-                f"no solution for family member q={q} ({out.reason}); "
-                "stability experiment inputs are inconsistent"
-            )
+        out = minimal_solution(spec, cfg, sub)
         sol = out.solution
         peak, deviation = member_profile(sol, coeffs.f, q)
         members.append(StabilityMember(q=q, sup_u=sol.max(), min_u=sol.min(),

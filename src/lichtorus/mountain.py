@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -123,28 +122,12 @@ class MountainPassConfig:
     ball_radius: float | None = None   # default: t0 from the certificate constants
 
 
-def _pow_rational(base: float, frac: Fraction) -> float:
-    """base**frac with exact integer roots snapped (e.g. 8^(5/3) = 32)."""
-    frac = Fraction(frac)
-    if frac.denominator == 1:
-        return float(base) ** frac.numerator
-    if frac.denominator == 2:
-        root = float(np.sqrt(base))
-    elif frac.denominator == 3:
-        root = float(np.cbrt(base))
-    else:
-        return float(base) ** float(frac)
-    if round(root) ** frac.denominator == base:
-        root = float(round(root))
-    return root ** frac.numerator
-
-
 def certificate_constant(n: int) -> float:
-    """C(n) = (1/(n-2)) (2(n-1))^(-2*/2): 1/64, 1/72, 1/96 for n = 3, 4, 5."""
+    """C(n) = (2(n-1))^(-2*/2) / (n-2) = (2(n-1))^(-n/(n-2)) / (n-2), exactly
+    1/64, 1/72 and 1/96 for n = 3, 4, 5."""
     if n not in (3, 4, 5):
         raise ValueError("n must be 3, 4 or 5")
-    half_ts = Fraction(2 * n, n - 2) / 2
-    return 1.0 / ((n - 2) * _pow_rational(2 * (n - 1), half_ts))
+    return {3: 1.0 / 64.0, 4: 1.0 / 72.0, 5: 1.0 / 96.0}[n]
 
 
 def certificate_theta1(coeffs: Coefficients, test_fn: ScalarField | None = None,

@@ -205,15 +205,15 @@ def test_criterion_11_monotone_discipline(fold3):
     coeffs = unit_coefficients(3, 16)
     worst_violation = 0.0
 
-    out = monotone_iterate(critical_spec(coeffs, 0.2),
-                           build_subsolution(coeffs, 0.2))
+    spec = critical_spec(coeffs, 0.2)
+    out = monotone_iterate(spec, build_subsolution(spec))
     assert not out.converged
     worst_violation = max(worst_violation, out.max_violation)
 
     for frac in (0.25, 0.5, 0.75, 0.9):
         theta = frac * fold.theta_star
-        out = monotone_iterate(critical_spec(coeffs, theta),
-                               build_subsolution(coeffs, theta))
+        spec = critical_spec(coeffs, theta)
+        out = monotone_iterate(spec, build_subsolution(spec))
         assert out.converged, f"diverged at theta = {frac} * theta_star"
         worst_violation = max(worst_violation, out.max_violation)
 

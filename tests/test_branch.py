@@ -28,7 +28,7 @@ from conftest import constant_roots, linearized_constant_potential
 class TestSubsolution:
     def test_constant_case(self, unit_coeffs8):
         # h=1, a=1, f >= 0: psi_{1/2} = 1/2 solves (Delta+1)psi = 1/2
-        sub = build_subsolution(unit_coeffs8, 0.1)
+        sub = build_subsolution(critical_spec(unit_coeffs8, 0.1))
         assert sub.delta == pytest.approx(0.5)
         assert np.allclose(sub.field.values, 0.5 * sub.scale, atol=1e-12)
         assert sub.shift_k == 0.0
@@ -37,7 +37,7 @@ class TestSubsolution:
         one = lt.constant_field(grid8, 1.0)
         a = one + lt.cosine_field(grid8, 1.0, [1, 0, 0])  # vanishes on a plane
         coeffs = lt.Coefficients(one, one, a)
-        sub = build_subsolution(coeffs, 0.05)
+        sub = build_subsolution(critical_spec(coeffs, 0.05))
         assert sub.field.min() > 0
 
     def test_strict_negative_residual(self, grid8):
@@ -46,8 +46,8 @@ class TestSubsolution:
         f = lt.cosine_field(grid8, 1.0, [1, 0, 0])  # sign-changing f
         a = one + 0.5 * lt.cosine_field(grid8, 1.0, [1, 1, 0])
         coeffs = lt.Coefficients(h, f, a)
-        sub = build_subsolution(coeffs, 0.08)
         spec = critical_spec(coeffs, 0.08)
+        sub = build_subsolution(spec)
         assert residual(spec, sub.field).max() < 0
 
 
@@ -103,7 +103,7 @@ def test_scale_scan_matches_the_array_pass(grid8, case):
     *fields, theta = SCAN_CASES[case]
     coeffs = lt.Coefficients(*(lt.constant_field(grid8, c) + amp * lt.cosine_field(grid8, 1.0, k)
                                for c, amp, k in fields))
-    sub = build_subsolution(coeffs, theta)
+    sub = build_subsolution(critical_spec(coeffs, theta))
     scale, delta, w = brute_force_subsolution(coeffs, theta)
     assert (sub.scale, sub.delta) == (scale, delta)
     assert sub.field.values.tobytes() == w.values.tobytes()
@@ -162,7 +162,7 @@ class TestMonotoneIterate:
     def test_converges_to_stable_root(self, unit_coeffs8):
         c1, _ = constant_roots(0.1, 6.0)
         spec = critical_spec(unit_coeffs8, 0.1)
-        out = monotone_iterate(spec, build_subsolution(unit_coeffs8, 0.1))
+        out = monotone_iterate(spec, build_subsolution(spec))
         assert out.converged
         assert abs(out.solution.values - c1).max() <= 1e-10
         assert out.residual_norm <= 1e-10
@@ -170,29 +170,29 @@ class TestMonotoneIterate:
 
     def test_diverges_above_fold(self, unit_coeffs8):
         spec = critical_spec(unit_coeffs8, 0.2)
-        out = monotone_iterate(spec, build_subsolution(unit_coeffs8, 0.2))
+        out = monotone_iterate(spec, build_subsolution(spec))
         assert not out.converged
         assert out.solution is None
 
     def test_probe_diverges_in_tens_of_iterations(self, unit_coeffs8):
         # a K no larger than monotonicity needs takes a probe past the fold
         # to the cap in a few dozen steps
-        out = monotone_iterate(critical_spec(unit_coeffs8, 0.2),
-                               build_subsolution(unit_coeffs8, 0.2))
+        spec = critical_spec(unit_coeffs8, 0.2)
+        out = monotone_iterate(spec, build_subsolution(spec))
         assert out.reason == "cap exceeded"
         assert out.iterations <= 25
 
     def test_converges_in_a_few_steps_from_the_subsolution(self, unit_coeffs8):
         # the scale scan starts within a step of the solution and K = B
         # contracts the mean mode to near 0
-        out = monotone_iterate(critical_spec(unit_coeffs8, 0.1),
-                               build_subsolution(unit_coeffs8, 0.1))
+        spec = critical_spec(unit_coeffs8, 0.1)
+        out = monotone_iterate(spec, build_subsolution(spec))
         assert out.converged
         assert out.iterations <= 8
 
     def test_iterates_nondecreasing(self, unit_coeffs8):
-        out = monotone_iterate(critical_spec(unit_coeffs8, 0.12),
-                               build_subsolution(unit_coeffs8, 0.12))
+        spec = critical_spec(unit_coeffs8, 0.12)
+        out = monotone_iterate(spec, build_subsolution(spec))
         assert out.converged and out.max_violation <= 1e-12
 
     def test_warm_start_requires_subsolution(self, unit_coeffs8, grid8):
@@ -202,11 +202,30 @@ class TestMonotoneIterate:
             monotone_iterate(spec, lt.constant_field(grid8, 0.9))
 
     def test_warm_start_from_smaller_theta(self, unit_coeffs8):
-        out1 = monotone_iterate(critical_spec(unit_coeffs8, 0.05),
-                                build_subsolution(unit_coeffs8, 0.05))
+        spec = critical_spec(unit_coeffs8, 0.05)
+        out1 = monotone_iterate(spec, build_subsolution(spec))
         out2 = monotone_iterate(critical_spec(unit_coeffs8, 0.1), out1.solution)
         c1, _ = constant_roots(0.1, 6.0)
         assert abs(out2.solution.values - c1).max() <= 1e-10
+
+
+class TestMinimalSolution:
+    def test_hands_over_to_newton_early(self, unit_coeffs8):
+        # every minimal solve tries Newton once the Picard step is <= 1e-5
+        out = minimal_solution(critical_spec(unit_coeffs8, 0.05))
+        assert out.reason == "newton"
+        assert out.iterations <= 3
+
+    def test_warm_start_matches_cold_start(self, unit_coeffs8):
+        warm = minimal_solution(critical_spec(unit_coeffs8, 0.05)).solution
+        spec = critical_spec(unit_coeffs8, 0.1)
+        cold = minimal_solution(spec).solution
+        hot = minimal_solution(spec, start=warm).solution
+        assert abs(hot.values - cold.values).max() <= 1e-10
+
+    def test_divergence_names_theta_and_q(self, unit_coeffs8):
+        with pytest.raises(NoSolutionError, match=r"theta=0\.2, q=6\.0"):
+            minimal_solution(critical_spec(unit_coeffs8, 0.2))
 
 
 class TestNewtonRefine:
@@ -370,7 +389,7 @@ class TestTraceBranch:
         assert all(p.lam > 0 for p in record.points)
 
     def test_uniform_lower_bound(self, unit_coeffs8):
-        sub = build_subsolution(unit_coeffs8, 0.02)
+        sub = build_subsolution(critical_spec(unit_coeffs8, 0.02))
         record = trace_branch(unit_coeffs8, [0.02, 0.06, 0.1])
         floor = sub.field.min()
         assert all(p.solution.min() >= floor for p in record.points)
@@ -380,8 +399,8 @@ class TestTraceBranch:
         thetas = [0.14, 0.1, 0.05, 0.01]
         results = []
         for th in thetas:
-            out = monotone_iterate(critical_spec(unit_coeffs8, th),
-                                   build_subsolution(unit_coeffs8, th))
+            spec = critical_spec(unit_coeffs8, th)
+            out = monotone_iterate(spec, build_subsolution(spec))
             results.append(out.converged)
         assert results == sorted(results) or all(results)
 

@@ -31,7 +31,7 @@ class TestMinimizeInBall:
     def test_constant_minimizer_matches_regularized_root(self, unit_coeffs8, grid8):
         eps, q, theta = 1e-2, 5.0, 0.1
         spec = ProblemSpec(unit_coeffs8, q, theta=theta, epsilon=eps)
-        sub = build_subsolution(unit_coeffs8, theta, q=q)
+        sub = build_subsolution(spec.at(epsilon=0.0))
         u = minimize_in_ball(spec, center=sub.field, radius=5.0, start=sub.field)
         oracle = regularized_constant_root(theta, q, eps, branch="stable")
         assert abs(u.values - oracle).max() <= 1e-8
@@ -74,7 +74,7 @@ class TestMountainPass:
         center = lt.constant_field(grid, 0.0)
         radius = 1.0
         eta = sphere_barrier(spec, center, radius, rng)
-        sub = build_subsolution(coeffs, theta, q=q)
+        sub = build_subsolution(spec.at(epsilon=0.0))
         u_low = minimize_in_ball(spec, center, radius, start=sub.field)
         u_high, e_high = build_far_endpoint(spec, eta, radius, center)
         return spec, eta, u_low, u_high, (energy(spec, u_low), e_high)
@@ -243,6 +243,11 @@ class TestCertificate:
         assert certificate_constant(3) == 1.0 / 64.0
         assert certificate_constant(4) == 1.0 / 72.0
         assert certificate_constant(5) == 1.0 / 96.0
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_constants_match_the_closed_form(self, n):
+        closed = (2.0 * (n - 1)) ** (-n / (n - 2.0)) / (n - 2.0)
+        assert abs(certificate_constant(n) - closed) <= 1e-15 * closed
 
     def test_unit_product_instantiation(self, unit_coeffs8):
         # S_h max|f| = 1 gives t0 = 1 and Phi(t0) = 1/n
