@@ -112,7 +112,6 @@ class BranchPoint:
     lam: float
     energy: float
     iterations: int
-    converged: bool
 
 
 @dataclass
@@ -323,8 +322,9 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,
 
     Accepts either a constructed Subsolution or a warm-start field that is a
     subsolution at spec's theta (e.g. a minimal solution at a smaller theta).
-    Newton takes over once a step is at most NEWTON_TRIGGER.  Returns
-    Converged with the Newton-polished solution, or Diverged when the
+    Newton is tried once a step is at most NEWTON_TRIGGER or cfg.tol and kept
+    when it dominates the iterate ("newton"); if it declines at a step of at
+    most cfg.tol, the iterate is returned ("converged").  Diverged when the
     iterates blow past the cap / keep growing at the iteration limit.
     """
     cfg = cfg or SolverConfig()
@@ -389,22 +389,28 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,
         if sup > cap:
             return MonotoneResult(False, None, it, max_violation, None, "cap exceeded")
 
-        if step <= cfg.tol:
-            return _finish(spec, v, it, max_violation, cfg, k)
-
-        if step <= trigger:
+        if step <= trigger or step <= cfg.tol:
             try:
                 u = newton_refine(spec, v)
-            except NewtonError:
-                trigger *= 0.25  # retry later, closer to the solution
+            except NewtonError as exc:
+                log.debug("newton declined: %s", exc)
             else:
                 # the minimal solution dominates every iterate; a refined point
                 # below v means Newton strayed off the minimal branch
-                if float((v.values - u.values).max()) > 1e-8:
-                    trigger *= 0.25
-                else:
+                if float((v.values - u.values).max()) <= 1e-8:
                     rn = residual(spec, u).sup_norm()
                     return MonotoneResult(True, u, it, max_violation, rn, "newton")
+            if step <= cfg.tol:
+                rn = residual(spec, v).sup_norm()
+                # a genuinely step-converged iterate has residual of order K * step;
+                # anything much larger means the step criterion fired prematurely
+                if rn > 10.0 * k * cfg.tol + 1e-8:
+                    raise IterationLimitError(
+                        f"step size converged but the residual is {rn:.3e} "
+                        f"(K = {k:.3e}); the iteration stalled without a solution"
+                    )
+                return MonotoneResult(True, v, it, max_violation, rn, "converged")
+            trigger *= 0.25  # retry later, closer to the solution
 
     tail = sup_history[-(GROWTH_WINDOW + 1):]
     if len(tail) > GROWTH_WINDOW and all(b > a for a, b in zip(tail, tail[1:])):
@@ -413,22 +419,6 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,
     raise IterationLimitError(
         f"no verdict after {cfg.max_iters} iterations (last step {step:.3e})"
     )
-
-
-def _finish(spec, v, it, max_violation, cfg, k) -> MonotoneResult:
-    try:
-        v = newton_refine(spec, v)
-    except NewtonError as exc:
-        log.debug("newton polish declined: %s", exc)
-    rn = residual(spec, v).sup_norm()
-    # a genuinely step-converged iterate has residual of order K * step;
-    # anything much larger means the step criterion fired prematurely
-    if rn > 10.0 * k * cfg.tol + 1e-8:
-        raise IterationLimitError(
-            f"step size converged but the residual is {rn:.3e} "
-            f"(K = {k:.3e}); the iteration stalled without a solution"
-        )
-    return MonotoneResult(True, v, it, max_violation, rn, "converged")
 
 
 def minimal_solution(spec: ProblemSpec, cfg: SolverConfig | None = None,
@@ -452,8 +442,7 @@ def _branch_point(spec: ProblemSpec, sol: ScalarField, iterations: int) -> Branc
             f"{eig.lam:.3e}; stability violated"
         )
     return BranchPoint(theta=spec.theta, solution=sol, lam=eig.lam,
-                       energy=energy(spec, sol), iterations=iterations,
-                       converged=True)
+                       energy=energy(spec, sol), iterations=iterations)
 
 
 def trace_branch(coeffs: Coefficients, theta_schedule, cfg: SolverConfig | None = None,

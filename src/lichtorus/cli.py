@@ -41,8 +41,6 @@ FAILURE_LINES = {2: "config error", 3: "solver failure", 4: "blow-up detected"}
 def _fmt(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, float):
         return repr(x)
     return str(x)
@@ -86,10 +84,9 @@ class OutputWriter:
 
 def _branch_rows(points) -> list[list]:
     return [[p.theta, p.lam, p.solution.min(), p.solution.max(), p.energy,
-             p.iterations, p.converged] for p in points]
+             p.iterations] for p in points]
 
-BRANCH_HEADER = ["theta", "lambda", "min_u", "max_u", "energy", "iterations",
-                 "converged"]
+BRANCH_HEADER = ["theta", "lambda", "min_u", "max_u", "energy", "iterations"]
 STABILITY_HEADER = ["q", "sup_u", "min_u", "mu", "deviation", "sup_diff",
                     "grad_diff", "verdict"]
 

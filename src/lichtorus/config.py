@@ -21,6 +21,7 @@ from .mountain import MountainPassConfig
 
 MODES = ("solve", "branch", "fold", "mountain-pass", "certificate",
          "stability-test", "bubble-check")
+MAX_BUBBLE_POINTS = 2**22   # points of the finer bubble-check lattice
 
 
 class ConfigError(LichtorusError):
@@ -141,7 +142,7 @@ def _get(obj: dict, key: str, kind, path: str, default=None, required=False):
     val = obj[key]
     if kind is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
-    if kind is not None and not isinstance(val, kind):
+    if isinstance(val, bool) or not isinstance(val, kind):
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(val).__name__}")
     return val
 
@@ -246,6 +247,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("parameters.theta_hint: must be positive")
     theta_schedule = _check_schedule(par.get("theta_schedule"),
                                      "parameters.theta_schedule", increasing=True)
+    if theta_schedule and theta_schedule[0] < 0:
+        raise ConfigError("parameters.theta_schedule: entries must be >= 0")
     q = _get(par, "q", float, "parameters")
     ts = critical_exponent(dim)
     if q is not None and not (2.0 <= q <= ts + 1e-12):
@@ -310,6 +313,12 @@ def parse_config(text: str) -> RunConfig:
     if round(bubble_window / (r0 / bubble_den)) < 3:
         raise ConfigError("solver.bubble_window: too small for the 4th-order "
                           f"stencil (needs >= 3 grid spacings of {r0 / bubble_den:.3e})")
+    # bubble-check also samples at half that spacing, (2m + 1)^n points
+    side = 2 * round(2 * bubble_window / (r0 / bubble_den)) + 1
+    if mode == "bubble-check" and side**dim > MAX_BUBBLE_POINTS:
+        raise ConfigError(f"solver.bubble_spacing_denominator: the half-spacing "
+                          f"bubble lattice has {side}^{dim} points, more than "
+                          f"{MAX_BUBBLE_POINTS}; lower it or bubble_window")
 
     out = raw.get("output") or {}
     if not isinstance(out, dict):

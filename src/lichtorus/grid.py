@@ -286,13 +286,6 @@ def h1h_quadratic_form(u: ScalarField, h: ScalarField) -> float:
     return gradient_energy(u) + float(np.sum(h.values * u.values**2)) * u.grid.cell_volume
 
 
-def h1h_inner(u: ScalarField, v: ScalarField, h: ScalarField) -> float:
-    """The H1_h pairing int(grad u . grad v + h u v)."""
-    _check_same_grid(u, v, h)
-    return l2_inner(laplacian(u), v) + float(
-        np.sum(h.values * u.values * v.values)) * u.grid.cell_volume
-
-
 def h1h_norm(u: ScalarField, h: ScalarField) -> float:
     """sqrt of the quadratic form; errors if the form is negative on this input."""
     q = h1h_quadratic_form(u, h)

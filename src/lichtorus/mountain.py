@@ -42,7 +42,6 @@ from .grid import (
     ScalarField,
     constant_field,
     cosine_field,
-    h1h_inner,
     h1h_norm,
     helmholtz_solve,
 )
@@ -51,7 +50,7 @@ log = logging.getLogger(__name__)
 
 PASS_GRAD_TOL = 1e-6        # H1_h Riesz-gradient norm that ends the pass search
 MAX_SWEEPS = 20_000
-DESCENT_GRAD_TOL = 1e-8     # ball descent: constrained gradient norm that ends it
+DESCENT_GRAD_TOL = 1e-8     # ball descent: Riesz gradient norm that ends it
 DESCENT_MAX_ITERS = 5000
 NEWTON_TRIGGER = 1e-3       # ball descent hands over to Newton below this norm
 SPHERE_SAMPLES = 64
@@ -68,7 +67,7 @@ class PathCollapseError(SolverFailure):
 
 
 class DescentStallError(SolverFailure):
-    """Constrained descent stalled above the gradient tolerance."""
+    """Descent stalled above the gradient tolerance."""
 
 
 class BlowupDetectedError(Blowup):
@@ -165,85 +164,61 @@ def certificate_theta1(coeffs: Coefficients, test_fn: ScalarField | None = None,
 
 def minimize_in_ball(spec: ProblemSpec, center: ScalarField, radius: float,
                      start: ScalarField | None = None) -> ScalarField:
-    """Minimize the regularized energy on the H1_h-ball around center.
+    """Minimize the regularized energy on the closed H1_h-ball around center.
 
-    Projected H1-preconditioned descent; after each step any excursion is
-    rescaled back to the sphere.  Interior positive iterates are polished by
-    Newton on the regularized Euler-Lagrange equation.
+    Descent along the Riesz direction -(Delta + h)^(-1) grad I from start
+    (default center), which must lie in the ball.  A trial point outside the
+    ball is rejected like one failing the Armijo test, unevaluated.  No
+    projection is needed: accepted iterates have I <= I(start), and when
+    I(start) < inf I on the sphere (the mountain-pass geometry) the Armijo
+    test rejects every sphere point anyway.  Positive iterates go to Newton
+    on the regularized Euler-Lagrange equation, whose result must lie inside
+    the ball.  A minimizer on the sphere means the geometry failed: the
+    descent stalls and raises DescentStallError.
     """
     if spec.epsilon <= 0 or spec.q >= spec.two_star:
         raise ValueError("ball minimization requires epsilon > 0 and q < 2*")
     h = spec.coefficients.h
 
-    def project(u: ScalarField) -> ScalarField:
-        dev = u - center
-        r = h1h_norm(dev, h)
-        if r > radius:
-            return center + dev * (radius / r)
-        return u
+    def distance(u: ScalarField) -> float:
+        return h1h_norm(u - center, h)
 
-    def is_interior(u: ScalarField) -> bool:
-        return h1h_norm(u - center, h) < radius * (1.0 - 1e-10)
-
-    def constrained_direction(u: ScalarField) -> ScalarField:
-        """Riesz descent direction, projected onto the sphere tangent when the
-        iterate sits on the boundary and the direction points outward."""
-        d = -1.0 * helmholtz_solve(h, energy_gradient(spec, u))
-        dev = u - center
-        r = h1h_norm(dev, h)
-        if r >= radius * (1.0 - 1e-10):
-            outward = h1h_inner(d, dev, h)
-            if outward > 0:
-                d = d - dev * (outward / r**2)
-        return d
-
-    u = project(start if start is not None else center)
+    u = center if start is None else start
+    if distance(u) > radius:
+        raise GeometryError(f"ball descent start at H1_h distance {distance(u):.4e} "
+                            f"lies outside the ball of radius {radius:.4e}")
     e_u = energy(spec, u)
     step = 1.0
-    gn = np.inf
     # moves are capped at a small fraction of the ball so descent cannot
     # leap a ridge to lower ground outside the minimizer's basin
     max_move = 0.05 * radius
     for _ in range(DESCENT_MAX_ITERS):
-        d = constrained_direction(u)
+        d = -1.0 * helmholtz_solve(h, energy_gradient(spec, u))
         gn = h1h_norm(d, h)
-        if gn <= DESCENT_GRAD_TOL:
-            break
-        if gn <= NEWTON_TRIGGER and is_interior(u) and u.min() > 0:
+        if gn <= NEWTON_TRIGGER and u.min() > 0:
             try:
                 cand = newton_refine(spec, u)
             except NewtonError:
                 pass
             else:
-                if is_interior(cand):
+                if distance(cand) < radius * (1.0 - 1e-10):
                     return cand
+        if gn <= DESCENT_GRAD_TOL:
+            return u
         s = min(step, max_move / gn)
-        improved = False
         for _ in range(50):
-            cand = project(u + s * d)
-            e_cand = energy(spec, cand)
-            if e_cand < e_u - 1e-4 * s * gn**2:
-                u, e_u, improved = cand, e_cand, True
-                step = min(s * 2.0, 1e3)
-                break
+            cand = u + s * d
+            if distance(cand) <= radius:
+                e_cand = energy(spec, cand)
+                if e_cand < e_u - 1e-4 * s * gn**2:
+                    u, e_u = cand, e_cand
+                    step = min(s * 2.0, 1e3)
+                    break
             s *= 0.5
-        if not improved:
-            raise DescentStallError(
-                f"ball descent stalled with constrained gradient norm {gn:.3e}"
-            )
-    else:
-        if gn > DESCENT_GRAD_TOL:
-            raise DescentStallError(
-                f"ball descent hit the iteration cap at gradient norm {gn:.3e}"
-            )
-    if is_interior(u) and u.min() > 0:
-        try:
-            cand = newton_refine(spec, u)
-            if is_interior(cand):
-                u = cand
-        except NewtonError:
-            pass
-    return u
+        else:
+            raise DescentStallError(f"ball descent stalled at gradient norm {gn:.3e}")
+    raise DescentStallError(
+        f"ball descent hit the iteration cap at gradient norm {gn:.3e}")
 
 
 def _sphere_samples(spec: ProblemSpec, center: ScalarField, radius: float,

@@ -216,6 +216,24 @@ class TestMinimalSolution:
         assert out.reason == "newton"
         assert out.iterations <= 3
 
+    def test_step_converged_solve_hands_over_to_newton(self, unit_coeffs8):
+        # at theta = 0.1 the fourth Picard step is the first <= 1e-5, and
+        # already below tol: Newton still gets the iterate
+        spec = critical_spec(unit_coeffs8, 0.1)
+        out = monotone_iterate(spec, build_subsolution(spec))
+        assert out.reason == "newton"
+        assert out.iterations == 4
+
+    def test_newton_below_the_iterate_is_declined(self, unit_coeffs8, monkeypatch):
+        # a Newton point below the Picard iterate left the minimal branch;
+        # the step-converged solve returns the iterate itself
+        monkeypatch.setattr(branch, "newton_refine", lambda spec, v: v - 1e-6)
+        spec = critical_spec(unit_coeffs8, 0.1)
+        out = monotone_iterate(spec, build_subsolution(spec))
+        assert out.reason == "converged"
+        assert out.iterations == 4
+        assert out.residual_norm <= 1e-6
+
     def test_warm_start_matches_cold_start(self, unit_coeffs8):
         warm = minimal_solution(critical_spec(unit_coeffs8, 0.05)).solution
         spec = critical_spec(unit_coeffs8, 0.1)

@@ -51,7 +51,7 @@ def test_fold_mode_report_and_csv(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert abs(report["quantities"]["theta_star"] - 0.148148148148) <= 5e-4
     csv = (tmp_path / "out" / "branch.csv").read_text().splitlines()
-    assert csv[0] == "theta,lambda,min_u,max_u,energy,iterations,converged"
+    assert csv[0] == "theta,lambda,min_u,max_u,energy,iterations"
     assert len(csv) >= 2
 
 
@@ -202,6 +202,12 @@ CONFIG_GAPS = {
     "mountain-pass ball radius not positive": ("mountain-pass", {},
                                                {"ball_radius": -1.0},
                                                "solver.ball_radius"),
+    "branch theta below zero": ("branch", dict(theta_schedule=[-0.1, 0.05]),
+                                None, "parameters.theta_schedule"),
+    "boolean for an integer": ("solve", {}, {"max_iters": True}, "solver.max_iters"),
+    # parse-time only: the lattice this asks for is never allocated
+    "bubble lattice beyond the point bound": ("bubble-check", {}, {"bubble_f0": 1e12},
+                                              "solver.bubble_spacing_denominator"),
 }
 
 

@@ -105,3 +105,26 @@ def test_tolerances_positive():
 def test_unknown_mode():
     with pytest.raises(ConfigError, match="unknown mode"):
         parse_config(minimal(mode="warp"))
+
+
+def test_booleans_are_not_numbers():
+    with pytest.raises(ConfigError, match="seed: expected int, got bool"):
+        parse_config(minimal(seed=True))
+    bad = json.loads(minimal())
+    bad["solver"] = {"tol": False}
+    with pytest.raises(ConfigError, match="solver.tol: expected float, got bool"):
+        parse_config(json.dumps(bad))
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+def test_bubble_lattice_bound(dim):
+    # the default half-spacing lattice has 129^n points: 129^3 passes, while
+    # 129^4 and 129^5 exceed 2**22 and are refused before anything is built
+    cfg = json.loads(minimal(mode="bubble-check"))
+    assert parse_config(json.dumps(cfg)).mode == "bubble-check"
+    cfg["grid"] = {"dim": dim, "resolutions": [8] * dim, "periods": [1.0] * dim}
+    with pytest.raises(ConfigError, match="solver.bubble_spacing_denominator"):
+        parse_config(json.dumps(cfg))
+    # the bound is bubble-check's own: other modes keep the same defaults
+    cfg["mode"] = "fold"
+    assert parse_config(json.dumps(cfg)).dim == dim

@@ -14,6 +14,7 @@ from lichtorus.core import (
     smallest_eigenpair,
 )
 from lichtorus.mountain import (
+    DescentStallError,
     GeometryError,
     build_far_endpoint,
     certificate_constant,
@@ -57,6 +58,19 @@ class TestMinimizeInBall:
         u1 = minimize_in_ball(spec, center=center, radius=5.0, start=s1)
         u2 = minimize_in_ball(spec, center=center, radius=5.0, start=s2)
         assert (u1 - u2).sup_norm() <= 1e-6
+
+    def test_minimizer_on_the_sphere_raises(self, unit_coeffs8, grid8):
+        # the regularized root, 0.55, lies outside this ball, so the infimum
+        # over the ball sits on its sphere, where no critical point is
+        spec = ProblemSpec(unit_coeffs8, 5.0, theta=0.1, epsilon=1e-2)
+        with pytest.raises(DescentStallError):
+            minimize_in_ball(spec, lt.constant_field(grid8, 0.5), 0.05)
+
+    def test_start_outside_the_ball_is_rejected(self, unit_coeffs8, grid8):
+        spec = ProblemSpec(unit_coeffs8, 5.0, theta=0.1, epsilon=1e-2)
+        with pytest.raises(GeometryError, match="outside the ball"):
+            minimize_in_ball(spec, lt.constant_field(grid8, 0.5), 0.05,
+                             start=lt.constant_field(grid8, 0.7))
 
     def test_rejects_critical_or_unregularized(self, unit_coeffs8, grid8):
         with pytest.raises(ValueError):
