@@ -9,6 +9,7 @@ normalized echo so a run is reproducible from the report alone.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -186,10 +187,25 @@ def _check_schedule(seq, path: str, increasing: bool):
     return vals
 
 
+def _finite_number(text: str, kind=float):
+    """json hook for every number literal: NaN, Infinity and literals beyond
+    the float range are refused rather than handed to the solvers."""
+    try:
+        val = kind(text)
+        finite = math.isfinite(val)
+    except (OverflowError, ValueError):
+        finite = False
+    if not finite:
+        shown = text if len(text) <= 24 else text[:20] + "..."
+        raise ConfigError(f"config number {shown}: not a finite number")
+    return val
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config; raises ConfigError on any problem."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number,
+                         parse_int=functools.partial(_finite_number, kind=int))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config syntax error at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
@@ -310,11 +326,15 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("solver.bubble_spacing_denominator: must be >= 8")
     # the coarser bubble grid, spacing r0 / denominator, needs 3 points a side
     r0 = math.sqrt(dim * (dim - 2) / bubble_f0)
-    if round(bubble_window / (r0 / bubble_den)) < 3:
+    spacing = r0 / bubble_den
+    if not (spacing > 0 and math.isfinite(2 * bubble_window / spacing)):
+        raise ConfigError(f"solver.bubble_window: {bubble_window:g} over the grid "
+                          f"spacing {spacing:.3e} is beyond the float range")
+    if round(bubble_window / spacing) < 3:
         raise ConfigError("solver.bubble_window: too small for the 4th-order "
-                          f"stencil (needs >= 3 grid spacings of {r0 / bubble_den:.3e})")
+                          f"stencil (needs >= 3 grid spacings of {spacing:.3e})")
     # bubble-check also samples at half that spacing, (2m + 1)^n points
-    side = 2 * round(2 * bubble_window / (r0 / bubble_den)) + 1
+    side = 2 * round(2 * bubble_window / spacing) + 1
     if mode == "bubble-check" and side**dim > MAX_BUBBLE_POINTS:
         raise ConfigError(f"solver.bubble_spacing_denominator: the half-spacing "
                           f"bubble lattice has {side}^{dim} points, more than "

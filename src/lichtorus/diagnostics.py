@@ -19,7 +19,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .branch import SolverConfig, build_subsolution, minimal_solution
 from .core import Coefficients, ProblemSpec, critical_exponent
@@ -31,6 +30,13 @@ log = logging.getLogger(__name__)
 # mu / min(period) at or below which the rescaled window stays well inside one
 # period, so that the bubble comparison means something
 CONCENTRATION_RATIO = 0.1
+
+
+def map_coordinates(*args, **kwargs):
+    """scipy.ndimage.map_coordinates, imported on first call: only the bubble
+    comparison interpolates, so `import lichtorus` leaves scipy unloaded."""
+    from scipy.ndimage import map_coordinates as interpolate
+    return interpolate(*args, **kwargs)
 
 
 class StructuralViolationError(SolverFailure):

@@ -205,6 +205,9 @@ CONFIG_GAPS = {
     "branch theta below zero": ("branch", dict(theta_schedule=[-0.1, 0.05]),
                                 None, "parameters.theta_schedule"),
     "boolean for an integer": ("solve", {}, {"max_iters": True}, "solver.max_iters"),
+    "bubble window beyond the float range": ("solve", {}, {"bubble_window": 1e308},
+                                             "solver.bubble_window"),
+    "NaN for a parameter": ("solve", dict(q=float("nan")), None, "config number NaN"),
     # parse-time only: the lattice this asks for is never allocated
     "bubble lattice beyond the point bound": ("bubble-check", {}, {"bubble_f0": 1e12},
                                               "solver.bubble_spacing_denominator"),

@@ -128,3 +128,28 @@ def test_bubble_lattice_bound(dim):
     # the bound is bubble-check's own: other modes keep the same defaults
     cfg["mode"] = "fold"
     assert parse_config(json.dumps(cfg)).dim == dim
+
+
+def test_non_finite_numbers_are_refused():
+    # json.loads accepts NaN and Infinity unless told otherwise
+    with pytest.raises(ConfigError, match="config number NaN: not a finite number"):
+        parse_config(minimal(parameters={"theta_hint": float("nan")}))
+    bad = json.loads(minimal())
+    bad["solver"] = {"tol": float("inf")}
+    with pytest.raises(ConfigError, match="config number Infinity: not a finite number"):
+        parse_config(json.dumps(bad))
+
+
+@pytest.mark.parametrize("literal", ["-Infinity", "1e400", "9" * 400])
+def test_numbers_beyond_the_float_range_are_refused(literal):
+    text = minimal(parameters={"theta_hint": "X"}).replace('"X"', literal)
+    with pytest.raises(ConfigError, match=f"config number {literal[:20]}"):
+        parse_config(text)
+
+
+def test_bubble_window_beyond_the_float_range():
+    # bubble_window / spacing overflows: a config error, not an OverflowError
+    bad = json.loads(minimal())
+    bad["solver"] = {"bubble_window": 1e308}
+    with pytest.raises(ConfigError, match="solver.bubble_window: .* beyond the float range"):
+        parse_config(json.dumps(bad))

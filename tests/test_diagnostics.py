@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -60,6 +66,30 @@ def transplanted_bubble(mu: float):
     r2 = sum(((x - 0.5 + 0.5) % 1.0 - 0.5) ** 2 for x in mesh)
     profile = (1.0 + (r2 / mu**2)) ** (-0.5)
     return lt.ScalarField(g, mu ** (-0.5) * profile), lt.constant_field(g, 3.0)
+
+
+def test_map_coordinates_imports_scipy_on_first_call():
+    # the forwarder loads scipy.ndimage only when the bubble comparison
+    # first interpolates, and returns scipy's result bit for bit
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from lichtorus import diagnostics
+        before = "scipy.ndimage" in sys.modules
+        x = np.arange(24) / 24 - 0.5
+        r2 = sum(c**2 for c in np.meshgrid(x, x, x, indexing="ij"))
+        bubble = (1.0 + r2 / 0.1**2) ** -0.5
+        coords = np.random.default_rng(5).uniform(-4.0, 28.0, size=(3, 500))
+        ours = diagnostics.map_coordinates(bubble, coords, order=3, mode="grid-wrap")
+        after = "scipy.ndimage" in sys.modules
+        from scipy.ndimage import map_coordinates
+        ref = map_coordinates(bubble, coords, order=3, mode="grid-wrap")
+        print(before, after, ours.tobytes() == ref.tobytes())
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(lt.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True", "True"]
 
 
 class TestProfileCompare:

@@ -231,12 +231,16 @@ def test_cosine_field_is_bit_identical_to_the_meshgrid_form():
     assert np.array_equal(field.values, 1.7 * np.cos(arg + phase))
 
 
-def test_import_leaves_scipy_sparse_out():
+def test_import_leaves_scipy_out():
+    # neither the package nor what a CLI run imports (cli, config) loads any
+    # scipy module; only the bubble comparison imports scipy, when it runs
     env = dict(os.environ, PYTHONPATH=str(Path(lt.__file__).parent.parent))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, lichtorus; print('scipy.sparse' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    script = ("import sys, lichtorus\n"
+              "from lichtorus import cli, config\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _symmetric_system(w, border=None):
