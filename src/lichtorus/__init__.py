@@ -6,7 +6,6 @@ from .branch import (
     BranchPoint,
     BranchRecord,
     FoldResult,
-    SolverConfig,
     Subsolution,
     build_subsolution,
     find_theta_star,
@@ -52,7 +51,6 @@ from .grid import (
 )
 from .mountain import (
     Certificate,
-    MountainPassConfig,
     TwoSolutions,
     certificate_theta1,
     critical_limit,

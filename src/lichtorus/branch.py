@@ -47,6 +47,10 @@ NEWTON_MAX_STEPS = 40
 MAX_HALVINGS = 60           # delta halvings tried for a positive psi_delta
 NEWTON_TRIGGER = 1e-5       # Picard step at or below which Newton is first tried
 K_MIN = 0.1                 # smallest Picard shift; bounds (Delta + K)^(-1) by 1/K_MIN
+PICARD_TOL = 1e-8           # sup-norm Picard step that declares convergence
+MAX_PICARD_ITERS = 200_000
+CAP_FACTOR = 1e6            # a sup beyond CAP_FACTOR x the starting sup is divergence
+LAMBDA_TOL = 1e-4           # first eigenvalue allowed at the lower fold certificate
 
 
 class SubsolutionError(SolverFailure):
@@ -84,15 +88,6 @@ class Subsolution:
     delta: float
     scale: float
     shift_k: float
-
-
-@dataclass
-class SolverConfig:
-    """Knobs for the monotone iteration and Newton refinement."""
-
-    tol: float = 1e-8                 # sup-norm step size declaring convergence
-    max_iters: int = 200_000
-    cap: float | None = None          # divergence cap; default 1e6 x initial sup
 
 
 @dataclass
@@ -316,18 +311,17 @@ def _bound_constant(spec: ProblemSpec, floor: float, sup: float) -> float:
     return max(float(bound.max()), K_MIN)
 
 
-def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,
-                     cfg: SolverConfig | None = None) -> MonotoneResult:
+def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField) -> MonotoneResult:
     """Monotone sub/supersolution iteration from a (strict) subsolution.
 
     Accepts either a constructed Subsolution or a warm-start field that is a
     subsolution at spec's theta (e.g. a minimal solution at a smaller theta).
-    Newton is tried once a step is at most NEWTON_TRIGGER or cfg.tol and kept
-    when it dominates the iterate ("newton"); if it declines at a step of at
-    most cfg.tol, the iterate is returned ("converged").  Diverged when the
-    iterates blow past the cap / keep growing at the iteration limit.
+    Newton is tried once a step is at most NEWTON_TRIGGER and kept when it
+    dominates the iterate ("newton"); if it declines at a step of at most
+    PICARD_TOL, the iterate is returned ("converged").  Diverged when the
+    iterates blow past CAP_FACTOR x the starting sup / keep growing at the
+    iteration limit.
     """
-    cfg = cfg or SolverConfig()
     if isinstance(start, Subsolution):
         v = start.field
     else:
@@ -344,13 +338,13 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,
     c = spec.coefficients
     q = spec.q
     sup0 = v.max()
-    cap = cfg.cap if cfg.cap is not None else 1e6 * sup0
+    cap = CAP_FACTOR * sup0
     sup_history = [sup0]
     max_violation = 0.0
     trigger = NEWTON_TRIGGER
     step = np.inf
 
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, MAX_PICARD_ITERS + 1):
         # iterates are nondecreasing, so the current min floors this step's
         # comparison range; the 1.3x sup headroom matters only where f < 0
         k = _bound_constant(spec, v.min(), 1.3 * v.max())
@@ -389,7 +383,7 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,
         if sup > cap:
             return MonotoneResult(False, None, it, max_violation, None, "cap exceeded")
 
-        if step <= trigger or step <= cfg.tol:
+        if step <= trigger or step <= PICARD_TOL:
             try:
                 u = newton_refine(spec, v)
             except NewtonError as exc:
@@ -400,11 +394,11 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,
                 if float((v.values - u.values).max()) <= 1e-8:
                     rn = residual(spec, u).sup_norm()
                     return MonotoneResult(True, u, it, max_violation, rn, "newton")
-            if step <= cfg.tol:
+            if step <= PICARD_TOL:
                 rn = residual(spec, v).sup_norm()
                 # a genuinely step-converged iterate has residual of order K * step;
                 # anything much larger means the step criterion fired prematurely
-                if rn > 10.0 * k * cfg.tol + 1e-8:
+                if rn > 10.0 * k * PICARD_TOL + 1e-8:
                     raise IterationLimitError(
                         f"step size converged but the residual is {rn:.3e} "
                         f"(K = {k:.3e}); the iteration stalled without a solution"
@@ -414,19 +408,19 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField,
 
     tail = sup_history[-(GROWTH_WINDOW + 1):]
     if len(tail) > GROWTH_WINDOW and all(b > a for a, b in zip(tail, tail[1:])):
-        return MonotoneResult(False, None, cfg.max_iters, max_violation, None,
+        return MonotoneResult(False, None, MAX_PICARD_ITERS, max_violation, None,
                               "sustained growth at iteration limit")
     raise IterationLimitError(
-        f"no verdict after {cfg.max_iters} iterations (last step {step:.3e})"
+        f"no verdict after {MAX_PICARD_ITERS} iterations (last step {step:.3e})"
     )
 
 
-def minimal_solution(spec: ProblemSpec, cfg: SolverConfig | None = None,
+def minimal_solution(spec: ProblemSpec,
                      start: Subsolution | ScalarField | None = None) -> MonotoneResult:
     """Minimal solution at spec's (theta, q) by monotone iteration from start,
     a subsolution there (build_subsolution(spec) when None); raises
     NoSolutionError when the iterates diverge."""
-    out = monotone_iterate(spec, build_subsolution(spec) if start is None else start, cfg)
+    out = monotone_iterate(spec, build_subsolution(spec) if start is None else start)
     if not out.converged:
         raise NoSolutionError(
             f"no solution at theta={spec.theta}, q={spec.q} ({out.reason})")
@@ -445,7 +439,7 @@ def _branch_point(spec: ProblemSpec, sol: ScalarField, iterations: int) -> Branc
                        energy=energy(spec, sol), iterations=iterations)
 
 
-def trace_branch(coeffs: Coefficients, theta_schedule, cfg: SolverConfig | None = None,
+def trace_branch(coeffs: Coefficients, theta_schedule,
                  q: float | None = None) -> BranchRecord:
     """Minimal solutions along an ascending theta schedule, warm-started.
 
@@ -460,7 +454,7 @@ def trace_branch(coeffs: Coefficients, theta_schedule, cfg: SolverConfig | None 
     prev: ScalarField | None = None
     for theta in thetas:
         spec = critical_spec(coeffs, theta).at(q=q)
-        out = minimal_solution(spec, cfg, prev)
+        out = minimal_solution(spec, prev)
         if prev is not None:
             drop = float((prev.values - out.solution.values).max())
             record.monotonicity_violation = max(record.monotonicity_violation, drop)
@@ -469,14 +463,13 @@ def trace_branch(coeffs: Coefficients, theta_schedule, cfg: SolverConfig | None 
     return record
 
 
-def _existence_solve(coeffs, theta, warm: ScalarField | None,
-                     cfg: SolverConfig | None) -> MonotoneResult:
+def _existence_solve(coeffs, theta, warm: ScalarField | None) -> MonotoneResult:
     """Existence probe at one theta: the minimal solution, or NoSolutionError."""
-    return minimal_solution(critical_spec(coeffs, theta), cfg, warm)
+    return minimal_solution(critical_spec(coeffs, theta), warm)
 
 
-def _fold_newton(coeffs: Coefficients, sol: ScalarField, theta: float, tol: float,
-                 cfg: SolverConfig | None, lambda_tol: float) -> tuple[float, BranchPoint, float, int]:
+def _fold_newton(coeffs: Coefficients, sol: ScalarField, theta: float,
+                 tol: float) -> tuple[float, BranchPoint, float, int]:
     """Newton on the minimally extended system (Griewank & Reddien 1984) from
     the minimal solution sol at theta: (theta_star, lower certificate, upper
     probe theta, Newton steps), or NewtonError.
@@ -520,32 +513,31 @@ def _fold_newton(coeffs: Coefficients, sol: ScalarField, theta: float, tol: floa
     # Certify from below.  At a quadratic fold the minimal solution at
     # theta* - delta is u* - s v + O(s^2), delta = s^2 j22 / (2 s2) with
     # s2 = -v.F_theta, and its first eigenvalue is s j22 / |v|^2 + O(s^2);
-    # delta aims that eigenvalue at lambda_tol / 2.
+    # delta aims that eigenvalue at LAMBDA_TOL / 2.
     s2 = -float(np.sum(v.values * f_theta.values))
     if not (j22 > 0 and s2 > 0):
         raise NewtonError(f"not a quadratic fold (j22 = {j22:.3e}, s2 = {s2:.3e})")
-    delta = (lambda_tol * float(np.sum(v.values ** 2))) ** 2 / (8.0 * j22 * s2)
+    delta = (LAMBDA_TOL * float(np.sum(v.values ** 2))) ** 2 / (8.0 * j22 * s2)
     delta = max(min(delta, 0.5 * tol), 4.0 * np.spacing(theta))
     spec_lo = critical_spec(coeffs, theta - delta)
     u_lo = newton_refine(spec_lo, u - float(np.sqrt(2.0 * s2 * delta / j22)) * v)
     if float((sol.values - u_lo.values).max()) > 1e-8:
         raise NewtonError("the lower fold certificate lies below the warm start")
     point = _branch_point(spec_lo, u_lo, steps)
-    if not 0.0 <= point.lam <= lambda_tol:
+    if not 0.0 <= point.lam <= LAMBDA_TOL:
         raise NewtonError(f"the lower fold certificate has lambda = {point.lam:.3e}")
 
     # Certify from above: the existence oracle diverges just past the fold.
     theta_hi = point.theta + 0.99 * tol
     try:
-        _existence_solve(coeffs, theta_hi, u_lo, cfg)
+        _existence_solve(coeffs, theta_hi, u_lo)
     except NoSolutionError:
         return theta, point, theta_hi, steps
     raise NewtonError(f"a minimal solution exists at {theta_hi}, past the fold")
 
 
 def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
-                    tol: float = 1e-4, cfg: SolverConfig | None = None,
-                    lambda_tol: float = 1e-4) -> FoldResult:
+                    tol: float = 1e-4) -> FoldResult:
     """Locate the fold: largest theta admitting a minimal solution.
 
     Doubling brackets the fold on the existence dichotomy; Newton on the
@@ -560,7 +552,7 @@ def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
     theta_lo = theta_hint
     while theta_lo >= tol:
         try:
-            out = _existence_solve(coeffs, theta_lo, None, cfg)
+            out = _existence_solve(coeffs, theta_lo, None)
         except NoSolutionError:
             theta_lo *= 0.5
         else:
@@ -572,7 +564,7 @@ def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
     # Phase B: bracket from above by doubling.
     for _ in range(60):
         try:
-            out = _existence_solve(coeffs, 2.0 * theta_lo, sol, cfg)
+            out = _existence_solve(coeffs, 2.0 * theta_lo, sol)
         except NoSolutionError:
             break
         theta_lo, sol, iters_lo = 2.0 * theta_lo, out.solution, out.iterations
@@ -583,15 +575,14 @@ def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
     # Phase C: Newton on the extended system, or bisection when it fails.
     bisection_steps = refine_steps = 0
     try:
-        theta_star, point, theta_hi, refine_steps = _fold_newton(
-            coeffs, sol, theta_lo, tol, cfg, lambda_tol)
+        theta_star, point, theta_hi, refine_steps = _fold_newton(coeffs, sol, theta_lo, tol)
     except (NewtonError, EigenSolverError) as exc:
         log.info("extended Newton failed (%s); bisecting", exc)
         while theta_hi - theta_lo > tol:
             mid = 0.5 * (theta_lo + theta_hi)
             bisection_steps += 1
             try:
-                out = _existence_solve(coeffs, mid, sol, cfg)
+                out = _existence_solve(coeffs, mid, sol)
             except NoSolutionError:
                 theta_hi = mid
             else:

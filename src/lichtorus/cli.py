@@ -93,7 +93,7 @@ STABILITY_HEADER = ["q", "sup_u", "min_u", "mu", "deviation", "sup_diff",
 
 def _run_solve(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
     spec = critical_spec(coeffs, cfg.theta).at(q=cfg.q)
-    out = branch_mod.minimal_solution(spec, cfg.solver_config())
+    out = branch_mod.minimal_solution(spec)
     point = branch_mod._branch_point(spec, out.solution, out.iterations)
     sol = point.solution
     quantities.update({
@@ -108,8 +108,7 @@ def _run_solve(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
 
 
 def _run_branch(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
-    record = branch_mod.trace_branch(coeffs, cfg.theta_schedule,
-                                     cfg.solver_config(), q=cfg.q)
+    record = branch_mod.trace_branch(coeffs, cfg.theta_schedule, q=cfg.q)
     quantities.update({
         "n_points": len(record.points),
         "theta_first": record.points[0].theta,
@@ -124,8 +123,7 @@ def _run_branch(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
 
 def _run_fold(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
     fold = branch_mod.find_theta_star(coeffs, theta_hint=cfg.theta_hint,
-                                      tol=cfg.fold_tol, cfg=cfg.solver_config(),
-                                      lambda_tol=cfg.lambda_tol)
+                                      tol=cfg.fold_tol)
     quantities.update({
         "theta_star": fold.theta_star,
         "bracket_lo": fold.bracket[0], "bracket_hi": fold.bracket[1],
@@ -141,9 +139,8 @@ def _run_fold(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
 def _run_mountain_pass(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
     pair = mountain_mod.critical_limit(coeffs, cfg.theta,
                                        eps_schedule=cfg.epsilon_schedule,
-                                       q_schedule=cfg.q_schedule,
-                                       cfg=cfg.mountain_config(),
-                                       solver_cfg=cfg.solver_config())
+                                       q_schedule=cfg.q_schedule, seed=cfg.seed,
+                                       ball_radius=cfg.ball_radius)
     distinct = pair.separation >= 1e-3
     quantities.update({
         "theta": cfg.theta,
@@ -181,7 +178,7 @@ def _run_stability(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dic
     if cfg.a_perturbations is not None:
         perturbations = [coeffs.a * amp for amp in cfg.a_perturbations]
     result = diag_mod.stability_experiment(coeffs, cfg.theta, cfg.q_schedule,
-                                           perturbations, cfg.solver_config())
+                                           perturbations)
     quantities.update({
         "verdict": result.verdict,
         "n_members": len(result.members),

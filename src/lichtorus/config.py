@@ -14,15 +14,13 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .branch import SolverConfig
 from .core import Coefficients, critical_exponent
 from .errors import LichtorusError
 from .grid import ScalarField, TorusGrid, build_grid, constant_field, cosine_field
-from .mountain import MountainPassConfig
 
 MODES = ("solve", "branch", "fold", "mountain-pass", "certificate",
          "stability-test", "bubble-check")
-MAX_BUBBLE_POINTS = 2**22   # points of the finer bubble-check lattice
+MAX_POINTS = 2**22   # points of a solver grid, and of the finer bubble-check lattice
 
 
 class ConfigError(LichtorusError):
@@ -67,11 +65,6 @@ class RunConfig:
     epsilon_schedule: list[float] | None
     a_perturbations: list[float] | None
     fold_tol: float
-    lambda_tol: float
-    tol: float
-    max_iters: int
-    cap: float | None
-    path_size: int
     ball_radius: float | None
     bubble_f0: float
     bubble_window: float
@@ -90,13 +83,6 @@ class RunConfig:
                                 self.a.build(grid))
         except ValueError as exc:
             raise ConfigError(f"coefficients: {exc}") from exc
-
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(tol=self.tol, max_iters=self.max_iters, cap=self.cap)
-
-    def mountain_config(self) -> MountainPassConfig:
-        return MountainPassConfig(path_size=self.path_size, seed=self.seed,
-                                  ball_radius=self.ball_radius)
 
     def normalized(self) -> dict:
         """Echo with all defaults materialized (JSON-serializable)."""
@@ -117,9 +103,7 @@ class RunConfig:
                 "epsilon_schedule": self.epsilon_schedule,
                 "a_perturbations": self.a_perturbations,
             },
-            "solver": {"fold_tol": self.fold_tol, "lambda_tol": self.lambda_tol,
-                       "tol": self.tol, "max_iters": self.max_iters,
-                       "cap": self.cap, "path_size": self.path_size,
+            "solver": {"fold_tol": self.fold_tol,
                        "ball_radius": self.ball_radius,
                        "bubble_f0": self.bubble_f0,
                        "bubble_window": self.bubble_window,
@@ -230,6 +214,10 @@ def parse_config(text: str) -> RunConfig:
     for i, n in enumerate(resolutions):
         if not isinstance(n, int) or isinstance(n, bool) or n < 4 or n % 2:
             raise ConfigError(f"grid.resolutions[{i}]: must be an even integer >= 4")
+    npoints = math.prod(resolutions)
+    if npoints > MAX_POINTS:
+        raise ConfigError(f"grid.resolutions: the grid has {npoints} points, "
+                          f"more than {MAX_POINTS}")
     periods = grid_obj.get("periods")
     if not isinstance(periods, list) or len(periods) != dim:
         raise ConfigError(f"grid.periods: expected {dim} entries")
@@ -238,6 +226,15 @@ def parse_config(text: str) -> RunConfig:
         if isinstance(p, bool) or not isinstance(p, (int, float)) or p <= 0:
             raise ConfigError(f"grid.periods[{i}]: must be a positive number")
         pvals.append(float(p))
+    # the grid volume, the cell volume and the largest Laplacian symbol
+    # sum (pi N_i / L_i)^2 must be finite positive floats, or the run's
+    # quadratures and transforms turn non-finite
+    volume = math.prod(pvals)
+    top_symbol = sum((math.pi * n / p) * (math.pi * n / p)
+                     for n, p in zip(resolutions, pvals))
+    if not all(0 < x < math.inf for x in (volume, volume / npoints, top_symbol)):
+        raise ConfigError("grid.periods: the grid volume, cell volume or largest "
+                          "Laplacian symbol is not a finite positive number")
 
     coeff_obj = raw.get("coefficients")
     if not isinstance(coeff_obj, dict):
@@ -296,22 +293,11 @@ def parse_config(text: str) -> RunConfig:
     sol = raw.get("solver") or {}
     if not isinstance(sol, dict):
         raise ConfigError("solver: expected an object")
-    _require_keys(sol, {"fold_tol", "lambda_tol", "tol", "max_iters", "cap",
-                        "path_size", "ball_radius", "bubble_f0", "bubble_window",
+    _require_keys(sol, {"fold_tol", "ball_radius", "bubble_f0", "bubble_window",
                         "bubble_spacing_denominator"}, "solver")
     fold_tol = _get(sol, "fold_tol", float, "solver", default=1e-4)
-    lambda_tol = _get(sol, "lambda_tol", float, "solver", default=1e-4)
-    tol = _get(sol, "tol", float, "solver", default=1e-8)
-    for name, val in (("fold_tol", fold_tol), ("lambda_tol", lambda_tol), ("tol", tol)):
-        if val <= 0:
-            raise ConfigError(f"solver.{name}: tolerance must be positive")
-    max_iters = _get(sol, "max_iters", int, "solver", default=200_000)
-    if max_iters < 1:
-        raise ConfigError("solver.max_iters: must be >= 1")
-    cap = _get(sol, "cap", float, "solver")
-    path_size = _get(sol, "path_size", int, "solver", default=33)
-    if path_size < 5:
-        raise ConfigError("solver.path_size: must be >= 5")
+    if fold_tol <= 0:
+        raise ConfigError("solver.fold_tol: tolerance must be positive")
     ball_radius = _get(sol, "ball_radius", float, "solver")
     if ball_radius is not None and ball_radius <= 0:
         raise ConfigError("solver.ball_radius: must be positive")
@@ -335,10 +321,10 @@ def parse_config(text: str) -> RunConfig:
                           f"stencil (needs >= 3 grid spacings of {spacing:.3e})")
     # bubble-check also samples at half that spacing, (2m + 1)^n points
     side = 2 * round(2 * bubble_window / spacing) + 1
-    if mode == "bubble-check" and side**dim > MAX_BUBBLE_POINTS:
+    if mode == "bubble-check" and side**dim > MAX_POINTS:
         raise ConfigError(f"solver.bubble_spacing_denominator: the half-spacing "
                           f"bubble lattice has {side}^{dim} points, more than "
-                          f"{MAX_BUBBLE_POINTS}; lower it or bubble_window")
+                          f"{MAX_POINTS}; lower it or bubble_window")
 
     out = raw.get("output") or {}
     if not isinstance(out, dict):
@@ -359,8 +345,7 @@ def parse_config(text: str) -> RunConfig:
                     theta_hint=theta_hint, theta_schedule=theta_schedule,
                     q=q, q_schedule=q_schedule, epsilon_schedule=epsilon_schedule,
                     a_perturbations=a_perturbations, fold_tol=fold_tol,
-                    lambda_tol=lambda_tol, tol=tol, max_iters=max_iters, cap=cap,
-                    path_size=path_size, ball_radius=ball_radius,
+                    ball_radius=ball_radius,
                     bubble_f0=bubble_f0, bubble_window=bubble_window,
                     bubble_spacing_denominator=bubble_den, out_dir=out_dir,
                     formats=list(formats), seed=seed)

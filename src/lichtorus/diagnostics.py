@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .branch import SolverConfig, build_subsolution, minimal_solution
+from .branch import build_subsolution, minimal_solution
 from .core import Coefficients, ProblemSpec, critical_exponent
 from .errors import SolverFailure
 from .grid import ScalarField, gradient
@@ -232,8 +232,7 @@ def member_profile(u: ScalarField, f: ScalarField, q: float) -> tuple[Peak, floa
 
 
 def stability_experiment(coeffs: Coefficients, theta: float, q_schedule,
-                         a_perturbations=None,
-                         cfg: SolverConfig | None = None) -> StabilityResult:
+                         a_perturbations=None) -> StabilityResult:
     """Solve the subcritical family (EL_{q_k}) with perturbed a and classify.
 
     a_perturbations: optional list of fields added to a (same length as the
@@ -261,7 +260,7 @@ def stability_experiment(coeffs: Coefficients, theta: float, q_schedule,
         spec = ProblemSpec(coeffs_k, q, theta=theta, epsilon=0.0)
         sub = build_subsolution(spec)
         floor = min(floor, sub.field.min())
-        out = minimal_solution(spec, cfg, sub)
+        out = minimal_solution(spec, sub)
         sol = out.solution
         peak, deviation = member_profile(sol, coeffs.f, q)
         members.append(StabilityMember(q=q, sup_u=sol.max(), min_u=sol.min(),

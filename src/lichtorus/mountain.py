@@ -22,7 +22,6 @@ import numpy as np
 from .branch import (
     BranchPoint,
     NewtonError,
-    SolverConfig,
     minimal_solution,
     newton_refine,
     _branch_point,
@@ -112,13 +111,6 @@ class Certificate:
     phi_t0: float
     theta1_lower_bound: float
     test_function: ScalarField
-
-
-@dataclass
-class MountainPassConfig:
-    path_size: int = 33
-    seed: int = 0
-    ball_radius: float | None = None   # default: t0 from the certificate constants
 
 
 def certificate_constant(n: int) -> float:
@@ -397,17 +389,17 @@ def build_far_endpoint(spec: ProblemSpec, eta: float, min_distance: float,
 
 
 def critical_limit(coeffs: Coefficients, theta: float,
-                   eps_schedule=None, q_schedule=None,
-                   cfg: MountainPassConfig | None = None,
-                   solver_cfg: SolverConfig | None = None) -> TwoSolutions:
+                   eps_schedule=None, q_schedule=None, seed: int = 0,
+                   ball_radius: float | None = None) -> TwoSolutions:
     """Two solutions of the critical equation at the given theta.
 
     Runs ball minimization + mountain pass through the epsilon schedule at
     the first subcritical q, then up the q schedule at the final epsilon,
     warm-starting both family members, and Newton-refines the pair on the
-    true critical equation (epsilon = 0, q = 2*).
+    true critical equation (epsilon = 0, q = 2*).  seed drives the sphere
+    samples of the barrier; ball_radius defaults to t0 from the certificate
+    constants.
     """
-    cfg = cfg or MountainPassConfig()
     grid = coeffs.grid
     ts = critical_exponent(grid.dim)
     eps_default, qs_default = _default_schedules(ts)
@@ -418,17 +410,16 @@ def critical_limit(coeffs: Coefficients, theta: float,
     if any(b <= a for a, b in zip(q_schedule, q_schedule[1:])) or q_schedule[-1] > ts:
         raise ValueError("q schedule must be strictly increasing and <= 2*")
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
 
     # Minimal solution at the critical equation: the reference branch point.
     crit = critical_spec(coeffs, theta)
-    out = minimal_solution(crit, solver_cfg)
+    out = minimal_solution(crit)
     minimal_bp = _branch_point(crit, out.solution, out.iterations)
 
     # Ball geometry from the certificate constants (zero-centered).
-    if cfg.ball_radius is not None:
-        radius = cfg.ball_radius
-    else:
+    radius = ball_radius
+    if radius is None:
         s_est = sobolev_constant_estimate(coeffs.h, ts, iterations=100)
         max_f = float(np.abs(coeffs.f.values).max())
         radius = (s_est * max_f) ** (-1.0 / (ts - 2.0))
@@ -457,7 +448,7 @@ def critical_limit(coeffs: Coefficients, theta: float,
         u_high, e_high = build_far_endpoint(spec, eta, radius, center)
         e_low = energy(spec, u_low)
         v, c_level = mountain_pass_solve(spec, u_low, u_high, e_low, e_high, eta,
-                                         cfg.path_size, path_seed=v)
+                                         path_seed=v)
         pass_history.append(c_level)
         if prev_low is not None and stage_idx > q_phase_start:
             low_diffs.append(float(np.abs(u_low.values - prev_low.values).max()))

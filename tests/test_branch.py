@@ -4,6 +4,7 @@ import pytest
 import lichtorus as lt
 from lichtorus import branch
 from lichtorus.branch import (
+    IterationLimitError,
     NewtonError,
     NoSolutionError,
     SubsolutionError,
@@ -207,6 +208,13 @@ class TestMonotoneIterate:
         out2 = monotone_iterate(critical_spec(unit_coeffs8, 0.1), out1.solution)
         c1, _ = constant_roots(0.1, 6.0)
         assert abs(out2.solution.values - c1).max() <= 1e-10
+
+    def test_iteration_limit_without_a_verdict(self, unit_coeffs8, monkeypatch):
+        # two steps neither converge nor show sustained growth
+        monkeypatch.setattr(branch, "MAX_PICARD_ITERS", 2)
+        spec = critical_spec(unit_coeffs8, 0.1)
+        with pytest.raises(IterationLimitError, match="no verdict after 2 iterations"):
+            monotone_iterate(spec, build_subsolution(spec))
 
 
 class TestMinimalSolution:

@@ -204,22 +204,34 @@ CONFIG_GAPS = {
                                                "solver.ball_radius"),
     "branch theta below zero": ("branch", dict(theta_schedule=[-0.1, 0.05]),
                                 None, "parameters.theta_schedule"),
-    "boolean for an integer": ("solve", {}, {"max_iters": True}, "solver.max_iters"),
+    "boolean for an integer": ("solve", {}, {"bubble_spacing_denominator": True},
+                               "solver.bubble_spacing_denominator"),
+    # the cap is a constant of the solver, not a key; a cap of -1 would end
+    # the solve in a wrong "no solution" (exit 3)
+    "negative Picard cap": ("solve", {}, {"cap": -1}, "solver.cap"),
     "bubble window beyond the float range": ("solve", {}, {"bubble_window": 1e308},
                                              "solver.bubble_window"),
     "NaN for a parameter": ("solve", dict(q=float("nan")), None, "config number NaN"),
     # parse-time only: the lattice this asks for is never allocated
     "bubble lattice beyond the point bound": ("bubble-check", {}, {"bubble_f0": 1e12},
                                               "solver.bubble_spacing_denominator"),
+    "grid beyond the point bound": ("solve", {}, None, "grid.resolutions",
+                                    {"resolutions": [1_000_000] * 3}),
+    "periods overflow the volume": ("solve", {}, None, "grid.periods",
+                                    {"periods": [1e200] * 3}),
+    "periods overflow the Laplacian": ("solve", {}, None, "grid.periods",
+                                       {"periods": [1e-200] * 3}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CONFIG_GAPS))
 def test_config_gaps_exit_code(tmp_path, capsys, case):
-    mode, params, solver, key = CONFIG_GAPS[case]
+    mode, params, solver, key, *grid = CONFIG_GAPS[case]
     cfg = base_config(mode, str(tmp_path / "out"), theta=0.1, **params)
     if solver:
         cfg["solver"] = solver
+    if grid:
+        cfg["grid"].update(grid[0])
     cfgp = write_config(tmp_path, cfg)
     assert main([mode, "--config", cfgp]) == 2
     assert f"config error: {key}" in capsys.readouterr().err

@@ -24,7 +24,8 @@ def test_minimal_fold_config_normalizes_defaults():
     echo = cfg.normalized()
     assert echo["mode"] == "fold"
     assert echo["solver"]["fold_tol"] == 1e-4
-    assert echo["solver"]["path_size"] == 33
+    assert set(echo["solver"]) == {"fold_tol", "ball_radius", "bubble_f0",
+                                   "bubble_window", "bubble_spacing_denominator"}
     assert echo["parameters"]["theta_hint"] == 0.1
     assert echo["output"]["directory"] == "out"
     assert echo["seed"] == 0
@@ -39,6 +40,16 @@ def test_unknown_nested_key():
     bad = json.loads(minimal())
     bad["solver"] = {"warp_speed": 9}
     with pytest.raises(ConfigError, match="solver.warp_speed"):
+        parse_config(json.dumps(bad))
+
+
+@pytest.mark.parametrize("key", ["tol", "max_iters", "cap", "lambda_tol", "path_size"])
+def test_fixed_solver_settings_are_not_keys(key):
+    # the Picard tolerance, iteration limit and cap, the fold certificate's
+    # eigenvalue bound and the path size are constants of the solvers
+    bad = json.loads(minimal())
+    bad["solver"] = {key: 1}
+    with pytest.raises(ConfigError, match=f"solver.{key}: unknown key"):
         parse_config(json.dumps(bad))
 
 
@@ -111,9 +122,34 @@ def test_booleans_are_not_numbers():
     with pytest.raises(ConfigError, match="seed: expected int, got bool"):
         parse_config(minimal(seed=True))
     bad = json.loads(minimal())
-    bad["solver"] = {"tol": False}
-    with pytest.raises(ConfigError, match="solver.tol: expected float, got bool"):
+    bad["solver"] = {"fold_tol": False}
+    with pytest.raises(ConfigError, match="solver.fold_tol: expected float, got bool"):
         parse_config(json.dumps(bad))
+
+
+def test_grid_point_bound():
+    # 160^3 points fit under 2**22; 162^3 and 10^6 a side do not, and are
+    # refused before any array is allocated
+    cfg = json.loads(minimal())
+    cfg["grid"]["resolutions"] = [160] * 3
+    assert parse_config(json.dumps(cfg)).resolutions == [160] * 3
+    for side in (162, 1_000_000):
+        cfg["grid"]["resolutions"] = [side] * 3
+        with pytest.raises(ConfigError, match="grid.resolutions: .* more than 4194304"):
+            parse_config(json.dumps(cfg))
+
+
+@pytest.mark.parametrize("periods", [
+    [1e200] * 3,                 # the volume overflows
+    [1e-200] * 3,                # the volume underflows to 0
+    [1e-108, 1e-108, 1e-107],    # only the cell volume underflows to 0
+    [1e-154, 1e100, 1e100],      # only the largest Laplacian symbol overflows
+])
+def test_periods_beyond_the_float_range(periods):
+    cfg = json.loads(minimal())
+    cfg["grid"]["periods"] = periods
+    with pytest.raises(ConfigError, match="grid.periods: .* not a finite positive"):
+        parse_config(json.dumps(cfg))
 
 
 @pytest.mark.parametrize("dim", [4, 5])
@@ -135,7 +171,7 @@ def test_non_finite_numbers_are_refused():
     with pytest.raises(ConfigError, match="config number NaN: not a finite number"):
         parse_config(minimal(parameters={"theta_hint": float("nan")}))
     bad = json.loads(minimal())
-    bad["solver"] = {"tol": float("inf")}
+    bad["solver"] = {"fold_tol": float("inf")}
     with pytest.raises(ConfigError, match="config number Infinity: not a finite number"):
         parse_config(json.dumps(bad))
 
