@@ -15,14 +15,17 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .errors import SolverFailure
 from .grid import (
     NonCoerciveOperatorError,
     ScalarField,
     TorusGrid,
+    _check_same_grid,
     constant_field,
     h1h_quadratic_form,
+    h1h_quadratic_forms,
     helmholtz_operator,
     helmholtz_solve,
     integrate,
@@ -36,6 +39,11 @@ log = logging.getLogger(__name__)
 # Negative powers are evaluated only on fields bounded away from zero;
 # below this floor we refuse rather than clamp.
 POSITIVITY_FLOOR = 1e-12
+
+# The Sobolev ascent stops at a point where the tangential part of the
+# gradient has at most this share of its H1_h form: no line search there
+# can raise the estimate beyond roundoff.
+STATIONARY_RATIO = 1e-24
 
 
 class PositivityError(SolverFailure):
@@ -126,8 +134,8 @@ def critical_spec(coefficients: Coefficients, theta: float) -> ProblemSpec:
                        theta=theta, epsilon=0.0)
 
 
-def _require_positive(u: ScalarField, what: str = "u"):
-    m = u.min()
+def _require_positive(u: ScalarField | NDArray, what: str = "u"):
+    m = float(u.min())
     if m <= POSITIVITY_FLOOR:
         raise PositivityError(f"{what} must be strictly positive (min = {m:.3e})")
 
@@ -156,26 +164,36 @@ def regularized_residual(spec: ProblemSpec, u: ScalarField) -> ScalarField:
 energy_gradient = regularized_residual
 
 
-def energy(spec: ProblemSpec, u: ScalarField) -> float:
-    """The energy functional, regularized or not depending on spec.epsilon.
+def energies(spec: ProblemSpec, values: NDArray, forms: NDArray | None = None) -> NDArray:
+    """The energy functional, regularized or not depending on spec.epsilon,
+    of each field u in the stack values, whose trailing axes are the grid.
 
     I(u) = 1/2 int(|grad u|^2 + h u^2) - 1/q int f (u+)^q
            + theta/q int a * [ (u+)^(-q)  or  (eps + (u+)^2)^(-q/2) ].
+
+    forms, when given, are h1h_quadratic_forms(values, h): they depend on
+    h alone, so specs that share h can share them.
     """
     c = spec.coefficients
-    quad = 0.5 * h1h_quadratic_form(u, c.h)
-    cellv = u.grid.cell_volume
+    axes = spec.grid.field_axes
+    cellv = spec.grid.cell_volume
+    quad = 0.5 * (h1h_quadratic_forms(values, c.h) if forms is None else forms)
     if spec.epsilon > 0:
-        up = np.maximum(u.values, 0.0)
-        fterm = float(np.sum(c.f.values * up ** spec.q)) * cellv / spec.q
-        aterm = float(np.sum(c.a.values * (spec.epsilon + up**2) ** (-spec.q / 2.0))) * cellv
-        aterm *= spec.theta / spec.q
+        up = np.maximum(values, 0.0)
+        aterm = np.sum(c.a.values * (spec.epsilon + up**2) ** (-spec.q / 2.0), axis=axes)
+        aterm = aterm * cellv * (spec.theta / spec.q)
     else:
-        _require_positive(u)
-        uv = u.values
-        fterm = float(np.sum(c.f.values * uv ** spec.q)) * cellv / spec.q
-        aterm = spec.theta / spec.q * float(np.sum(c.a.values * uv ** (-spec.q))) * cellv
+        _require_positive(values)
+        up = values
+        aterm = spec.theta / spec.q * np.sum(c.a.values * up ** (-spec.q), axis=axes) * cellv
+    fterm = np.sum(c.f.values * up ** spec.q, axis=axes) * cellv / spec.q
     return quad - fterm + aterm
+
+
+def energy(spec: ProblemSpec, u: ScalarField) -> float:
+    """The energy functional of the one field u; see energies."""
+    _check_same_grid(u, spec.coefficients.h)
+    return float(energies(spec, u.values))
 
 
 def linearized_potential(spec: ProblemSpec, u: ScalarField) -> ScalarField:
@@ -268,7 +286,9 @@ def sobolev_constant_estimate(h: ScalarField, q: float, iterations: int = 200,
 
     Projected gradient ascent of int |u|^q on the unit H1_h sphere from the
     constant start; the estimate sequence is nondecreasing by backtracking.
-    The result is a heuristic lower bound (ascent may stop short of the sup).
+    The ascent ends where the gradient is normal to the sphere, as it is at
+    the constant start for constant h.  The result is a heuristic lower
+    bound (ascent may stop short of the sup).
     """
     grid = h.grid
     ts = critical_exponent(grid.dim)
@@ -293,6 +313,10 @@ def sobolev_constant_estimate(h: ScalarField, q: float, iterations: int = 200,
     for _ in range(iterations):
         g = ScalarField(grid, q * np.abs(u.values) ** (q - 1.0) * np.sign(u.values))
         d = helmholtz_solve(h, g)  # H1_h Riesz representative of the L2 gradient
+        # on the unit sphere the normal part of d is <d, u>_H1h u = (int g u) u
+        tangent = d - l2_inner(g, u) * u
+        if h1h_quadratic_form(tangent, h) <= STATIONARY_RATIO * h1h_quadratic_form(d, h):
+            break
         improved = False
         s = step
         for _ in range(40):

@@ -67,8 +67,10 @@ class TorusGrid:
         return self._sizes[0]
 
     @property
-    def _axes_order(self) -> tuple[int, ...]:
-        return tuple(range(self.dim))
+    def field_axes(self) -> tuple[int, ...]:
+        """The trailing axes of a stack of fields: values of shape
+        (*batch, *resolutions) hold one field per batch index."""
+        return tuple(range(-self.dim, 0))
 
     @property
     def npoints(self) -> int:
@@ -210,8 +212,9 @@ def constant_field(grid: TorusGrid, value: float) -> ScalarField:
     return ScalarField(grid, np.full(grid.resolutions, float(value)))
 
 
-def cosine_field(grid: TorusGrid, amplitude: float, wavevector, phase: float = 0.0) -> ScalarField:
-    """amplitude * cos(2 pi sum_i k_i x_i / L_i + phase) with integer k."""
+def cosine_values(grid: TorusGrid, amplitude: float, wavevector,
+                  phase: float = 0.0) -> NDArray:
+    """The values of cosine_field, as a raw array of the grid's shape."""
     if len(wavevector) != grid.dim:
         raise ValueError("wavevector length must equal grid dim")
     arg = np.zeros(grid.resolutions)
@@ -219,7 +222,12 @@ def cosine_field(grid: TorusGrid, amplitude: float, wavevector, phase: float = 0
         shape = [1] * grid.dim
         shape[axis] = x.size
         arg += (2.0 * np.pi * int(k) * x / length).reshape(shape)
-    return ScalarField(grid, amplitude * np.cos(arg + phase))
+    return amplitude * np.cos(arg + phase)
+
+
+def cosine_field(grid: TorusGrid, amplitude: float, wavevector, phase: float = 0.0) -> ScalarField:
+    """amplitude * cos(2 pi sum_i k_i x_i / L_i + phase) with integer k."""
+    return ScalarField(grid, cosine_values(grid, amplitude, wavevector, phase))
 
 
 def _check_same_grid(*fields: ScalarField) -> TorusGrid:
@@ -241,7 +249,7 @@ def _fourier_multiply(grid: TorusGrid, values: NDArray, multiplier,
     """
     vhat = values if transformed else np.fft.rfftn(values)
     vhat = vhat / multiplier if divide else multiplier * vhat
-    return np.fft.irfftn(vhat, s=grid.resolutions, axes=grid._axes_order)
+    return np.fft.irfftn(vhat, s=grid.resolutions, axes=grid.field_axes)
 
 
 def laplacian(u: ScalarField) -> ScalarField:
@@ -272,28 +280,46 @@ def lp_norm(u: ScalarField, p: float) -> float:
     return float(np.sum(np.abs(u.values) ** p) * u.grid.cell_volume) ** (1.0 / p)
 
 
-def gradient_energy(u: ScalarField) -> float:
-    """int |grad u|^2, computed in spectral space (nonnegative by construction)."""
-    grid = u.grid
-    uhat = np.fft.rfftn(u.values)
-    total = np.sum(grid._lap_multiplier * grid._rfft_weights * np.abs(uhat) ** 2)
-    return float(total) * grid.cell_volume / grid.npoints
+def gradient_energy(grid: TorusGrid, values: NDArray) -> NDArray:
+    """int |grad u|^2 of each field u in the stack values, computed in
+    spectral space from one transform (nonnegative by construction)."""
+    axes = grid.field_axes
+    uhat = np.fft.rfftn(values, axes=axes)
+    total = np.sum(grid._lap_multiplier * grid._rfft_weights * np.abs(uhat) ** 2, axis=axes)
+    return total * grid.cell_volume / grid.npoints
+
+
+def h1h_quadratic_forms(values: NDArray, h: ScalarField) -> NDArray:
+    """The (possibly signed) form int(|grad u|^2 + h u^2) of each field u in
+    the stack values, whose trailing axes are h's grid."""
+    grid = h.grid
+    if values.shape[values.ndim - grid.dim:] != grid.resolutions:
+        raise GridMismatchError("fields live on different grids")
+    potential = np.sum(h.values * values**2, axis=grid.field_axes)
+    return gradient_energy(grid, values) + potential * grid.cell_volume
 
 
 def h1h_quadratic_form(u: ScalarField, h: ScalarField) -> float:
     """The (possibly signed) form int(|grad u|^2 + h u^2)."""
     _check_same_grid(u, h)
-    return gradient_energy(u) + float(np.sum(h.values * u.values**2)) * u.grid.cell_volume
+    return float(h1h_quadratic_forms(u.values, h))
+
+
+def h1h_norms(values: NDArray, h: ScalarField) -> NDArray:
+    """sqrt of the quadratic form of each field in the stack values; errors
+    if the form is negative on any of them."""
+    q = h1h_quadratic_forms(values, h)
+    if (q < 0).any():
+        raise NonCoerciveOperatorError(
+            f"H1_h quadratic form is negative ({q.min():.3e}) on this input"
+        )
+    return np.sqrt(q)
 
 
 def h1h_norm(u: ScalarField, h: ScalarField) -> float:
     """sqrt of the quadratic form; errors if the form is negative on this input."""
-    q = h1h_quadratic_form(u, h)
-    if q < 0:
-        raise NonCoerciveOperatorError(
-            f"H1_h quadratic form is negative ({q:.3e}) on this input"
-        )
-    return float(np.sqrt(q))
+    _check_same_grid(u, h)
+    return float(h1h_norms(u.values, h))
 
 
 def _pcg(rest, apply_m, b: NDArray, tol: float, max_iter: int) -> tuple[NDArray, int]:

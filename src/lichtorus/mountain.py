@@ -18,6 +18,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .branch import (
     BranchPoint,
@@ -32,6 +33,7 @@ from .core import (
     ProblemSpec,
     critical_exponent,
     critical_spec,
+    energies,
     energy,
     energy_gradient,
     sobolev_constant_estimate,
@@ -40,8 +42,10 @@ from .errors import Blowup, SolverFailure
 from .grid import (
     ScalarField,
     constant_field,
-    cosine_field,
+    cosine_values,
     h1h_norm,
+    h1h_norms,
+    h1h_quadratic_forms,
     helmholtz_solve,
 )
 
@@ -53,6 +57,7 @@ DESCENT_GRAD_TOL = 1e-8     # ball descent: Riesz gradient norm that ends it
 DESCENT_MAX_ITERS = 5000
 NEWTON_TRIGGER = 1e-3       # ball descent hands over to Newton below this norm
 SPHERE_SAMPLES = 64
+BARRIER_CHUNK = 16          # sphere samples per stacked transform
 ETA_MARGIN = 0.01           # relative safety margin of the sampled barrier
 BLOWUP_FACTOR = 100.0       # family sup over max(1, minimal sup) read as blow-up
 
@@ -213,51 +218,66 @@ def minimize_in_ball(spec: ProblemSpec, center: ScalarField, radius: float,
         f"ball descent hit the iteration cap at gradient norm {gn:.3e}")
 
 
-def _sphere_samples(spec: ProblemSpec, center: ScalarField, radius: float,
-                    count: int, rng: np.random.Generator) -> list[ScalarField]:
-    """Positive-biased sample fields on the sphere around center."""
-    grid = spec.grid
-    h = spec.coefficients.h
-    samples = []
-    base = [constant_field(grid, 1.0), constant_field(grid, -1.0)]
+def _sphere_samples(h: ScalarField, center: ScalarField, radius: float,
+                    rng: np.random.Generator) -> NDArray:
+    """SPHERE_SAMPLES positive-biased fields on the H1_h sphere around
+    center, stacked as the rows of one array."""
+    grid = h.grid
+    samples = np.empty((SPHERE_SAMPLES, *grid.resolutions))
+    samples[0] = 1.0
+    samples[1] = -1.0
     for axis in range(grid.dim):
         wv = [0] * grid.dim
         wv[axis] = 1
-        base.append(constant_field(grid, 1.0) + 0.5 * cosine_field(grid, 1.0, wv))
-    for raw in base:
-        samples.append(center + raw * (radius / h1h_norm(raw, h)))
-    while len(samples) < count:
-        raw = constant_field(grid, float(rng.uniform(0.3, 1.0)))
-        terms = rng.integers(1, 4)
-        for _ in range(terms):
+        samples[2 + axis] = 1.0 + cosine_values(grid, 0.5, wv)
+    row = 2 + grid.dim
+    while row < SPHERE_SAMPLES:
+        raw = samples[row]
+        raw[...] = float(rng.uniform(0.3, 1.0))
+        for _ in range(rng.integers(1, 4)):
             wv = [int(k) for k in rng.integers(-2, 3, size=grid.dim)]
             if all(k == 0 for k in wv):
                 continue
             amp = float(rng.uniform(-0.5, 0.5))
             phase = float(rng.uniform(0, 2 * np.pi))
-            raw = raw + cosine_field(grid, amp, wv, phase)
-        if raw.sup_norm() == 0:
-            continue
-        samples.append(center + raw * (radius / h1h_norm(raw, h)))
-    return samples[:count]
+            raw += cosine_values(grid, amp, wv, phase)
+        if np.abs(raw).max() > 0:  # a zero draw is drawn again
+            row += 1
+    for block in _chunks(samples):
+        block *= (radius / h1h_norms(block, h)).reshape(-1, *[1] * grid.dim)
+    samples += center.values
+    if not np.isfinite(samples).all():
+        raise ValueError("sphere samples contain non-finite values")
+    return samples
 
 
-def sphere_barrier(spec: ProblemSpec, center: ScalarField, radius: float,
-                   rng: np.random.Generator) -> float:
-    """Sampled inf of the energy on the sphere, minus the safety margin.
+def _chunks(stack: NDArray) -> list[NDArray]:
+    """Views of BARRIER_CHUNK fields each, which bound the temporaries of
+    stacked transforms and energies."""
+    return [stack[i:i + BARRIER_CHUNK] for i in range(0, len(stack), BARRIER_CHUNK)]
+
+
+def sphere_barrier(specs: list[ProblemSpec], center: ScalarField, radius: float,
+                   rng: np.random.Generator) -> list[float]:
+    """Sampled inf of the energy on the sphere, minus the safety margin, for
+    each of specs, which share their coefficients: one draw of samples
+    serves them all, and so do their H1_h forms.
 
     For epsilon = 0 only strictly positive samples are admissible; the rest
     have infinite energy and are skipped.
     """
-    best = np.inf
-    for s in _sphere_samples(spec, center, radius, SPHERE_SAMPLES, rng):
-        if spec.epsilon <= 0 and s.min() <= 1e-10:
-            continue
-        val = energy(spec, s)
-        best = min(best, val)
-    if not np.isfinite(best):
+    h = specs[0].coefficients.h
+    best = np.full(len(specs), np.inf)
+    for block in _chunks(_sphere_samples(h, center, radius, rng)):
+        forms = h1h_quadratic_forms(block, h)
+        admissible = block.min(axis=h.grid.field_axes) > 1e-10
+        for i, spec in enumerate(specs):
+            rows = admissible if spec.epsilon <= 0 else np.full(len(block), True)
+            if rows.any():
+                best[i] = min(best[i], energies(spec, block[rows], forms[rows]).min())
+    if not np.isfinite(best).all():
         raise GeometryError("no admissible sphere sample; cannot estimate the barrier")
-    return best - ETA_MARGIN * abs(best)
+    return [float(b - ETA_MARGIN * abs(b)) for b in best]
 
 
 def _interpolate_path(spec: ProblemSpec, points: list[ScalarField],
@@ -396,9 +416,10 @@ def critical_limit(coeffs: Coefficients, theta: float,
     Runs ball minimization + mountain pass through the epsilon schedule at
     the first subcritical q, then up the q schedule at the final epsilon,
     warm-starting both family members, and Newton-refines the pair on the
-    true critical equation (epsilon = 0, q = 2*).  seed drives the sphere
-    samples of the barrier; ball_radius defaults to t0 from the certificate
-    constants.
+    true critical equation (epsilon = 0, q = 2*).  seed drives the one draw
+    of SPHERE_SAMPLES sphere samples per run, which gives the barrier of
+    every stage and of the limit; ball_radius defaults to t0 from the
+    certificate constants.
     """
     grid = coeffs.grid
     ts = critical_exponent(grid.dim)
@@ -409,8 +430,6 @@ def critical_limit(coeffs: Coefficients, theta: float,
         raise ValueError("epsilon schedule must be strictly decreasing")
     if any(b <= a for a, b in zip(q_schedule, q_schedule[1:])) or q_schedule[-1] > ts:
         raise ValueError("q schedule must be strictly increasing and <= 2*")
-
-    rng = np.random.default_rng(seed)
 
     # Minimal solution at the critical equation: the reference branch point.
     crit = critical_spec(coeffs, theta)
@@ -434,6 +453,9 @@ def critical_limit(coeffs: Coefficients, theta: float,
 
     stages = [(e, q_schedule[0]) for e in eps_schedule]
     stages += [(eps_schedule[-1], q) for q in q_schedule[1:]]
+    specs = [ProblemSpec(coeffs, q, theta=theta, epsilon=eps) for eps, q in stages]
+    *etas, eta_crit = sphere_barrier([*specs, crit], center, radius,
+                                     np.random.default_rng(seed))
 
     u_low = minimal_bp.solution
     v = None
@@ -441,9 +463,7 @@ def critical_limit(coeffs: Coefficients, theta: float,
     low_diffs, pass_history = [], []
     prev_low = None
     q_phase_start = len(eps_schedule) - 1  # diffs recorded across the q ascent
-    for stage_idx, (eps, q) in enumerate(stages):
-        spec = ProblemSpec(coeffs, q, theta=theta, epsilon=eps)
-        eta = sphere_barrier(spec, center, radius, rng)
+    for stage_idx, (spec, eta) in enumerate(zip(specs, etas)):
         u_low = minimize_in_ball(spec, center, radius, start=u_low)
         u_high, e_high = build_far_endpoint(spec, eta, radius, center)
         e_low = energy(spec, u_low)
@@ -455,8 +475,8 @@ def critical_limit(coeffs: Coefficients, theta: float,
         prev_low = u_low
         if max(u_low.max(), v.max()) > BLOWUP_FACTOR * max(1.0, sup0):
             raise BlowupDetectedError(
-                f"family sup norm exploded at (eps={eps}, q={q})")
-        log.debug("stage eps=%.1e q=%.6f: I(low)=%.8f c=%.8f", eps, q,
+                f"family sup norm exploded at (eps={spec.epsilon}, q={spec.q})")
+        log.debug("stage eps=%.1e q=%.6f: I(low)=%.8f c=%.8f", spec.epsilon, spec.q,
                   e_low, c_level)
 
     # Final refinement on the true critical equation.
@@ -464,7 +484,6 @@ def critical_limit(coeffs: Coefficients, theta: float,
         raise PositivityError("continued minimizer lost positivity before the limit")
     u_star = newton_refine(crit, u_low)
     v_star = newton_refine(crit, v)
-    eta_crit = sphere_barrier(crit, center, radius, rng)
     e_min, e_second = energy(crit, u_star), energy(crit, v_star)
     if not (e_min < eta_crit <= e_second + 1e-9):
         raise GeometryError(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lichtorus as lt
+from lichtorus import core
 from lichtorus.core import (
     PositivityError,
     ProblemSpec,
@@ -244,6 +245,22 @@ class TestSobolevEstimate:
         h = lt.constant_field(grid8, 1.0) + 0.4 * lt.cosine_field(grid8, 1.0, [1, 0, 0])
         _, hist = lt.sobolev_constant_estimate(h, 6.0, iterations=60, history=True)
         assert all(b >= a for a, b in zip(hist, hist[1:]))
+
+    def test_constant_h_makes_no_line_search(self, grid8, monkeypatch):
+        # for constant h the constant start is critical on the unit H1_h
+        # sphere: one form projects it and two find its gradient normal
+        forms = []
+        real = core.h1h_quadratic_form
+
+        def counting(u, h):
+            forms.append(u)
+            return real(u, h)
+
+        monkeypatch.setattr(core, "h1h_quadratic_form", counting)
+        est, hist = lt.sobolev_constant_estimate(lt.constant_field(grid8, 2.0), 4.0,
+                                                 history=True)
+        assert len(forms) == 3
+        assert hist == [est] and est == pytest.approx(2.0 ** (-2.0), abs=1e-13)
 
     def test_noncoercive_rejected(self, grid8):
         with pytest.raises(Exception):

@@ -16,6 +16,7 @@ from lichtorus.grid import (
     _fourier_multiply,
     gradient_energy,
     h1h_quadratic_form,
+    h1h_quadratic_forms,
     helmholtz_operator,
 )
 
@@ -197,7 +198,17 @@ class TestNormsAndIntegrals:
         u = smooth_random_field(grid8, rng)
         parts = lt.gradient(u)
         direct = sum(lt.l2_inner(p, p) for p in parts)
-        assert gradient_energy(u) == pytest.approx(direct, rel=1e-12)
+        assert gradient_energy(grid8, u.values) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("res", [[8] * 3, [12] * 3, [16] * 3, [12] * 4, [6] * 5])
+def test_stacked_forms_are_bit_identical_to_one_field_forms(res):
+    g = lt.build_grid(len(res), res, [1.0] * len(res))
+    rng = np.random.default_rng(31)
+    h = lt.constant_field(g, 1.5) + 0.25 * lt.cosine_field(g, 1.0, [1] * len(res))
+    fields = [smooth_random_field(g, rng) for _ in range(5)]
+    stacked = h1h_quadratic_forms(np.stack([u.values for u in fields]), h)
+    assert stacked.tolist() == [h1h_quadratic_form(u, h) for u in fields]
 
 
 def test_transforms_only_in_grid():

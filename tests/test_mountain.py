@@ -87,7 +87,7 @@ class TestMountainPass:
         rng = np.random.default_rng(0)
         center = lt.constant_field(grid, 0.0)
         radius = 1.0
-        eta = sphere_barrier(spec, center, radius, rng)
+        eta, = sphere_barrier([spec], center, radius, rng)
         sub = build_subsolution(spec.at(epsilon=0.0))
         u_low = minimize_in_ball(spec, center, radius, start=sub.field)
         u_high, e_high = build_far_endpoint(spec, eta, radius, center)
@@ -149,7 +149,7 @@ class TestMountainPass:
         spec = ProblemSpec(coeffs, q, theta=0.0, epsilon=eps)
         rng = np.random.default_rng(1)
         center = lt.constant_field(grid8, 0.0)
-        eta = sphere_barrier(spec, center, 1.0, rng)
+        eta, = sphere_barrier([spec], center, 1.0, rng)
         u_low = minimize_in_ball(spec, center, 1.0,
                                  start=lt.constant_field(grid8, 0.05))
         u_high, e_high = build_far_endpoint(spec, eta, 1.0, center)
@@ -157,6 +157,46 @@ class TestMountainPass:
         v, c_level = mountain_pass_solve(spec, u_low, u_high, e_low, e_high, eta=eta)
         assert regularized_residual(spec, v).sup_norm() <= 1e-10
         assert c_level > e_low
+
+
+class TestSphereBarrier:
+    def _coeffs(self, grid8):
+        one = lt.constant_field(grid8, 1.0)
+        f = one + lt.cosine_field(grid8, 0.2, [0, 1, 0])
+        a = one + lt.cosine_field(grid8, 0.3, [1, 0, 0])
+        return lt.Coefficients(one, f, a)
+
+    def test_stacked_barrier_is_bit_identical_to_one_energy_per_sample(self, grid8):
+        coeffs = self._coeffs(grid8)
+        center = lt.constant_field(grid8, 0.0)
+        specs = [ProblemSpec(coeffs, 5.5, theta=0.1, epsilon=1e-2), critical_spec(coeffs, 0.1)]
+        etas = sphere_barrier(specs, center, 1.0, np.random.default_rng(4))
+        samples = mountain._sphere_samples(coeffs.h, center, 1.0, np.random.default_rng(4))
+        for spec, eta in zip(specs, etas):
+            best = min(energy(spec, lt.ScalarField(grid8, s)) for s in samples
+                       if spec.epsilon > 0 or s.min() > 1e-10)
+            assert eta == best - mountain.ETA_MARGIN * abs(best)
+
+    def test_no_admissible_sample(self, grid8):
+        # at epsilon = 0 every sample around a center of -10 is negative
+        spec = critical_spec(self._coeffs(grid8), 0.1)
+        with pytest.raises(GeometryError, match="no admissible sphere sample"):
+            sphere_barrier([spec], lt.constant_field(grid8, -10.0), 1.0,
+                           np.random.default_rng(0))
+
+    def test_critical_limit_draws_the_samples_once(self, unit_coeffs8, monkeypatch):
+        draws = []
+        real = mountain._sphere_samples
+
+        def counting(*args):
+            draws.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mountain, "_sphere_samples", counting)
+        pair = critical_limit(unit_coeffs8, 0.1, eps_schedule=[1e-2],
+                              q_schedule=[5.5, 6.0 - 2.0 ** -4])
+        assert len(pair.pass_history) == 2
+        assert len(draws) == 1
 
 
 @pytest.fixture(scope="module")
