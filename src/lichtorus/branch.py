@@ -17,7 +17,9 @@ Newton on the extended system, certified by one probe each side.
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -339,7 +341,8 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField) -> Mon
     q = spec.q
     sup0 = v.max()
     cap = CAP_FACTOR * sup0
-    sup_history = [sup0]
+    # the growth verdicts read only the last GROWTH_WINDOW steps
+    sup_history = deque([sup0], maxlen=GROWTH_WINDOW + 1)
     max_violation = 0.0
     trigger = NEWTON_TRIGGER
     step = np.inf
@@ -362,11 +365,9 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField) -> Mon
             # blow-up concentrates the iterate beyond what the grid resolves,
             # and spectral ringing then breaks pointwise monotonicity; under
             # clear sustained growth that IS the divergence verdict
-            window = min(GROWTH_WINDOW, len(sup_history) - 1)
-            growing = (window > 0
+            growing = (len(sup_history) > 1
                        and v.max() >= 4.0 * sup0
-                       and all(b > a for a, b in
-                               zip(sup_history[-window - 1:], sup_history[-window:])))
+                       and all(b > a for a, b in pairwise(sup_history)))
             if growing:
                 return MonotoneResult(False, None, it, max_violation, None,
                                       "monotonicity lost in under-resolved growth")
@@ -406,8 +407,7 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField) -> Mon
                 return MonotoneResult(True, v, it, max_violation, rn, "converged")
             trigger *= 0.25  # retry later, closer to the solution
 
-    tail = sup_history[-(GROWTH_WINDOW + 1):]
-    if len(tail) > GROWTH_WINDOW and all(b > a for a, b in zip(tail, tail[1:])):
+    if len(sup_history) > GROWTH_WINDOW and all(b > a for a, b in pairwise(sup_history)):
         return MonotoneResult(False, None, MAX_PICARD_ITERS, max_violation, None,
                               "sustained growth at iteration limit")
     raise IterationLimitError(

@@ -147,14 +147,14 @@ def _run_mountain_pass(cfg: RunConfig, coeffs, writer: OutputWriter, quantities:
         "energy_minimal": pair.minimal.energy,
         "lambda_minimal": pair.minimal.lam,
         "eta": pair.eta,
-        "pass_level": pair.pass_level,
+        "pass_level": pair.second_energy,
         "second_energy": pair.second_energy,
         "separation": pair.separation,
         "distinct": distinct,
         "merged_within_tolerance": not distinct,
         "sup_differences": pair.sup_differences,
     })
-    writer.write_field("minimal.field", pair.minimal_refined)
+    writer.write_field("minimal.field", pair.minimal.solution)
     writer.write_field("second.field", pair.second)
     writer.write_csv("pass_levels.csv", ["stage", "pass_level"],
                      [[i, lvl] for i, lvl in enumerate(pair.pass_history)])

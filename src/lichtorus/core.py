@@ -44,6 +44,11 @@ POSITIVITY_FLOOR = 1e-12
 # gradient has at most this share of its H1_h form: no line search there
 # can raise the estimate beyond roundoff.
 STATIONARY_RATIO = 1e-24
+SOBOLEV_MAX_STEPS = 200     # ascent steps; the stationary test ends it sooner
+
+EIGEN_TOL = 1e-10           # relative Rayleigh-quotient change that ends the inverse
+EIGEN_MAX_ITERS = 5000      # iteration, and its step limit
+COERCIVITY_TOL = 1e-12      # smallest eigenvalue of Delta + h read as positive
 
 
 class PositivityError(SolverFailure):
@@ -74,7 +79,7 @@ class Coefficients:
     a: ScalarField
 
     def __post_init__(self):
-        if not (self.h.grid.compatible(self.f.grid) and self.h.grid.compatible(self.a.grid)):
+        if not (self.h.grid == self.f.grid == self.a.grid):
             raise ValueError("h, f, a must share a grid")
         if self.a.min() < 0:
             raise ValueError(f"a must be nonnegative (min a = {self.a.min():.3e})")
@@ -238,29 +243,29 @@ class EigenResult:
     iterations: int
 
 
-def smallest_eigenpair(w: ScalarField, tol: float = 1e-10,
-                       max_iters: int = 5000) -> EigenResult:
+def smallest_eigenpair(w: ScalarField) -> EigenResult:
     """First eigenpair of Delta + W by inverse iteration.
 
     Shift sigma = min W - 1 makes Delta + W - sigma positive definite
     (Delta >= 0, multiplier >= 1); each inverse is a helmholtz_solve.
-    Stops when the Rayleigh quotient changes by <= tol relatively.
+    Stops when the Rayleigh quotient changes by <= EIGEN_TOL relatively.
     """
     grid = w.grid
     sigma = w.min() - 1.0
     shifted = w - sigma
     v = constant_field(grid, 1.0 / np.sqrt(grid.volume))
     lam_old = None
-    for it in range(1, max_iters + 1):
+    for it in range(1, EIGEN_MAX_ITERS + 1):
         y = helmholtz_solve(shifted, v, tol=1e-12, max_iter=2000)
         # (Delta + W - sigma) y = v, so <y, (Delta + W) y> = sigma <y, y> + <y, v>
         lam = sigma + l2_inner(y, v) / l2_inner(y, y)
         v = y * (1.0 / lp_norm(y, 2.0))
-        if lam_old is not None and abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
+        if lam_old is not None and abs(lam - lam_old) <= EIGEN_TOL * max(1.0, abs(lam)):
             break
         lam_old = lam
     else:
-        raise EigenSolverError(f"inverse iteration did not converge in {max_iters} steps")
+        raise EigenSolverError(
+            f"inverse iteration did not converge in {EIGEN_MAX_ITERS} steps")
 
     if integrate(v) < 0:
         v = -v
@@ -273,14 +278,13 @@ def smallest_eigenpair(w: ScalarField, tol: float = 1e-10,
     return EigenResult(lam=float(lam), vector=v, iterations=it)
 
 
-def coercivity_check(h: ScalarField, tol: float = 1e-12) -> tuple[bool, float]:
+def coercivity_check(h: ScalarField) -> tuple[bool, float]:
     """Delta + h is coercive iff its smallest eigenvalue is positive."""
     res = smallest_eigenpair(h)
-    return (res.lam > tol, res.lam)
+    return (res.lam > COERCIVITY_TOL, res.lam)
 
 
-def sobolev_constant_estimate(h: ScalarField, q: float, iterations: int = 200,
-                              history: bool = False):
+def sobolev_constant_estimate(h: ScalarField, q: float) -> float:
     """Lower estimate of the embedding constant S_{h,q} defined by
     ||u||_Lq <= S^(1/q) ||u||_{H1_h}.
 
@@ -308,28 +312,24 @@ def sobolev_constant_estimate(h: ScalarField, q: float, iterations: int = 200,
         return x * (1.0 / np.sqrt(h1h_quadratic_form(x, h)))
 
     u = project(u)
-    vals = [functional(u)]
+    estimate = functional(u)
     step = 1.0
-    for _ in range(iterations):
+    for _ in range(SOBOLEV_MAX_STEPS):
         g = ScalarField(grid, q * np.abs(u.values) ** (q - 1.0) * np.sign(u.values))
         d = helmholtz_solve(h, g)  # H1_h Riesz representative of the L2 gradient
         # on the unit sphere the normal part of d is <d, u>_H1h u = (int g u) u
         tangent = d - l2_inner(g, u) * u
         if h1h_quadratic_form(tangent, h) <= STATIONARY_RATIO * h1h_quadratic_form(d, h):
             break
-        improved = False
         s = step
         for _ in range(40):
             cand = project(u + s * d)
             val = functional(cand)
-            if val > vals[-1]:
-                u, improved = cand, True
-                vals.append(val)
+            if val > estimate:
+                u, estimate = cand, val
                 step = min(s * 1.5, 1e3)
                 break
             s *= 0.5
-        if not improved:
-            vals.append(vals[-1])
+        else:
             break
-    estimate = vals[-1]
-    return (estimate, vals) if history else estimate
+    return estimate

@@ -16,7 +16,7 @@ BLOWUP as a first-class outcome with the profile evidence attached.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,14 +67,12 @@ class LocalField:
 
     values: np.ndarray
     spacing: float
-    half_width: float
 
 
 @dataclass
 class BubbleResidualReport:
     max_rel_residual: float
     spacing: float
-    interior_points: int
 
 
 @dataclass(frozen=True)
@@ -115,7 +113,6 @@ class StabilityResult:
     sup_differences: list[float]
     gradient_differences: list[float]  # C^1 content, checked at sup-norm level
     subsolution_floor: float
-    solutions: list[ScalarField] = field(default_factory=list)
 
 
 def bubble_profile(spec: BubbleSpec, radii_sq: np.ndarray) -> np.ndarray:
@@ -153,9 +150,8 @@ def standard_bubble(spec: BubbleSpec, window_half_width: float,
     interior = tuple(slice(2, -2) for _ in range(spec.n))
     resid = np.abs(lap[interior] - rhs[interior])
     rel = float(resid.max() / rhs.max())
-    report = BubbleResidualReport(max_rel_residual=rel, spacing=h,
-                                  interior_points=int(resid.size))
-    return LocalField(values=u, spacing=h, half_width=m * h), report
+    report = BubbleResidualReport(max_rel_residual=rel, spacing=h)
+    return LocalField(values=u, spacing=h), report
 
 
 def locate_peak(u: ScalarField, f: ScalarField, q: float) -> Peak:
@@ -283,5 +279,4 @@ def stability_experiment(coeffs: Coefficients, theta: float, q_schedule,
     return StabilityResult(members=members, verdict=verdict,
                            sup_differences=diffs,
                            gradient_differences=grad_diffs,
-                           subsolution_floor=float(floor),
-                           solutions=sols)
+                           subsolution_floor=float(floor))

@@ -121,13 +121,6 @@ class TorusGrid:
     def meshgrid(self) -> tuple[NDArray, ...]:
         return np.meshgrid(*self.axes, indexing="ij")
 
-    def compatible(self, other: "TorusGrid") -> bool:
-        return (
-            self.dim == other.dim
-            and self.resolutions == other.resolutions
-            and self.periods == other.periods
-        )
-
 
 def build_grid(dim, resolutions, periods) -> TorusGrid:
     """Validated grid constructor."""
@@ -161,7 +154,7 @@ class ScalarField:
 
     def _coerce(self, other):
         if isinstance(other, ScalarField):
-            if not self.grid.compatible(other.grid):
+            if self.grid != other.grid:
                 raise GridMismatchError("fields live on different grids")
             return other.values
         return other
@@ -233,7 +226,7 @@ def cosine_field(grid: TorusGrid, amplitude: float, wavevector, phase: float = 0
 def _check_same_grid(*fields: ScalarField) -> TorusGrid:
     grid = fields[0].grid
     for f in fields[1:]:
-        if not grid.compatible(f.grid):
+        if grid != f.grid:
             raise GridMismatchError("fields live on different grids")
     return grid
 

@@ -29,7 +29,6 @@ from .branch import (
 )
 from .core import (
     Coefficients,
-    PositivityError,
     ProblemSpec,
     critical_exponent,
     critical_spec,
@@ -56,6 +55,7 @@ MAX_SWEEPS = 20_000
 DESCENT_GRAD_TOL = 1e-8     # ball descent: Riesz gradient norm that ends it
 DESCENT_MAX_ITERS = 5000
 NEWTON_TRIGGER = 1e-3       # ball descent hands over to Newton below this norm
+PATH_SIZE = 33              # points of the discrete mountain-pass path
 SPHERE_SAMPLES = 64
 BARRIER_CHUNK = 16          # sphere samples per stacked transform
 ETA_MARGIN = 0.01           # relative safety margin of the sampled barrier
@@ -97,10 +97,8 @@ class TwoSolutions:
     minimal: BranchPoint
     second: ScalarField
     second_energy: float
-    pass_level: float
     eta: float
     separation: float
-    minimal_refined: ScalarField
     sup_differences: list[float] = field(default_factory=list)
     pass_history: list[float] = field(default_factory=list)
 
@@ -126,9 +124,9 @@ def certificate_constant(n: int) -> float:
     return {3: 1.0 / 64.0, 4: 1.0 / 72.0, 5: 1.0 / 96.0}[n]
 
 
-def certificate_theta1(coeffs: Coefficients, test_fn: ScalarField | None = None,
-                       s_iterations: int = 200) -> Certificate:
-    """Explicit lower bound on the two-solution threshold theta_1.
+def certificate_theta1(coeffs: Coefficients) -> Certificate:
+    """Explicit lower bound on the two-solution threshold theta_1, with the
+    constant test function normalized in H1_h.
 
     Uses the heuristic embedding-constant estimate; an underestimate of S
     inflates the bound, hence the heuristic flag.
@@ -136,7 +134,7 @@ def certificate_theta1(coeffs: Coefficients, test_fn: ScalarField | None = None,
     grid = coeffs.grid
     n = grid.dim
     ts = critical_exponent(n)
-    s_est = sobolev_constant_estimate(coeffs.h, ts, iterations=s_iterations)
+    s_est = sobolev_constant_estimate(coeffs.h, ts)
     max_f = float(np.abs(coeffs.f.values).max())
 
     c_n = certificate_constant(n)
@@ -144,12 +142,7 @@ def certificate_theta1(coeffs: Coefficients, test_fn: ScalarField | None = None,
     t1 = (2.0 * (n - 1)) ** (-0.5) * t0
     phi_t0 = (s_est * max_f) ** (-(n - 2.0) / 2.0) / n
 
-    if test_fn is None:
-        phi = constant_field(grid, 1.0)
-    else:
-        if test_fn.min() <= 0:
-            raise PositivityError("certificate test function must be strictly positive")
-        phi = test_fn
+    phi = constant_field(grid, 1.0)
     phi = phi * (1.0 / h1h_norm(phi, coeffs.h))
 
     denom = float(np.sum(coeffs.a.values * phi.values ** (-ts))) * grid.cell_volume
@@ -281,16 +274,16 @@ def sphere_barrier(specs: list[ProblemSpec], center: ScalarField, radius: float,
 
 
 def _interpolate_path(spec: ProblemSpec, points: list[ScalarField],
-                      end_energies: tuple[float, float], size: int) -> PathState:
-    """Re-equispace a polygonal path in H1_h arclength; the endpoints stay
-    fixed and keep their energies end_energies."""
+                      end_energies: tuple[float, float]) -> PathState:
+    """Re-equispace a polygonal path in H1_h arclength into PATH_SIZE points;
+    the endpoints stay fixed and keep their energies end_energies."""
     h = spec.coefficients.h
     seg = [h1h_norm(b - a, h) for a, b in zip(points, points[1:])]
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = cum[-1]
     if total == 0:
         raise PathCollapseError("path endpoints coincide")
-    targets = np.linspace(0.0, total, size)
+    targets = np.linspace(0.0, total, PATH_SIZE)
     out = [points[0]]
     j = 0
     for t in targets[1:-1]:
@@ -300,20 +293,18 @@ def _interpolate_path(spec: ProblemSpec, points: list[ScalarField],
         out.append(points[j] + frac * (points[j + 1] - points[j]))
     out.append(points[-1])
     energies = [end_energies[0], *(energy(spec, p) for p in out[1:-1]), end_energies[1]]
-    return PathState(points=out, energies=energies, spacing=total / (size - 1))
+    return PathState(points=out, energies=energies, spacing=total / (PATH_SIZE - 1))
 
 
 def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarField,
-                        e_low: float, e_high: float, eta: float, path_size: int = 33,
+                        e_low: float, e_high: float, eta: float,
                         path_seed: ScalarField | None = None):
     """Discrete mountain-pass between u_low and u_high, whose energies are
-    e_low and e_high.
+    e_low and e_high, on a path of PATH_SIZE points.
 
     Returns (v, c_level): the Newton-refined pass point and its energy.
     Requires both endpoint energies below the sphere barrier eta.
     """
-    if path_size < 5:
-        raise ValueError("path_size must be at least 5")
     h = spec.coefficients.h
 
     if not (e_low < eta and e_high < eta):
@@ -324,7 +315,7 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
 
     ends = (e_low, e_high)
     knots = [u_low, u_high] if path_seed is None else [u_low, path_seed, u_high]
-    path = _interpolate_path(spec, knots, ends, path_size)
+    path = _interpolate_path(spec, knots, ends)
 
     # The max point's move is capped at one segment arclength per sweep so
     # the polygon never tears; re-equispacing keeps the discretization
@@ -334,7 +325,7 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
     best_max = max(path.energies)
     for _ in range(MAX_SWEEPS):
         i = path.max_index
-        if i == 0 or i == path_size - 1:
+        if i == 0 or i == PATH_SIZE - 1:
             raise PathCollapseError("maximum-energy point reached an endpoint")
         u = path.points[i]
         g = energy_gradient(spec, u)
@@ -358,7 +349,7 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
             raise DescentStallError(
                 f"pass-point descent stalled at gradient norm {gn:.3e}"
             )
-        path = _interpolate_path(spec, path.points, ends, path_size)
+        path = _interpolate_path(spec, path.points, ends)
         cur_max = max(path.energies)
         if cur_max >= best_max - 1e-12 * max(1.0, abs(best_max)):
             break
@@ -415,11 +406,12 @@ def critical_limit(coeffs: Coefficients, theta: float,
 
     Runs ball minimization + mountain pass through the epsilon schedule at
     the first subcritical q, then up the q schedule at the final epsilon,
-    warm-starting both family members, and Newton-refines the pair on the
-    true critical equation (epsilon = 0, q = 2*).  seed drives the one draw
-    of SPHERE_SAMPLES sphere samples per run, which gives the barrier of
-    every stage and of the limit; ball_radius defaults to t0 from the
-    certificate constants.
+    warm-starting both family members, and Newton-refines the last pass
+    point on the true critical equation (epsilon = 0, q = 2*).  The family
+    starts from, and the pair reports, the minimal solution of the critical
+    equation by monotone iteration.  seed drives the one draw of
+    SPHERE_SAMPLES sphere samples per run, which gives the barrier of every
+    stage and of the limit; ball_radius defaults to the certificate's t0.
     """
     grid = coeffs.grid
     ts = critical_exponent(grid.dim)
@@ -437,11 +429,7 @@ def critical_limit(coeffs: Coefficients, theta: float,
     minimal_bp = _branch_point(crit, out.solution, out.iterations)
 
     # Ball geometry from the certificate constants (zero-centered).
-    radius = ball_radius
-    if radius is None:
-        s_est = sobolev_constant_estimate(coeffs.h, ts, iterations=100)
-        max_f = float(np.abs(coeffs.f.values).max())
-        radius = (s_est * max_f) ** (-1.0 / (ts - 2.0))
+    radius = certificate_theta1(coeffs).t0 if ball_radius is None else ball_radius
     center = constant_field(grid, 0.0)
     h = coeffs.h
     phi_norm = h1h_norm(minimal_bp.solution, h)
@@ -479,20 +467,15 @@ def critical_limit(coeffs: Coefficients, theta: float,
         log.debug("stage eps=%.1e q=%.6f: I(low)=%.8f c=%.8f", spec.epsilon, spec.q,
                   e_low, c_level)
 
-    # Final refinement on the true critical equation.
-    if u_low.min() <= 0:
-        raise PositivityError("continued minimizer lost positivity before the limit")
-    u_star = newton_refine(crit, u_low)
+    # Final refinement of the pass point on the true critical equation.
     v_star = newton_refine(crit, v)
-    e_min, e_second = energy(crit, u_star), energy(crit, v_star)
+    e_min, e_second = minimal_bp.energy, energy(crit, v_star)
     if not (e_min < eta_crit <= e_second + 1e-9):
         raise GeometryError(
             f"energy ordering violated: I(min)={e_min:.8f}, eta={eta_crit:.8f}, "
             f"I(second)={e_second:.8f}"
         )
-    separation = float(np.abs(u_star.values - v_star.values).max())
+    separation = float(np.abs(minimal_bp.solution.values - v_star.values).max())
     return TwoSolutions(minimal=minimal_bp, second=v_star,
-                        second_energy=e_second, pass_level=e_second,
-                        eta=eta_crit, separation=separation,
-                        minimal_refined=u_star,
+                        second_energy=e_second, eta=eta_crit, separation=separation,
                         sup_differences=low_diffs, pass_history=pass_history)

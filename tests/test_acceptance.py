@@ -228,7 +228,7 @@ def test_criterion_12_certificate_constants():
     assert certificate_constant(4) == 1.0 / 72.0
     assert certificate_constant(5) == 1.0 / 96.0
     for dim, res in ((3, 8), (4, 6), (5, 6)):
-        cert = certificate_theta1(unit_coefficients(dim, res), s_iterations=5)
+        cert = certificate_theta1(unit_coefficients(dim, res))
         assert cert.t1 == (2.0 * (dim - 1)) ** (-0.5) * cert.t0
     print("ACCEPTANCE 12 certificate constants: PASS "
           "(C(3)=1/64, C(4)=1/72, C(5)=1/96 exact; t1/t0 exact)")

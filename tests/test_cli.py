@@ -156,6 +156,37 @@ def test_mountain_pass_mode(tmp_path):
     assert os.path.exists(tmp_path / "out" / "second.field")
 
 
+def test_mountain_pass_variable_h_minimal_field(tmp_path, monkeypatch):
+    # h = 1 + 0.3 cos(2 pi x3): the default ball radius is the certificate's
+    # t0, and minimal.field holds the monotone-iteration minimal solution
+    from lichtorus import mountain
+    from lichtorus.config import parse_config
+    from lichtorus.fieldio import field_to_bytes
+    out = str(tmp_path / "out")
+    cfg = base_config("mountain-pass", out, theta=0.05)
+    cfg["coefficients"]["h"]["cosines"] = [
+        {"amplitude": 0.3, "wavevector": [0, 0, 1], "phase": 0.0}]
+    cfgp = write_config(tmp_path, cfg)
+    radii, pairs = [], []
+    real_barrier, real_limit = mountain.sphere_barrier, mountain.critical_limit
+
+    def barrier(specs, center, radius, rng):
+        radii.append(radius)
+        return real_barrier(specs, center, radius, rng)
+
+    def limit(*args, **kwargs):
+        pairs.append(real_limit(*args, **kwargs))
+        return pairs[-1]
+
+    monkeypatch.setattr(mountain, "sphere_barrier", barrier)
+    monkeypatch.setattr(mountain, "critical_limit", limit)
+    assert main(["mountain-pass", "--config", cfgp]) == 0
+    coeffs = parse_config(json.dumps(cfg)).coefficients()
+    assert radii == [mountain.certificate_theta1(coeffs).t0]
+    written = (tmp_path / "out" / "minimal.field").read_bytes()
+    assert written == field_to_bytes(pairs[0].minimal.solution)
+
+
 def test_config_error_exit_code(tmp_path):
     cfg = base_config("fold", str(tmp_path / "out"))
     cfg["metrics"] = "yes"
@@ -260,6 +291,21 @@ def test_failure_through_the_interpreter(tmp_path):
     assert done.returncode == 3
     assert "solver failure: no solution at theta=0.2" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_out_naming_a_file_is_io_error(tmp_path):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory")
+    cfgp = write_config(tmp_path, base_config("solve", "ignored", theta=0.1))
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(lichtorus.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-m", "lichtorus.cli", "solve",
+                           "--config", cfgp, "--out", str(blocker)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 5
+    assert done.stderr.startswith("I/O error: ")
+    assert "Traceback" not in done.stderr
+    assert blocker.read_text() == "not a directory"
 
 
 def test_manifest_tamper_detected(tmp_path):

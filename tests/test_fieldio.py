@@ -13,7 +13,7 @@ def test_roundtrip_bit_identical(tmp_path, grid8):
     path = tmp_path / "u.field"
     write_field(path, u)
     back = read_field(path)
-    assert back.grid.compatible(u.grid)
+    assert back.grid == u.grid
     assert np.array_equal(back.values, u.values)
     # byte-level roundtrip too
     assert field_to_bytes(back) == field_to_bytes(u)

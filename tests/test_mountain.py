@@ -100,10 +100,12 @@ class TestMountainPass:
         assert abs(v.values - oracle).max() <= 1e-8
         assert c_level >= eta
 
-    def test_path_refinement_never_raises_level(self, unit_coeffs8, grid8):
+    def test_path_refinement_never_raises_level(self, unit_coeffs8, grid8, monkeypatch):
         spec, eta, u_low, u_high, ends = self._stage(unit_coeffs8, grid8)
-        v1, c1 = mountain_pass_solve(spec, u_low, u_high, *ends, eta=eta, path_size=17)
-        v2, c2 = mountain_pass_solve(spec, u_low, u_high, *ends, eta=eta, path_size=34)
+        monkeypatch.setattr(mountain, "PATH_SIZE", 17)
+        v1, c1 = mountain_pass_solve(spec, u_low, u_high, *ends, eta=eta)
+        monkeypatch.setattr(mountain, "PATH_SIZE", 34)
+        v2, c2 = mountain_pass_solve(spec, u_low, u_high, *ends, eta=eta)
         assert c2 <= c1 + 1e-8
 
     def test_search_stops_at_first_sweep_without_lowering(self, unit_coeffs8, grid8,
@@ -221,7 +223,7 @@ class TestCriticalLimit:
     def test_two_solutions_unit_constants(self, pair8):
         _, pair = pair8
         c1, c2 = constant_roots(0.1, 6.0)
-        assert abs(pair.minimal_refined.values - c1).max() <= 1e-6
+        assert abs(pair.minimal.solution.values - c1).max() <= 1e-6
         assert abs(pair.second.values - c2).max() <= 1e-6
         assert pair.minimal.energy < pair.eta <= pair.second_energy + 1e-9
         assert pair.separation >= 1e-3
@@ -240,7 +242,7 @@ class TestCriticalLimit:
     def test_residuals_at_limit(self, pair8):
         coeffs, pair = pair8
         spec = critical_spec(coeffs, 0.1)
-        assert residual(spec, pair.minimal_refined).sup_norm() <= 1e-9
+        assert residual(spec, pair.minimal.solution).sup_norm() <= 1e-9
         assert residual(spec, pair.second).sup_norm() <= 1e-9
 
     def test_two_solutions_n4(self):
@@ -249,7 +251,7 @@ class TestCriticalLimit:
         coeffs = lt.Coefficients(one, one, one)
         pair = critical_limit(coeffs, 0.05)
         c1, c2 = constant_roots(0.05, 4.0)
-        assert abs(pair.minimal_refined.values - c1).max() <= 1e-6
+        assert abs(pair.minimal.solution.values - c1).max() <= 1e-6
         assert abs(pair.second.values - c2).max() <= 1e-6
         assert pair.minimal.energy < pair.eta <= pair.second_energy + 1e-9
 
@@ -257,7 +259,7 @@ class TestCriticalLimit:
         coeffs, pair = nonconstant_pair8
         spec = critical_spec(coeffs, 0.08)
         assert pair.minimal.energy < pair.eta <= pair.second_energy
-        assert residual(spec, pair.minimal_refined).sup_norm() <= 1e-10
+        assert residual(spec, pair.minimal.solution).sup_norm() <= 1e-10
         assert residual(spec, pair.second).sup_norm() <= 1e-10
         assert pair.separation >= 1e-3
         assert (pair.minimal.solution.values <= pair.second.values).all()
@@ -289,7 +291,7 @@ class TestCriticalLimit:
         for theta in np.append(fold.theta_star - gaps[1:-1], 0.08):
             v = newton_refine(critical_spec(coeffs, theta), v)
         assert abs(v.values - pair.second.values).max() <= 1e-8
-        assert abs(energy(critical_spec(coeffs, 0.08), v) - pair.pass_level) <= 1e-10
+        assert abs(energy(critical_spec(coeffs, 0.08), v) - pair.second_energy) <= 1e-10
 
 
 class TestCertificate:
@@ -318,11 +320,6 @@ class TestCertificate:
     def test_test_function_normalized(self, unit_coeffs8):
         cert = certificate_theta1(unit_coeffs8)
         assert lt.h1h_norm(cert.test_function, unit_coeffs8.h) == pytest.approx(1.0, abs=1e-12)
-
-    def test_positive_test_function_required(self, unit_coeffs8, grid8):
-        from lichtorus.core import PositivityError
-        with pytest.raises(PositivityError):
-            certificate_theta1(unit_coeffs8, test_fn=lt.cosine_field(grid8, 1.0, [1, 0, 0]))
 
     def test_lower_bound_below_fold(self, unit_coeffs8):
         cert = certificate_theta1(unit_coeffs8)
