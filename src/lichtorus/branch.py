@@ -484,10 +484,11 @@ def _fold_newton(coeffs: Coefficients, sol: ScalarField, theta: float,
     u, q, f, a = sol, spec.q, coeffs.f.values, coeffs.a.values
     phi0 = smallest_eigenpair(linearized_potential(spec, sol)).vector
     phi0 = phi0 * (1.0 / np.linalg.norm(phi0.values))
+    lap_phi0 = laplacian(phi0)
     for steps in range(NEWTON_MAX_STEPS + 1):
         spec = critical_spec(coeffs, theta)
         w = linearized_potential(spec, u)
-        y, g = _solve_symmetric(w, -(laplacian(phi0) + w * phi0), phi0)
+        y, g = _solve_symmetric(w, -(lap_phi0 + w * phi0), phi0)
         v, uv, r = phi0 + y, u.values, residual(spec, u)
         f_theta = ScalarField(u.grid, -a * uv ** (-(q + 1.0)))
         g_u = v.values ** 2 * ((q - 1.0) * (q - 2.0) * f * uv ** (q - 3.0)

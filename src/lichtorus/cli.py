@@ -141,17 +141,14 @@ def _run_mountain_pass(cfg: RunConfig, coeffs, writer: OutputWriter, quantities:
                                        eps_schedule=cfg.epsilon_schedule,
                                        q_schedule=cfg.q_schedule, seed=cfg.seed,
                                        ball_radius=cfg.ball_radius)
-    distinct = pair.separation >= 1e-3
     quantities.update({
         "theta": cfg.theta,
         "energy_minimal": pair.minimal.energy,
         "lambda_minimal": pair.minimal.lam,
         "eta": pair.eta,
-        "pass_level": pair.second_energy,
         "second_energy": pair.second_energy,
         "separation": pair.separation,
-        "distinct": distinct,
-        "merged_within_tolerance": not distinct,
+        "distinct": pair.separation >= 1e-3,
         "sup_differences": pair.sup_differences,
     })
     writer.write_field("minimal.field", pair.minimal.solution)
@@ -267,9 +264,7 @@ def run(cfg: RunConfig, out_dir: str | None = None,
         code = exc.exit_code
         report["error_class"] = type(exc).__name__
         report["error"] = str(exc)
-    elapsed = time.perf_counter() - t0
-    report["timings"][cfg.mode + "_seconds"] = elapsed
-    report["timings"]["total_seconds"] = elapsed
+    report["timings"]["total_seconds"] = time.perf_counter() - t0
     report["exit_code"] = code
     report["status"] = {EXIT_OK: "ok", EXIT_BLOWUP: "blowup"}.get(code, "failed")
     _write_atomic(os.path.join(cfg.out_dir, "report.json"),

@@ -2,9 +2,10 @@
 
 Configs are JSON with the blocks documented in the README: mode, grid,
 coefficients (constant plus truncated cosine series), parameters, solver and
-output.  Validation is strict: unknown keys are errors, every violation is
-reported with its key path, and defaults are materialized into the
-normalized echo so a run is reproducible from the report alone.
+output.  Validation is strict: unknown keys are errors, and so are
+parameters and solver keys that the mode does not read (MODE_KEYS); every
+violation is reported with its key path, and the mode's keys, defaults
+included, are echoed so a run is reproducible from the report alone.
 """
 
 from __future__ import annotations
@@ -18,8 +19,22 @@ from .core import Coefficients, critical_exponent
 from .errors import LichtorusError
 from .grid import ScalarField, TorusGrid, build_grid, constant_field, cosine_field
 
-MODES = ("solve", "branch", "fold", "mountain-pass", "certificate",
-         "stability-test", "bubble-check")
+# The parameters and solver keys that each mode's runner reads; a mode
+# refuses every other key of those two blocks.  True marks a required key.
+MODE_KEYS = {
+    "solve": {"parameters": {"theta": True, "q": False}},
+    "branch": {"parameters": {"theta_schedule": True, "q": False}},
+    "fold": {"parameters": {"theta_hint": False}, "solver": {"fold_tol": False}},
+    "mountain-pass": {"parameters": {"theta": True, "q_schedule": False,
+                                     "epsilon_schedule": False},
+                      "solver": {"ball_radius": False}},
+    "certificate": {},
+    "stability-test": {"parameters": {"theta": True, "q_schedule": True,
+                                      "a_perturbations": False}},
+    "bubble-check": {"solver": {"bubble_f0": False, "bubble_window": False,
+                                "bubble_spacing_denominator": False}},
+}
+MODES = tuple(MODE_KEYS)
 MAX_POINTS = 2**22   # points of a solver grid, and of the finer bubble-check lattice
 
 
@@ -85,7 +100,7 @@ class RunConfig:
             raise ConfigError(f"coefficients: {exc}") from exc
 
     def normalized(self) -> dict:
-        """Echo with all defaults materialized (JSON-serializable)."""
+        """Echo of the mode's keys with defaults materialized (JSON-serializable)."""
         coeff = lambda c: {
             "constant": c.constant,
             "cosines": [{"amplitude": t.amplitude, "wavevector": list(t.wavevector),
@@ -96,18 +111,9 @@ class RunConfig:
             "grid": {"dim": self.dim, "resolutions": self.resolutions,
                      "periods": self.periods},
             "coefficients": {"h": coeff(self.h), "f": coeff(self.f), "a": coeff(self.a)},
-            "parameters": {
-                "theta": self.theta, "theta_hint": self.theta_hint,
-                "theta_schedule": self.theta_schedule, "q": self.q,
-                "q_schedule": self.q_schedule,
-                "epsilon_schedule": self.epsilon_schedule,
-                "a_perturbations": self.a_perturbations,
-            },
-            "solver": {"fold_tol": self.fold_tol,
-                       "ball_radius": self.ball_radius,
-                       "bubble_f0": self.bubble_f0,
-                       "bubble_window": self.bubble_window,
-                       "bubble_spacing_denominator": self.bubble_spacing_denominator},
+            **{block: {key: getattr(self, key)
+                       for key in MODE_KEYS[self.mode].get(block, {})}
+               for block in ("parameters", "solver")},
             "output": {"directory": self.out_dir, "formats": self.formats},
             "seed": self.seed,
         }
@@ -117,6 +123,24 @@ def _require_keys(obj: dict, allowed: set[str], path: str):
     for key in obj:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}: unknown key")
+
+
+def _mode_block(raw: dict, block: str, mode: str) -> dict:
+    """raw's parameters or solver block, holding only keys the mode reads
+    and every key it requires."""
+    obj = raw.get(block) or {}
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{block}: expected an object")
+    _require_keys(obj, {k for keys in MODE_KEYS.values() for k in keys.get(block, {})},
+                  block)
+    reads = MODE_KEYS[mode].get(block, {})
+    for key in obj:
+        if key not in reads:
+            raise ConfigError(f"{block}.{key}: not read in mode {mode!r}")
+    for key, required in reads.items():
+        if required and obj.get(key) is None:
+            raise ConfigError(f"{block}.{key}: required for mode {mode!r}")
+    return obj
 
 
 def _get(obj: dict, key: str, kind, path: str, default=None, required=False):
@@ -153,7 +177,9 @@ def _parse_coefficient(obj, dim: int, path: str) -> CoefficientSpec:
     return CoefficientSpec(constant=constant, cosines=cosines)
 
 
-def _check_schedule(seq, path: str, increasing: bool):
+def _check_schedule(seq, path: str, increasing: bool | None):
+    """seq as a nonempty list of floats, strictly monotone unless increasing
+    is None; None when seq is."""
     if seq is None:
         return None
     if not isinstance(seq, list) or not seq:
@@ -163,11 +189,10 @@ def _check_schedule(seq, path: str, increasing: bool):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"{path}[{i}]: expected a number")
         vals.append(float(v))
-    pairs = zip(vals, vals[1:])
-    if increasing and any(b <= a for a, b in pairs):
-        raise ConfigError(f"{path}: schedule must be strictly increasing")
-    if not increasing and any(b >= a for a, b in zip(vals, vals[1:])):
-        raise ConfigError(f"{path}: schedule must be strictly decreasing")
+    if increasing is not None and any(b <= a if increasing else b >= a
+                                      for a, b in zip(vals, vals[1:])):
+        raise ConfigError(f"{path}: schedule must be strictly "
+                          f"{'increasing' if increasing else 'decreasing'}")
     return vals
 
 
@@ -247,11 +272,7 @@ def parse_config(text: str) -> RunConfig:
     f = _parse_coefficient(coeff_obj["f"], dim, "coefficients.f")
     a = _parse_coefficient(coeff_obj["a"], dim, "coefficients.a")
 
-    par = raw.get("parameters") or {}
-    if not isinstance(par, dict):
-        raise ConfigError("parameters: expected an object")
-    _require_keys(par, {"theta", "theta_hint", "theta_schedule", "q", "q_schedule",
-                        "epsilon_schedule", "a_perturbations"}, "parameters")
+    par = _mode_block(raw, "parameters", mode)
     theta = _get(par, "theta", float, "parameters")
     if theta is not None and theta < 0:
         raise ConfigError("parameters.theta: must be >= 0")
@@ -277,24 +298,16 @@ def parse_config(text: str) -> RunConfig:
                                        "parameters.epsilon_schedule", increasing=False)
     if epsilon_schedule and epsilon_schedule[-1] <= 0:
         raise ConfigError("parameters.epsilon_schedule: entries must be positive")
-    a_perturbations = par.get("a_perturbations")
-    if a_perturbations is not None:
-        if not isinstance(a_perturbations, list):
-            raise ConfigError("parameters.a_perturbations: expected a list of numbers")
-        for i, v in enumerate(a_perturbations):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"parameters.a_perturbations[{i}]: expected a number")
-            if v <= -1.0:
-                raise ConfigError(
-                    f"parameters.a_perturbations[{i}]: relative bump must be > -1 "
-                    "(a stays nonnegative)")
-        a_perturbations = [float(v) for v in a_perturbations]
+    a_perturbations = _check_schedule(par.get("a_perturbations"),
+                                      "parameters.a_perturbations", increasing=None)
+    for i, v in enumerate(a_perturbations or []):
+        if v <= -1.0:
+            raise ConfigError(f"parameters.a_perturbations[{i}]: relative bump must "
+                              "be > -1 (a stays nonnegative)")
+    if a_perturbations and len(a_perturbations) != len(q_schedule):
+        raise ConfigError("parameters.a_perturbations: length must match q_schedule")
 
-    sol = raw.get("solver") or {}
-    if not isinstance(sol, dict):
-        raise ConfigError("solver: expected an object")
-    _require_keys(sol, {"fold_tol", "ball_radius", "bubble_f0", "bubble_window",
-                        "bubble_spacing_denominator"}, "solver")
+    sol = _mode_block(raw, "solver", mode)
     fold_tol = _get(sol, "fold_tol", float, "solver", default=1e-4)
     if fold_tol <= 0:
         raise ConfigError("solver.fold_tol: tolerance must be positive")
@@ -302,29 +315,30 @@ def parse_config(text: str) -> RunConfig:
     if ball_radius is not None and ball_radius <= 0:
         raise ConfigError("solver.ball_radius: must be positive")
     bubble_f0 = _get(sol, "bubble_f0", float, "solver", default=float(dim * (dim - 2)))
-    if bubble_f0 <= 0:
-        raise ConfigError("solver.bubble_f0: must be positive")
     bubble_window = _get(sol, "bubble_window", float, "solver", default=0.5)
-    if bubble_window <= 0:
-        raise ConfigError("solver.bubble_window: must be positive")
     bubble_den = _get(sol, "bubble_spacing_denominator", int, "solver", default=64)
-    if bubble_den < 8:
-        raise ConfigError("solver.bubble_spacing_denominator: must be >= 8")
-    # the coarser bubble grid, spacing r0 / denominator, needs 3 points a side
-    r0 = math.sqrt(dim * (dim - 2) / bubble_f0)
-    spacing = r0 / bubble_den
-    if not (spacing > 0 and math.isfinite(2 * bubble_window / spacing)):
-        raise ConfigError(f"solver.bubble_window: {bubble_window:g} over the grid "
-                          f"spacing {spacing:.3e} is beyond the float range")
-    if round(bubble_window / spacing) < 3:
-        raise ConfigError("solver.bubble_window: too small for the 4th-order "
-                          f"stencil (needs >= 3 grid spacings of {spacing:.3e})")
-    # bubble-check also samples at half that spacing, (2m + 1)^n points
-    side = 2 * round(2 * bubble_window / spacing) + 1
-    if mode == "bubble-check" and side**dim > MAX_POINTS:
-        raise ConfigError(f"solver.bubble_spacing_denominator: the half-spacing "
-                          f"bubble lattice has {side}^{dim} points, more than "
-                          f"{MAX_POINTS}; lower it or bubble_window")
+    if mode == "bubble-check":
+        if bubble_f0 <= 0:
+            raise ConfigError("solver.bubble_f0: must be positive")
+        if bubble_window <= 0:
+            raise ConfigError("solver.bubble_window: must be positive")
+        if bubble_den < 8:
+            raise ConfigError("solver.bubble_spacing_denominator: must be >= 8")
+        # the coarser bubble grid, spacing r0 / denominator, needs 3 points a side
+        r0 = math.sqrt(dim * (dim - 2) / bubble_f0)
+        spacing = r0 / bubble_den
+        if not (spacing > 0 and math.isfinite(2 * bubble_window / spacing)):
+            raise ConfigError(f"solver.bubble_window: {bubble_window:g} over the grid "
+                              f"spacing {spacing:.3e} is beyond the float range")
+        if round(bubble_window / spacing) < 3:
+            raise ConfigError("solver.bubble_window: too small for the 4th-order "
+                              f"stencil (needs >= 3 grid spacings of {spacing:.3e})")
+        # bubble-check also samples at half that spacing, (2m + 1)^n points
+        side = 2 * round(2 * bubble_window / spacing) + 1
+        if side**dim > MAX_POINTS:
+            raise ConfigError(f"solver.bubble_spacing_denominator: the half-spacing "
+                              f"bubble lattice has {side}^{dim} points, more than "
+                              f"{MAX_POINTS}; lower it or bubble_window")
 
     out = raw.get("output") or {}
     if not isinstance(out, dict):
@@ -340,27 +354,12 @@ def parse_config(text: str) -> RunConfig:
     if seed < 0:
         raise ConfigError("seed: must be a nonnegative integer")
 
-    cfg = RunConfig(mode=mode, dim=dim, resolutions=list(resolutions),
-                    periods=pvals, h=h, f=f, a=a, theta=theta,
-                    theta_hint=theta_hint, theta_schedule=theta_schedule,
-                    q=q, q_schedule=q_schedule, epsilon_schedule=epsilon_schedule,
-                    a_perturbations=a_perturbations, fold_tol=fold_tol,
-                    ball_radius=ball_radius,
-                    bubble_f0=bubble_f0, bubble_window=bubble_window,
-                    bubble_spacing_denominator=bubble_den, out_dir=out_dir,
-                    formats=list(formats), seed=seed)
-    _check_mode_requirements(cfg)
-    return cfg
-
-
-def _check_mode_requirements(cfg: RunConfig):
-    need_theta = {"solve", "mountain-pass", "stability-test"}
-    if cfg.mode in need_theta and cfg.theta is None:
-        raise ConfigError(f"parameters.theta: required for mode {cfg.mode!r}")
-    if cfg.mode == "branch" and not cfg.theta_schedule:
-        raise ConfigError("parameters.theta_schedule: required for mode 'branch'")
-    if cfg.mode == "stability-test" and not cfg.q_schedule:
-        raise ConfigError("parameters.q_schedule: required for mode 'stability-test'")
-    if (cfg.mode == "stability-test" and cfg.a_perturbations is not None
-            and len(cfg.a_perturbations) != len(cfg.q_schedule)):
-        raise ConfigError("parameters.a_perturbations: length must match q_schedule")
+    return RunConfig(mode=mode, dim=dim, resolutions=list(resolutions),
+                     periods=pvals, h=h, f=f, a=a, theta=theta,
+                     theta_hint=theta_hint, theta_schedule=theta_schedule,
+                     q=q, q_schedule=q_schedule, epsilon_schedule=epsilon_schedule,
+                     a_perturbations=a_perturbations, fold_tol=fold_tol,
+                     ball_radius=ball_radius,
+                     bubble_f0=bubble_f0, bubble_window=bubble_window,
+                     bubble_spacing_denominator=bubble_den, out_dir=out_dir,
+                     formats=list(formats), seed=seed)

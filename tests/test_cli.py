@@ -40,6 +40,10 @@ def test_solve_mode(tmp_path):
     assert report["quantities"]["residual_norm"] <= 1e-10
     assert abs(report["quantities"]["max_u"] - 0.8014635435028197) <= 1e-9
     assert verify_manifest(out) == []
+    # the echo holds solve's keys only, and each value is stated once
+    assert report["config"]["parameters"] == {"theta": 0.1, "q": None}
+    assert report["config"]["solver"] == {}
+    assert set(report["timings"]) == {"total_seconds"}
 
 
 def test_fold_mode_report_and_csv(tmp_path):
@@ -151,7 +155,7 @@ def test_mountain_pass_mode(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     q = report["quantities"]
     assert q["energy_minimal"] < q["eta"] <= q["second_energy"] + 1e-9
-    assert q["distinct"] and not q["merged_within_tolerance"]
+    assert q["distinct"]
     assert abs(q["second_energy"] - 0.3516613758116537) <= 1e-6
     assert os.path.exists(tmp_path / "out" / "second.field")
 
@@ -192,6 +196,19 @@ def test_config_error_exit_code(tmp_path):
     cfg["metrics"] = "yes"
     cfgp = write_config(tmp_path, cfg)
     assert main(["fold", "--config", cfgp]) == 2
+
+
+def test_key_the_mode_does_not_read_exit_code(tmp_path, capsys):
+    # a fold config with the keys of other modes: the fold is that of
+    # q = 2*, so the config's q would be echoed but not solved for
+    out = str(tmp_path / "out")
+    cfg = base_config("fold", out, q=4.0, theta=0.3, epsilon_schedule=[0.5])
+    cfg["solver"] = {"ball_radius": 2.0, "bubble_window": 0.7}
+    cfgp = write_config(tmp_path, cfg)
+    assert main(["fold", "--config", cfgp]) == 2
+    assert capsys.readouterr().err == \
+        "config error: parameters.q: not read in mode 'fold'\n"
+    assert not os.path.exists(out)
 
 
 def test_mode_mismatch_exit_code(tmp_path):
@@ -235,12 +252,13 @@ CONFIG_GAPS = {
                                                "solver.ball_radius"),
     "branch theta below zero": ("branch", dict(theta_schedule=[-0.1, 0.05]),
                                 None, "parameters.theta_schedule"),
-    "boolean for an integer": ("solve", {}, {"bubble_spacing_denominator": True},
+    "boolean for an integer": ("bubble-check", {}, {"bubble_spacing_denominator": True},
                                "solver.bubble_spacing_denominator"),
     # the cap is a constant of the solver, not a key; a cap of -1 would end
     # the solve in a wrong "no solution" (exit 3)
     "negative Picard cap": ("solve", {}, {"cap": -1}, "solver.cap"),
-    "bubble window beyond the float range": ("solve", {}, {"bubble_window": 1e308},
+    "bubble window beyond the float range": ("bubble-check", {},
+                                             {"bubble_window": 1e308},
                                              "solver.bubble_window"),
     "NaN for a parameter": ("solve", dict(q=float("nan")), None, "config number NaN"),
     # parse-time only: the lattice this asks for is never allocated
@@ -258,7 +276,9 @@ CONFIG_GAPS = {
 @pytest.mark.parametrize("case", sorted(CONFIG_GAPS))
 def test_config_gaps_exit_code(tmp_path, capsys, case):
     mode, params, solver, key, *grid = CONFIG_GAPS[case]
-    cfg = base_config(mode, str(tmp_path / "out"), theta=0.1, **params)
+    if mode in ("solve", "mountain-pass", "stability-test"):
+        params = dict(params, theta=0.1)
+    cfg = base_config(mode, str(tmp_path / "out"), **params)
     if solver:
         cfg["solver"] = solver
     if grid:

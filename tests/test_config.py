@@ -23,12 +23,59 @@ def test_minimal_fold_config_normalizes_defaults():
     cfg = parse_config(minimal())
     echo = cfg.normalized()
     assert echo["mode"] == "fold"
-    assert echo["solver"]["fold_tol"] == 1e-4
-    assert set(echo["solver"]) == {"fold_tol", "ball_radius", "bubble_f0",
-                                   "bubble_window", "bubble_spacing_denominator"}
-    assert echo["parameters"]["theta_hint"] == 0.1
+    assert echo["solver"] == {"fold_tol": 1e-4}
+    assert echo["parameters"] == {"theta_hint": 0.1}
     assert echo["output"]["directory"] == "out"
     assert echo["seed"] == 0
+
+
+# a sample value for every parameters and solver key that some mode reads
+SAMPLES = {
+    "parameters": {"theta": 0.1, "theta_hint": 0.1, "theta_schedule": [0.05, 0.1],
+                   "q": 4.0, "q_schedule": [5.0, 5.5], "epsilon_schedule": [0.5],
+                   "a_perturbations": [0.0, 0.1]},
+    "solver": {"fold_tol": 1e-4, "ball_radius": 2.0, "bubble_f0": 3.0,
+               "bubble_window": 0.5, "bubble_spacing_denominator": 64},
+}
+# the keys each mode reads, as (parameters, solver)
+READS = {
+    "solve": ({"theta", "q"}, set()),
+    "branch": ({"theta_schedule", "q"}, set()),
+    "fold": ({"theta_hint"}, {"fold_tol"}),
+    "mountain-pass": ({"theta", "q_schedule", "epsilon_schedule"}, {"ball_radius"}),
+    "certificate": (set(), set()),
+    "stability-test": ({"theta", "q_schedule", "a_perturbations"}, set()),
+    "bubble-check": (set(), {"bubble_f0", "bubble_window", "bubble_spacing_denominator"}),
+}
+# the parameters each mode requires
+REQUIRED = {"solve": {"theta"}, "branch": {"theta_schedule"},
+            "mountain-pass": {"theta"}, "stability-test": {"theta", "q_schedule"}}
+
+
+def required_parameters(mode):
+    return {k: SAMPLES["parameters"][k] for k in REQUIRED.get(mode, ())}
+
+
+@pytest.mark.parametrize("mode", sorted(READS))
+def test_echo_holds_the_mode_keys_only(mode):
+    echo = parse_config(minimal(mode, parameters=required_parameters(mode))).normalized()
+    assert (set(echo["parameters"]), set(echo["solver"])) == READS[mode]
+    # every key the mode reads is accepted and echoed as given
+    full = {block: {k: SAMPLES[block][k] for k in keys}
+            for block, keys in zip(("parameters", "solver"), READS[mode])}
+    echo = parse_config(minimal(mode, **full)).normalized()
+    assert {block: echo[block] for block in full} == full
+
+
+@pytest.mark.parametrize("mode", sorted(READS))
+def test_key_another_mode_reads_is_refused(mode):
+    for block, reads in zip(("parameters", "solver"), READS[mode]):
+        for key in sorted(set(SAMPLES[block]) - reads):
+            cfg = json.loads(minimal(mode, parameters=required_parameters(mode)))
+            cfg.setdefault(block, {})[key] = SAMPLES[block][key]
+            with pytest.raises(ConfigError,
+                               match=f"^{block}.{key}: not read in mode '{mode}'$"):
+                parse_config(json.dumps(cfg))
 
 
 def test_unknown_key_is_named():
@@ -73,13 +120,13 @@ def test_syntax_error_reports_line():
 
 
 def test_mode_requirements():
-    with pytest.raises(ConfigError, match="theta"):
-        parse_config(minimal(mode="solve"))
-    with pytest.raises(ConfigError, match="theta_schedule"):
-        parse_config(minimal(mode="branch"))
-    with pytest.raises(ConfigError, match="q_schedule"):
-        parse_config(minimal(mode="stability-test",
-                             parameters={"theta": 0.1}))
+    for mode, required in REQUIRED.items():
+        for key in required:
+            params = required_parameters(mode)
+            del params[key]
+            with pytest.raises(ConfigError,
+                               match=f"parameters.{key}: required for mode '{mode}'"):
+                parse_config(minimal(mode=mode, parameters=params))
 
 
 def test_wavevector_validation():
@@ -161,7 +208,7 @@ def test_bubble_lattice_bound(dim):
     cfg["grid"] = {"dim": dim, "resolutions": [8] * dim, "periods": [1.0] * dim}
     with pytest.raises(ConfigError, match="solver.bubble_spacing_denominator"):
         parse_config(json.dumps(cfg))
-    # the bound is bubble-check's own: other modes keep the same defaults
+    # the bound is bubble-check's own: no other mode reads the bubble keys
     cfg["mode"] = "fold"
     assert parse_config(json.dumps(cfg)).dim == dim
 
@@ -185,7 +232,7 @@ def test_numbers_beyond_the_float_range_are_refused(literal):
 
 def test_bubble_window_beyond_the_float_range():
     # bubble_window / spacing overflows: a config error, not an OverflowError
-    bad = json.loads(minimal())
+    bad = json.loads(minimal(mode="bubble-check"))
     bad["solver"] = {"bubble_window": 1e308}
     with pytest.raises(ConfigError, match="solver.bubble_window: .* beyond the float range"):
         parse_config(json.dumps(bad))
