@@ -2,10 +2,11 @@
 
 The second solution is produced at subcritical exponent q < 2* on the
 regularized functional (epsilon > 0), then continued along epsilon -> 0 and
-q -> 2* with warm starts, and finally Newton-refined on the true critical
-equation.  The pass point is found by the classical discrete minimax scheme:
-steepest-descent on the highest-energy point of a path joining the ball
-minimizer to a low-energy far point, with arclength re-equispacing.
+q -> 2* by Newton from stage to stage, and finally Newton-refined on the
+true critical equation.  The first stage's pass point is found by the
+classical discrete minimax scheme: steepest-descent on the highest-energy
+point of a path joining the ball minimizer to a low-energy far point, with
+arclength re-equispacing.
 
 The explicit two-solution certificate evaluates the closed-form constants
 C(n), t0, t1, Phi(t0) and a lower bound on the first multiplicity threshold
@@ -99,7 +100,7 @@ class TwoSolutions:
     second_energy: float
     eta: float
     separation: float
-    sup_differences: list[float] = field(default_factory=list)
+    sup_differences: list[float] = field(default_factory=list)  # q-ascent pass points
     pass_history: list[float] = field(default_factory=list)
 
 
@@ -297,8 +298,7 @@ def _interpolate_path(spec: ProblemSpec, points: list[ScalarField],
 
 
 def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarField,
-                        e_low: float, e_high: float, eta: float,
-                        path_seed: ScalarField | None = None):
+                        e_low: float, e_high: float, eta: float):
     """Discrete mountain-pass between u_low and u_high, whose energies are
     e_low and e_high, on a path of PATH_SIZE points.
 
@@ -314,8 +314,7 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
         )
 
     ends = (e_low, e_high)
-    knots = [u_low, u_high] if path_seed is None else [u_low, path_seed, u_high]
-    path = _interpolate_path(spec, knots, ends)
+    path = _interpolate_path(spec, [u_low, u_high], ends)
 
     # The max point's move is capped at one segment arclength per sweep so
     # the polygon never tears; re-equispacing keeps the discretization
@@ -335,20 +334,16 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
             break
         e_u = path.energies[i]
         s = path.spacing / gn
-        moved = False
         for _ in range(60):
             cand = u + s * d
             e_cand = energy(spec, cand)
             if e_cand < e_u - 1e-4 * s * gn**2:
-                path.points[i] = cand
-                path.energies[i] = e_cand
-                moved = True
+                path.points[i], path.energies[i] = cand, e_cand
                 break
             s *= 0.5
-        if not moved:
+        else:
             raise DescentStallError(
-                f"pass-point descent stalled at gradient norm {gn:.3e}"
-            )
+                f"pass-point descent stalled at gradient norm {gn:.3e}")
         path = _interpolate_path(spec, path.points, ends)
         cur_max = max(path.energies)
         if cur_max >= best_max - 1e-12 * max(1.0, abs(best_max)):
@@ -357,12 +352,21 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
     else:
         raise DescentStallError(f"no pass point within {MAX_SWEEPS} sweeps")
 
-    v = newton_refine(spec, path.points[path.max_index])
+    return _pass_point(spec, path.points[path.max_index], eta)
+
+
+def _pass_point(spec: ProblemSpec, start: ScalarField, eta: float):
+    """Newton from start to a critical point v of spec's energy, accepted as
+    a pass point only when I(v) >= eta; returns (v, I(v))."""
+    stage = f"(eps={spec.epsilon}, q={spec.q})"
+    try:
+        v = newton_refine(spec, start)
+    except NewtonError as err:
+        raise NewtonError(f"pass point at {stage}: {err}") from err
     c_level = energy(spec, v)
     if c_level < eta - 1e-9 * max(1.0, abs(eta)):
-        raise GeometryError(
-            f"pass level {c_level:.8f} fell below the barrier eta={eta:.8f}"
-        )
+        raise GeometryError(f"pass level {c_level:.8f} at {stage} fell below "
+                            f"the barrier eta={eta:.8f}")
     return v, c_level
 
 
@@ -404,14 +408,15 @@ def critical_limit(coeffs: Coefficients, theta: float,
                    ball_radius: float | None = None) -> TwoSolutions:
     """Two solutions of the critical equation at the given theta.
 
-    Runs ball minimization + mountain pass through the epsilon schedule at
-    the first subcritical q, then up the q schedule at the final epsilon,
-    warm-starting both family members, and Newton-refines the last pass
-    point on the true critical equation (epsilon = 0, q = 2*).  The family
-    starts from, and the pair reports, the minimal solution of the critical
-    equation by monotone iteration.  seed drives the one draw of
-    SPHERE_SAMPLES sphere samples per run, which gives the barrier of every
-    stage and of the limit; ball_radius defaults to the certificate's t0.
+    Runs ball minimization + mountain pass at the first stage, continues
+    the pass point by Newton through the epsilon schedule at the first
+    subcritical q and up the q schedule at the final epsilon, keeping each
+    stage's point only at or above its barrier, and Newton-refines it on the
+    true critical equation (epsilon = 0, q = 2*).  The family starts from,
+    and the pair reports, the minimal solution of the critical equation by
+    monotone iteration.  seed drives the one draw of SPHERE_SAMPLES sphere
+    samples per run, which gives the barrier of every stage and of the
+    limit; ball_radius defaults to the certificate's t0.
     """
     grid = coeffs.grid
     ts = critical_exponent(grid.dim)
@@ -445,37 +450,31 @@ def critical_limit(coeffs: Coefficients, theta: float,
     *etas, eta_crit = sphere_barrier([*specs, crit], center, radius,
                                      np.random.default_rng(seed))
 
-    u_low = minimal_bp.solution
-    v = None
-    sup0 = u_low.max()
-    low_diffs, pass_history = [], []
-    prev_low = None
-    q_phase_start = len(eps_schedule) - 1  # diffs recorded across the q ascent
+    u_low = minimize_in_ball(specs[0], center, radius, start=minimal_bp.solution)
+    u_high, e_high = build_far_endpoint(specs[0], etas[0], radius, center)
+    sup_cap = BLOWUP_FACTOR * max(1.0, minimal_bp.solution.max())
+    pass_diffs, pass_history = [], []
     for stage_idx, (spec, eta) in enumerate(zip(specs, etas)):
-        u_low = minimize_in_ball(spec, center, radius, start=u_low)
-        u_high, e_high = build_far_endpoint(spec, eta, radius, center)
-        e_low = energy(spec, u_low)
-        v, c_level = mountain_pass_solve(spec, u_low, u_high, e_low, e_high, eta,
-                                         path_seed=v)
+        if stage_idx == 0:
+            v, c_level = mountain_pass_solve(spec, u_low, u_high, energy(spec, u_low),
+                                             e_high, eta)
+        else:
+            prev = v
+            v, c_level = _pass_point(spec, prev, eta)
+            if stage_idx >= len(eps_schedule):  # diffs recorded across the q ascent
+                pass_diffs.append(float(np.abs(v.values - prev.values).max()))
         pass_history.append(c_level)
-        if prev_low is not None and stage_idx > q_phase_start:
-            low_diffs.append(float(np.abs(u_low.values - prev_low.values).max()))
-        prev_low = u_low
-        if max(u_low.max(), v.max()) > BLOWUP_FACTOR * max(1.0, sup0):
+        if v.max() > sup_cap:
             raise BlowupDetectedError(
                 f"family sup norm exploded at (eps={spec.epsilon}, q={spec.q})")
-        log.debug("stage eps=%.1e q=%.6f: I(low)=%.8f c=%.8f", spec.epsilon, spec.q,
-                  e_low, c_level)
+        log.debug("stage eps=%.1e q=%.6f: c=%.8f", spec.epsilon, spec.q, c_level)
 
     # Final refinement of the pass point on the true critical equation.
-    v_star = newton_refine(crit, v)
-    e_min, e_second = minimal_bp.energy, energy(crit, v_star)
-    if not (e_min < eta_crit <= e_second + 1e-9):
-        raise GeometryError(
-            f"energy ordering violated: I(min)={e_min:.8f}, eta={eta_crit:.8f}, "
-            f"I(second)={e_second:.8f}"
-        )
+    v_star, e_second = _pass_point(crit, v, eta_crit)
+    if not minimal_bp.energy < eta_crit:
+        raise GeometryError(f"minimal energy {minimal_bp.energy:.8f} is not below "
+                            f"the barrier eta={eta_crit:.8f}")
     separation = float(np.abs(minimal_bp.solution.values - v_star.values).max())
     return TwoSolutions(minimal=minimal_bp, second=v_star,
                         second_energy=e_second, eta=eta_crit, separation=separation,
-                        sup_differences=low_diffs, pass_history=pass_history)
+                        sup_differences=pass_diffs, pass_history=pass_history)

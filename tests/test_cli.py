@@ -347,3 +347,27 @@ def test_field_dump_roundtrip_through_cli(tmp_path):
     assert main(["solve", "--config", cfgp]) == 0
     sol = read_field(tmp_path / "out" / "solution.field")
     assert abs(sol.values - 0.8014635435028197).max() <= 1e-9
+
+
+def test_readme_fold_example_prints_its_documented_output(tmp_path, capsys):
+    # the README's fold config and the block it documents as printed:
+    # integers match exactly, floats to 1e-9 relative (roundoff differs
+    # across numpy builds); the report path depends on --out
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = text.index("```json\n") + len("```json\n")
+    cfgp = write_config(tmp_path, json.loads(text[start:text.index("```", start)]))
+    start = text.index("$ lichtorus fold --config fold.json\n")
+    documented = text[start:text.index("```", start)].splitlines()[1:]
+    assert main(["fold", "--config", cfgp, "--out", str(tmp_path / "out")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+
+    def pairs(lines):
+        return [line.split(" = ") for line in lines if not line.startswith("report:")]
+
+    expected, got = pairs(documented), pairs(printed)
+    assert [key for key, _ in got] == [key for key, _ in expected]
+    for (key, want), (_, have) in zip(expected, got):
+        try:
+            assert int(have) == int(want), key
+        except ValueError:
+            assert float(have) == pytest.approx(float(want), rel=1e-9), key

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 import lichtorus as lt
 from lichtorus import mountain
-from lichtorus.branch import build_subsolution, find_theta_star, newton_refine
+from lichtorus.branch import NewtonError, build_subsolution, find_theta_star, newton_refine
 from lichtorus.core import (
     ProblemSpec,
     critical_spec,
@@ -114,17 +116,19 @@ class TestMountainPass:
         # many sweeps; the search hands that maximum to Newton at the first
         # sweep that does not lower it
         spec, eta, u_low, u_high, ends = self._stage(unit_coeffs8, grid8)
+        seed = lt.constant_field(grid8, 0.9) + lt.cosine_field(grid8, 0.3, [1, 0, 0])
         maxima = []
         real = mountain._interpolate_path
 
-        def recording(*args):
-            path = real(*args)
+        def recording(spec, points, end_energies):
+            if not maxima:  # the first path runs through the seed
+                points = [points[0], seed, points[-1]]
+            path = real(spec, points, end_energies)
             maxima.append(max(path.energies))  # the first path, then one per sweep
             return path
 
         monkeypatch.setattr(mountain, "_interpolate_path", recording)
-        seed = lt.constant_field(grid8, 0.9) + lt.cosine_field(grid8, 0.3, [1, 0, 0])
-        v, _ = mountain_pass_solve(spec, u_low, u_high, *ends, eta=eta, path_seed=seed)
+        v, _ = mountain_pass_solve(spec, u_low, u_high, *ends, eta=eta)
 
         def lowers(best, level):
             return level < best - 1e-12 * max(1.0, abs(best))
@@ -201,6 +205,51 @@ class TestSphereBarrier:
         assert len(draws) == 1
 
 
+class TestContinuation:
+    STAGE2 = "eps=0.01, q=5.9375"
+
+    def _two_stages(self, coeffs):
+        return critical_limit(coeffs, 0.1, eps_schedule=[1e-2], q_schedule=[5.5, 5.9375])
+
+    def test_one_pass_search_per_run(self, unit_coeffs8, monkeypatch):
+        calls = []
+        for name in ("mountain_pass_solve", "minimize_in_ball", "build_far_endpoint"):
+            def counting(*args, _real=getattr(mountain, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(mountain, name, counting)
+        pair = critical_limit(unit_coeffs8, 0.1)
+        assert len(pair.pass_history) == 13
+        assert sorted(calls) == ["build_far_endpoint", "minimize_in_ball",
+                                 "mountain_pass_solve"]
+
+    def test_newton_failure_names_the_stage(self, unit_coeffs8, monkeypatch):
+        real = mountain.newton_refine
+
+        def failing(spec, u0):
+            if spec.q == 5.9375:
+                raise NewtonError("forced failure")
+            return real(spec, u0)
+
+        monkeypatch.setattr(mountain, "newton_refine", failing)
+        with pytest.raises(NewtonError, match=re.escape(f"({self.STAGE2}): forced failure")):
+            self._two_stages(unit_coeffs8)
+
+    def test_stage_point_below_the_barrier_raises(self, unit_coeffs8, grid8, monkeypatch):
+        # Newton at stage 2 lands on the lower solution, below the barrier
+        real = mountain.newton_refine
+
+        def to_lower(spec, u0):
+            if spec.q == 5.9375:
+                return real(spec, lt.constant_field(grid8, 0.5))
+            return real(spec, u0)
+
+        monkeypatch.setattr(mountain, "newton_refine", to_lower)
+        with pytest.raises(GeometryError,
+                           match=re.escape(f"at ({self.STAGE2}) fell below the barrier")):
+            self._two_stages(unit_coeffs8)
+
+
 @pytest.fixture(scope="module")
 def pair8():
     g = lt.build_grid(3, [8, 8, 8], [1.0, 1.0, 1.0])
@@ -263,6 +312,13 @@ class TestCriticalLimit:
         assert residual(spec, pair.second).sup_norm() <= 1e-10
         assert pair.separation >= 1e-3
         assert (pair.minimal.solution.values <= pair.second.values).all()
+
+    def test_sup_differences_follow_the_pass_family(self, nonconstant_pair8):
+        # successive sup differences of the continued pass points over the
+        # q ascent; they halve with 2* - q = 2^-m
+        _, pair = nonconstant_pair8
+        expected = [2.31e-3, 1.03e-3, 4.87e-4, 2.37e-4, 1.17e-4, 5.81e-5, 2.90e-5]
+        assert pair.sup_differences == pytest.approx(expected, rel=1e-2)
 
     def test_second_solution_is_the_upper_branch(self, nonconstant_pair8):
         # an oracle independent of the mountain pass: start the upper branch
