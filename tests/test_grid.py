@@ -13,7 +13,6 @@ from lichtorus import grid as grid_module
 from lichtorus.grid import (
     GridMismatchError,
     NonCoerciveOperatorError,
-    _fourier_multiply,
     gradient_energy,
     h1h_quadratic_form,
     h1h_quadratic_forms,
@@ -112,10 +111,12 @@ class TestLaplacian:
 
 @pytest.fixture
 def round_trips(monkeypatch):
-    """Counts forward transforms, one per round trip through Fourier space."""
+    """Counts grid.py's forward transforms, one per round trip through
+    Fourier space."""
     calls = []
-    rfftn = np.fft.rfftn
-    monkeypatch.setattr(np.fft, "rfftn", lambda *a, **k: calls.append(1) or rfftn(*a, **k))
+    forward = grid_module._to_fourier
+    monkeypatch.setattr(grid_module, "_to_fourier",
+                        lambda *a, **k: calls.append(1) or forward(*a, **k))
     return calls
 
 
@@ -212,24 +213,63 @@ def test_stacked_forms_are_bit_identical_to_one_field_forms(res):
 
 
 def test_transforms_only_in_grid():
-    # grid.py is the one spectral-operator layer: no other module reaches
-    # for a transform, and there is one way back from Fourier space
+    # grid.py is the one spectral-operator layer: no module calls an FFT,
+    # grid.py has one forward and one backward transform, and there is one
+    # way back from Fourier space
     package = Path(lt.__file__).parent
     sources = {p.name: p.read_text() for p in package.glob("*.py")}
-    users = sorted(name for name, text in sources.items()
-                   if re.search(r"\b(np|numpy|scipy)\.fft\b", text))
-    assert users == ["grid.py"]
-    calls = sum(len(re.findall(r"\.irfftn\(", text)) for text in sources.values())
-    assert calls == 1
+    assert not [name for name, text in sources.items() if re.search(r"\bfft\b", text)]
+    grid_text = sources.pop("grid.py")
+    assert re.findall(r"^def (_\w+_fourier)\(", grid_text, re.M) == ["_to_fourier", "_from_fourier"]
+    assert not [name for name, text in sources.items() if "_fourier" in text]
+    assert len(re.findall(r"\b_from_fourier\(", grid_text)) == 2  # its definition and one call
 
 
-def test_gradient_is_one_forward_transform_and_bit_identical(grid8, round_trips):
-    u = smooth_random_field(grid8, np.random.default_rng(29))
-    round_trips.clear()
-    parts = lt.gradient(u)
-    assert len(round_trips) == 1
-    for part, omega in zip(parts, grid8._wavenumbers):
-        assert np.array_equal(part.values, _fourier_multiply(grid8, u.values, 1j * omega))
+def _fft_reference(grid, values, shift):
+    """Delta u, (Delta + shift)^(-1) u and int |grad u|^2 through numpy's FFT,
+    each field alone, by the rfftn formulas the dense basis replaced."""
+    omegas = []
+    for axis, (n, length) in enumerate(zip(grid.resolutions, grid.periods)):
+        fftfreq = np.fft.rfftfreq if axis == grid.dim - 1 else np.fft.fftfreq
+        shape = [1] * grid.dim
+        shape[axis] = -1
+        omegas.append((2.0 * np.pi * fftfreq(n, d=length / n)).reshape(shape))
+    mult = sum(omega**2 for omega in omegas)
+    weights = np.full(grid.resolutions[-1] // 2 + 1, 2.0)
+    weights[[0, -1]] = 1.0
+    uhat = np.fft.rfftn(values)
+    back = lambda vhat: np.fft.irfftn(vhat, s=grid.resolutions, axes=grid.field_axes)
+    energy = np.sum(mult * weights * np.abs(uhat) ** 2) * grid.cell_volume / grid.npoints
+    return back(mult * uhat), back(uhat / (mult + shift)), energy
+
+
+@pytest.mark.parametrize("res, periods", [
+    ([16] * 3, [1.0] * 3), ([12] * 4, [1.0] * 4), ([6] * 5, [1.0] * 5),
+    ([6, 8, 10, 12], [1.0, 2.0, 0.5, 3.0])], ids=["16^3", "12^4", "6^5", "mixed"])
+def test_dense_basis_matches_the_fft(res, periods):
+    g = lt.build_grid(len(res), res, periods)
+    rng = np.random.default_rng(37)
+    values = rng.standard_normal((3, *g.resolutions))  # white noise: every mode, Nyquist too
+    _, inverse = helmholtz_operator(g, 0.0, 2.5)
+    energies = gradient_energy(g, values)
+    for u, energy in zip(values, energies):
+        lap, inv, ref_energy = _fft_reference(g, u, 2.5)
+        assert np.abs(lt.laplacian(lt.ScalarField(g, u)).values - lap).max() <= 1e-12 * np.abs(lap).max()
+        assert np.abs(inverse(u) - inv).max() <= 1e-12 * np.abs(inv).max()
+        assert energy == pytest.approx(ref_energy, rel=1e-12)
+
+
+def test_gradient_is_permutation_equivariant(grid8):
+    # the Nyquist mode cos(pi N x) has derivative zero at every grid point,
+    # along whichever axis it lies
+    u = lt.cosine_field(grid8, 1.0, [4, 0, 1])
+    swapped = lt.ScalarField(grid8, np.swapaxes(u.values, 0, 2))
+    parts, swapped_parts = lt.gradient(u), lt.gradient(swapped)
+    assert parts[0].sup_norm() < 1e-12
+    for axis, other in enumerate([2, 1, 0]):
+        assert np.allclose(np.swapaxes(swapped_parts[other].values, 0, 2), parts[axis].values,
+                           rtol=0.0, atol=1e-12)
+    assert parts[2].sup_norm() == pytest.approx(2 * np.pi, rel=1e-12)
 
 
 def test_cosine_field_is_bit_identical_to_the_meshgrid_form():
