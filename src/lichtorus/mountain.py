@@ -15,6 +15,7 @@ from the embedding-constant estimate.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -58,7 +59,7 @@ DESCENT_MAX_ITERS = 5000
 NEWTON_TRIGGER = 1e-3       # ball descent hands over to Newton below this norm
 PATH_SIZE = 33              # points of the discrete mountain-pass path
 SPHERE_SAMPLES = 64
-BARRIER_CHUNK = 16          # sphere samples per stacked transform
+BARRIER_CHUNK = 16          # fields per stacked transform: sphere samples, path points
 ETA_MARGIN = 0.01           # relative safety margin of the sampled barrier
 BLOWUP_FACTOR = 100.0       # family sup over max(1, minimal sup) read as blow-up
 
@@ -81,11 +82,12 @@ class BlowupDetectedError(Blowup):
 
 @dataclass
 class PathState:
-    """Ordered fields from u_low to u_high with their energies; spacing is
-    the H1_h arclength per segment of the path they were re-equispaced from."""
+    """Ordered fields from u_low to u_high, the rows of one stack, with their
+    energies; spacing is the H1_h arclength per segment of the path they
+    were re-equispaced from."""
 
-    points: list[ScalarField]
-    energies: list[float]
+    points: NDArray
+    energies: NDArray
     spacing: float
 
     @property
@@ -215,7 +217,13 @@ def minimize_in_ball(spec: ProblemSpec, center: ScalarField, radius: float,
 def _sphere_samples(h: ScalarField, center: ScalarField, radius: float,
                     rng: np.random.Generator) -> NDArray:
     """SPHERE_SAMPLES positive-biased fields on the H1_h sphere around
-    center, stacked as the rows of one array."""
+    center, stacked as the rows of one array.
+
+    A random term amp * cos(2 pi k.x / L + phase) is the real part of
+    amp e^(i phase) times the outer product of the per-axis waves
+    e^(2 pi i k_j x_j / L_j), tabulated once for k_j = -2..2, so a term
+    costs one outer product instead of a cosine per grid point.
+    """
     grid = h.grid
     samples = np.empty((SPHERE_SAMPLES, *grid.resolutions))
     samples[0] = 1.0
@@ -224,6 +232,8 @@ def _sphere_samples(h: ScalarField, center: ScalarField, radius: float,
         wv = [0] * grid.dim
         wv[axis] = 1
         samples[2 + axis] = 1.0 + cosine_values(grid, 0.5, wv)
+    waves = [np.exp(2j * np.pi * np.outer(np.arange(-2, 3), x / length))
+             for x, length in zip(grid.axes, grid.periods)]
     row = 2 + grid.dim
     while row < SPHERE_SAMPLES:
         raw = samples[row]
@@ -234,7 +244,9 @@ def _sphere_samples(h: ScalarField, center: ScalarField, radius: float,
                 continue
             amp = float(rng.uniform(-0.5, 0.5))
             phase = float(rng.uniform(0, 2 * np.pi))
-            raw += cosine_values(grid, amp, wv, phase)
+            factors = [wave[k + 2] for wave, k in zip(waves, wv)]
+            factors[0] = amp * np.exp(1j * phase) * factors[0]
+            raw += functools.reduce(np.multiply.outer, factors).real
         if np.abs(raw).max() > 0:  # a zero draw is drawn again
             row += 1
     for block in _chunks(samples):
@@ -266,35 +278,44 @@ def sphere_barrier(specs: list[ProblemSpec], center: ScalarField, radius: float,
         forms = h1h_quadratic_forms(block, h)
         admissible = block.min(axis=h.grid.field_axes) > 1e-10
         for i, spec in enumerate(specs):
-            rows = admissible if spec.epsilon <= 0 else np.full(len(block), True)
-            if rows.any():
-                best[i] = min(best[i], energies(spec, block[rows], forms[rows]).min())
+            if spec.epsilon > 0 or admissible.all():
+                rows, row_forms = block, forms
+            elif admissible.any():
+                rows, row_forms = block[admissible], forms[admissible]
+            else:
+                continue
+            best[i] = min(best[i], energies(spec, rows, row_forms).min())
     if not np.isfinite(best).all():
         raise GeometryError("no admissible sphere sample; cannot estimate the barrier")
     return [float(b - ETA_MARGIN * abs(b)) for b in best]
 
 
-def _interpolate_path(spec: ProblemSpec, points: list[ScalarField],
+def _interpolate_path(spec: ProblemSpec, points: NDArray,
                       end_energies: tuple[float, float]) -> PathState:
-    """Re-equispace a polygonal path in H1_h arclength into PATH_SIZE points;
-    the endpoints stay fixed and keep their energies end_energies."""
+    """Re-equispace the polygonal path through the rows of the stack points
+    in H1_h arclength into PATH_SIZE points; the endpoints stay fixed and
+    keep their energies end_energies.  Segment norms and interior energies
+    are stacked calls over BARRIER_CHUNK rows at a time."""
     h = spec.coefficients.h
-    seg = [h1h_norm(b - a, h) for a, b in zip(points, points[1:])]
+    seg = np.concatenate([h1h_norms(np.diff(points[i:i + BARRIER_CHUNK + 1], axis=0), h)
+                          for i in range(0, len(points) - 1, BARRIER_CHUNK)])
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = cum[-1]
     if total == 0:
         raise PathCollapseError("path endpoints coincide")
     targets = np.linspace(0.0, total, PATH_SIZE)
-    out = [points[0]]
+    out = np.empty((PATH_SIZE, *points.shape[1:]))
+    out[0], out[-1] = points[0], points[-1]
     j = 0
-    for t in targets[1:-1]:
+    for row, t in enumerate(targets[1:-1], start=1):
         while j < len(seg) - 1 and cum[j + 1] < t:
             j += 1
         frac = (t - cum[j]) / seg[j] if seg[j] > 0 else 0.0
-        out.append(points[j] + frac * (points[j + 1] - points[j]))
-    out.append(points[-1])
-    energies = [end_energies[0], *(energy(spec, p) for p in out[1:-1]), end_energies[1]]
-    return PathState(points=out, energies=energies, spacing=total / (PATH_SIZE - 1))
+        out[row] = points[j] + (points[j + 1] - points[j]) * frac
+    interior = [energies(spec, block) for block in _chunks(out[1:-1])]
+    return PathState(points=out,
+                     energies=np.concatenate([[end_energies[0]], *interior, [end_energies[1]]]),
+                     spacing=total / (PATH_SIZE - 1))
 
 
 def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarField,
@@ -314,19 +335,19 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
         )
 
     ends = (e_low, e_high)
-    path = _interpolate_path(spec, [u_low, u_high], ends)
+    path = _interpolate_path(spec, np.stack([u_low.values, u_high.values]), ends)
 
     # The max point's move is capped at one segment arclength per sweep so
     # the polygon never tears; re-equispacing keeps the discretization
     # uniform, pinning the maximum at the ridge.  The first sweep that does
     # not lower the path maximum marks the lattice-resolution plateau, and
     # Newton takes that maximum to the saddle.
-    best_max = max(path.energies)
+    best_max = path.energies.max()
     for _ in range(MAX_SWEEPS):
         i = path.max_index
         if i == 0 or i == PATH_SIZE - 1:
             raise PathCollapseError("maximum-energy point reached an endpoint")
-        u = path.points[i]
+        u = ScalarField(spec.grid, path.points[i])
         g = energy_gradient(spec, u)
         d = -1.0 * helmholtz_solve(h, g)
         gn = h1h_norm(d, h)
@@ -338,21 +359,21 @@ def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarFie
             cand = u + s * d
             e_cand = energy(spec, cand)
             if e_cand < e_u - 1e-4 * s * gn**2:
-                path.points[i], path.energies[i] = cand, e_cand
+                path.points[i], path.energies[i] = cand.values, e_cand
                 break
             s *= 0.5
         else:
             raise DescentStallError(
                 f"pass-point descent stalled at gradient norm {gn:.3e}")
         path = _interpolate_path(spec, path.points, ends)
-        cur_max = max(path.energies)
+        cur_max = path.energies.max()
         if cur_max >= best_max - 1e-12 * max(1.0, abs(best_max)):
             break
         best_max = cur_max
     else:
         raise DescentStallError(f"no pass point within {MAX_SWEEPS} sweeps")
 
-    return _pass_point(spec, path.points[path.max_index], eta)
+    return _pass_point(spec, ScalarField(spec.grid, path.points[path.max_index]), eta)
 
 
 def _pass_point(spec: ProblemSpec, start: ScalarField, eta: float):

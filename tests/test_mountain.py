@@ -122,7 +122,7 @@ class TestMountainPass:
 
         def recording(spec, points, end_energies):
             if not maxima:  # the first path runs through the seed
-                points = [points[0], seed, points[-1]]
+                points = np.stack([points[0], seed.values, points[-1]])
             path = real(spec, points, end_energies)
             maxima.append(max(path.energies))  # the first path, then one per sweep
             return path
@@ -138,6 +138,40 @@ class TestMountainPass:
         assert not lowers(maxima[-2], maxima[-1])
         oracle = regularized_constant_root(0.1, 5.5, 1e-2, branch="unstable")
         assert abs(v.values - oracle).max() <= 1e-8
+
+    def test_re_equispacing_makes_stacked_calls_only(self, unit_coeffs8, grid8,
+                                                      monkeypatch):
+        # segment norms and interior energies come from stacked calls of at
+        # most BARRIER_CHUNK rows: no per-field norm or energy
+        spec, eta, u_low, u_high, ends = self._stage(unit_coeffs8, grid8)
+        made = []  # the names each re-equispacing called
+        inside = [False]
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                if inside[0]:
+                    made[-1].append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("energy", "energies", "h1h_norm"):
+            monkeypatch.setattr(mountain, name, counting(name, getattr(mountain, name)))
+        real = mountain._interpolate_path
+
+        def recording(*args):
+            made.append([])
+            inside[0] = True
+            try:
+                return real(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(mountain, "_interpolate_path", recording)
+        mountain_pass_solve(spec, u_low, u_high, *ends, eta=eta)
+        assert len(made) >= 2
+        for names in made:
+            assert "energy" not in names and "h1h_norm" not in names
+            assert names.count("energies") <= 2
 
     def test_endpoints_must_be_below_barrier(self, unit_coeffs8, grid8):
         spec, eta, u_low, u_high, ends = self._stage(unit_coeffs8, grid8)
@@ -165,6 +199,78 @@ class TestMountainPass:
         assert c_level > e_low
 
 
+def per_field_path(spec, points, end_energies):
+    """The path re-equispaced one ScalarField at a time: the reference for
+    the stacked _interpolate_path."""
+    h = spec.coefficients.h
+    seg = [lt.h1h_norm(b - a, h) for a, b in zip(points, points[1:])]
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    targets = np.linspace(0.0, cum[-1], mountain.PATH_SIZE)
+    out = [points[0]]
+    j = 0
+    for t in targets[1:-1]:
+        while j < len(seg) - 1 and cum[j + 1] < t:
+            j += 1
+        frac = (t - cum[j]) / seg[j] if seg[j] > 0 else 0.0
+        out.append(points[j] + frac * (points[j + 1] - points[j]))
+    out.append(points[-1])
+    energies = [end_energies[0], *(energy(spec, p) for p in out[1:-1]), end_energies[1]]
+    return out, energies, cum[-1] / (mountain.PATH_SIZE - 1)
+
+
+class TestStackedPath:
+    def _assert_matches_per_field(self, spec, fields, ends):
+        path = mountain._interpolate_path(spec, np.stack([p.values for p in fields]), ends)
+        points, energies, spacing = per_field_path(spec, fields, ends)
+        assert np.array_equal(path.points, np.stack([p.values for p in points]))
+        assert np.array_equal(path.energies, energies)
+        assert path.spacing == spacing
+        return path
+
+    def test_bit_identical_to_one_field_at_a_time(self, grid8):
+        one = lt.constant_field(grid8, 1.0)
+        h = one + lt.cosine_field(grid8, 0.3, [0, 0, 1])
+        spec = ProblemSpec(lt.Coefficients(h, one, one), 5.5, theta=0.1, epsilon=1e-2)
+        u_low, u_high = lt.constant_field(grid8, 0.3), lt.constant_field(grid8, 3.0)
+        seed = lt.constant_field(grid8, 0.9) + lt.cosine_field(grid8, 0.3, [1, 0, 0])
+        ends = (energy(spec, u_low), energy(spec, u_high))
+        path = self._assert_matches_per_field(spec, [u_low, seed, u_high], ends)
+        # a 33-point path with a moved vertex past the first chunk of 16 rows
+        moved = path.points.copy()
+        moved[20] += lt.cosine_field(grid8, 0.2, [0, 1, 1]).values
+        self._assert_matches_per_field(spec, [lt.ScalarField(grid8, p) for p in moved],
+                                       ends)
+
+
+def cosine_samples(h, center, radius, rng):
+    """The sphere samples with one full-grid cosine per random term: the
+    reference for _sphere_samples."""
+    grid = h.grid
+    samples = np.empty((mountain.SPHERE_SAMPLES, *grid.resolutions))
+    samples[0] = 1.0
+    samples[1] = -1.0
+    for axis in range(grid.dim):
+        wv = [0] * grid.dim
+        wv[axis] = 1
+        samples[2 + axis] = 1.0 + lt.cosine_field(grid, 0.5, wv).values
+    row = 2 + grid.dim
+    while row < mountain.SPHERE_SAMPLES:
+        raw = samples[row]
+        raw[...] = float(rng.uniform(0.3, 1.0))
+        for _ in range(rng.integers(1, 4)):
+            wv = [int(k) for k in rng.integers(-2, 3, size=grid.dim)]
+            if all(k == 0 for k in wv):
+                continue
+            amp = float(rng.uniform(-0.5, 0.5))
+            phase = float(rng.uniform(0, 2 * np.pi))
+            raw += lt.cosine_field(grid, amp, wv, phase).values
+        if np.abs(raw).max() > 0:
+            row += 1
+    for row in samples:
+        row *= radius / lt.h1h_norm(lt.ScalarField(grid, row), h)
+    return samples + center.values
+
+
 class TestSphereBarrier:
     def _coeffs(self, grid8):
         one = lt.constant_field(grid8, 1.0)
@@ -182,6 +288,18 @@ class TestSphereBarrier:
             best = min(energy(spec, lt.ScalarField(grid8, s)) for s in samples
                        if spec.epsilon > 0 or s.min() > 1e-10)
             assert eta == best - mountain.ETA_MARGIN * abs(best)
+
+    @pytest.mark.parametrize("dim, n", [(3, 8), (4, 6), (5, 6)])
+    def test_samples_match_one_cosine_per_term(self, dim, n):
+        grid = lt.build_grid(dim, [n] * dim, [1.0] * dim)
+        h = lt.constant_field(grid, 1.0) + lt.cosine_field(grid, 0.3, [1] + [0] * (dim - 1))
+        center = lt.constant_field(grid, 0.5)
+        rng, reference_rng = np.random.default_rng(7), np.random.default_rng(7)
+        samples = mountain._sphere_samples(h, center, 1.0, rng)
+        reference = cosine_samples(h, center, 1.0, reference_rng)
+        assert rng.random() == reference_rng.random()
+        assert np.array_equal(samples[:dim + 2], reference[:dim + 2])
+        assert np.abs(samples - reference).max() <= 1e-14
 
     def test_no_admissible_sample(self, grid8):
         # at epsilon = 0 every sample around a center of -10 is negative
