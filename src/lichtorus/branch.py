@@ -122,7 +122,6 @@ class FoldResult:
     theta_star: float
     bracket: tuple[float, float]
     last_branch_point: BranchPoint
-    bisection_steps: int
     refinement_steps: int
 
 
@@ -543,8 +542,8 @@ def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
 
     Doubling brackets the fold on the existence dichotomy; Newton on the
     extended system then locates it from the last converged point, certified
-    by one solution below it and one diverging probe above it.  Bisection to
-    bracket width tol is the fallback when that Newton fails.
+    by one solution below it and one diverging probe above it.  A failed
+    Newton or certificate raises its SolverFailure.
     """
     if theta_hint <= 0:
         raise ValueError("theta_hint must be positive")
@@ -560,7 +559,7 @@ def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
             break
     else:
         raise NoSolutionError(f"no solution even at theta = {tol}")
-    sol, iters_lo = out.solution, out.iterations
+    sol = out.solution
 
     # Phase B: bracket from above by doubling.
     for _ in range(60):
@@ -568,31 +567,13 @@ def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
             out = _existence_solve(coeffs, 2.0 * theta_lo, sol)
         except NoSolutionError:
             break
-        theta_lo, sol, iters_lo = 2.0 * theta_lo, out.solution, out.iterations
+        theta_lo, sol = 2.0 * theta_lo, out.solution
     else:
         raise BracketError("no fold found within the doubling cap; is f <= 0 somewhere?")
-    theta_hi = 2.0 * theta_lo
 
-    # Phase C: Newton on the extended system, or bisection when it fails.
-    bisection_steps = refine_steps = 0
-    try:
-        theta_star, point, theta_hi, refine_steps = _fold_newton(coeffs, sol, theta_lo, tol)
-    except (NewtonError, EigenSolverError) as exc:
-        log.info("extended Newton failed (%s); bisecting", exc)
-        while theta_hi - theta_lo > tol:
-            mid = 0.5 * (theta_lo + theta_hi)
-            bisection_steps += 1
-            try:
-                out = _existence_solve(coeffs, mid, sol)
-            except NoSolutionError:
-                theta_hi = mid
-            else:
-                theta_lo, sol, iters_lo = mid, out.solution, out.iterations
-        point = _branch_point(critical_spec(coeffs, theta_lo), sol, iters_lo)
-        theta_star = 0.5 * (theta_lo + theta_hi)
-
+    # Phase C: Newton on the extended system.
+    theta_star, point, theta_hi, refine_steps = _fold_newton(coeffs, sol, theta_lo, tol)
     log.info("fold: theta_star=%.12f bracket=(%.12f, %.12f) lambda=%.3e",
              theta_star, point.theta, theta_hi, point.lam)
     return FoldResult(theta_star=float(theta_star), bracket=(point.theta, theta_hi),
-                      last_branch_point=point, bisection_steps=bisection_steps,
-                      refinement_steps=refine_steps)
+                      last_branch_point=point, refinement_steps=refine_steps)

@@ -128,7 +128,6 @@ def _run_fold(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
         "theta_star": fold.theta_star,
         "bracket_lo": fold.bracket[0], "bracket_hi": fold.bracket[1],
         "lambda_last": fold.last_branch_point.lam,
-        "bisection_steps": fold.bisection_steps,
         "refinement_steps": fold.refinement_steps,
     })
     writer.write_csv("branch.csv", BRANCH_HEADER, _branch_rows([fold.last_branch_point]))

@@ -393,10 +393,12 @@ def _pcg(rest, apply_m, b: NDArray, tol: float, max_iter: int) -> tuple[NDArray,
     r = -rest(x)
     p = q = np.zeros_like(b)
     rz = np.inf  # the first direction is z itself
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         rnorm = float(np.linalg.norm(r))
         if rnorm <= tol * bnorm:
             return x, it
+        if it == max_iter:
+            break
         z = apply_m(r)
         rz_new = float(np.vdot(r, z))
         beta = rz_new / rz

@@ -331,7 +331,7 @@ class TestFoldLocation:
         one = lt.constant_field(g, 1.0)
         fold = find_theta_star(lt.Coefficients(one, one, one), theta_hint=hint, tol=1e-4)
         assert abs(fold.theta_star - exact) <= 1e-12
-        assert fold.bisection_steps == 0 and fold.refinement_steps > 0
+        assert fold.refinement_steps > 0
 
     def test_one_probe_past_the_fold(self, unit_coeffs8, monkeypatch):
         # one converged and one diverged doubling probe, then the one
@@ -370,22 +370,19 @@ class TestFoldLocation:
         a = one + 0.3 * lt.cosine_field(grid8, 1.0, [0, 1, 0])
         fold = find_theta_star(lt.Coefficients(one, f, a), 0.05, 1e-4)
         lo, hi = fold.bracket
-        assert fold.bisection_steps == 0
         assert 0.0 <= fold.last_branch_point.lam <= 1e-4
         assert lo < fold.theta_star <= hi
         assert fold.theta_star == pytest.approx(0.298597, abs=1e-6)
 
-    def test_bisection_fallback(self, unit_coeffs8, monkeypatch):
+    def test_extended_newton_failure_propagates(self, unit_coeffs8, monkeypatch):
+        # the extended Newton is the one way a fold search ends, so its
+        # failure ends the search
         def failing(*args):
             raise NewtonError("forced failure of the extended Newton")
 
         monkeypatch.setattr(branch, "_fold_newton", failing)
-        fold = find_theta_star(unit_coeffs8, theta_hint=0.1, tol=1e-4)
-        lo, hi = fold.bracket
-        assert lo < fold.theta_star <= hi
-        assert hi - lo <= 1e-4
-        assert lo < 4.0 / 27.0 <= hi
-        assert fold.bisection_steps > 0 and fold.refinement_steps == 0
+        with pytest.raises(NewtonError, match="forced failure"):
+            find_theta_star(unit_coeffs8, theta_hint=0.1, tol=1e-4)
 
     def test_no_solution_error(self, grid8):
         # f so large that no positive solution exists at any probed theta

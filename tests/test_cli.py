@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import lichtorus
-from lichtorus import cli
+from lichtorus import branch, cli
 from lichtorus.cli import main, verify_manifest
 
 
@@ -189,6 +189,40 @@ def test_mountain_pass_variable_h_minimal_field(tmp_path, monkeypatch):
     assert radii == [mountain.certificate_theta1(coeffs).t0]
     written = (tmp_path / "out" / "minimal.field").read_bytes()
     assert written == field_to_bytes(pairs[0].minimal.solution)
+
+
+def test_fold_without_solution_exit_code(tmp_path, capsys):
+    # f so large that Phase A halves theta below fold_tol without a solution
+    out = str(tmp_path / "out")
+    cfg = base_config("fold", out, theta_hint=0.1)
+    cfg["coefficients"]["f"] = {"constant": 1e12}
+    cfg["solver"] = {"fold_tol": 1e-3}
+    cfgp = write_config(tmp_path, cfg)
+    assert main(["fold", "--config", cfgp]) == 3
+    assert "solver failure: no solution even at theta = 0.001" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["status"] == "failed"
+    assert report["error_class"] == "NoSolutionError"
+    assert report["exit_code"] == 3
+    assert report["files"] == []
+    assert not os.path.exists(os.path.join(out, "solution.field"))
+    assert not os.path.exists(os.path.join(out, "branch.csv"))
+
+
+def test_fold_newton_failure_exit_code(tmp_path, monkeypatch):
+    # a failed extended Newton ends the fold run; no other answer is written
+    def failing(*args):
+        raise branch.NewtonError("forced failure of the extended Newton")
+
+    monkeypatch.setattr(branch, "_fold_newton", failing)
+    out = str(tmp_path / "out")
+    cfgp = write_config(tmp_path, base_config("fold", out, theta_hint=0.1))
+    assert main(["fold", "--config", cfgp]) == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["status"] == "failed"
+    assert report["error_class"] == "NewtonError"
+    assert report["exit_code"] == 3
+    assert report["files"] == []
 
 
 def test_config_error_exit_code(tmp_path):

@@ -12,6 +12,7 @@ from lichtorus import branch
 from lichtorus import grid as grid_module
 from lichtorus.grid import (
     GridMismatchError,
+    KrylovError,
     NonCoerciveOperatorError,
     gradient_energy,
     h1h_quadratic_form,
@@ -348,6 +349,23 @@ class TestKrylov:
         assert counts["own"] == counts["scipy"] > 5
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
         assert np.linalg.norm(full(x) - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+    def test_pcg_tests_the_residual_of_its_last_iteration(self, grid8):
+        # this solve converges after 4 updates: a cap of 4 accepts it, and a
+        # cap of 3 reports the residual after the third update, which is the
+        # residual of the solve stopped there by tolerance
+        one = lt.constant_field(grid8, 1.0)
+        c = one + 0.5 * lt.cosine_field(grid8, 1.0, [1, 0, 0])
+        rhs = one + lt.cosine_field(grid8, 1.0, [0, 1, 1])
+        capped = lt.helmholtz_solve(c, rhs, tol=1e-10, max_iter=4)
+        assert np.array_equal(capped.values, lt.helmholtz_solve(c, rhs, tol=1e-10).values)
+        third = lt.helmholtz_solve(c, rhs, tol=1e-7)
+        rel = np.linalg.norm((lt.laplacian(third) + c * third - rhs).values) \
+            / np.linalg.norm(rhs.values)
+        with pytest.raises(KrylovError, match="after 3 iterations") as err:
+            lt.helmholtz_solve(c, rhs, tol=1e-10, max_iter=3)
+        reported = float(re.search(r"residual (\S+) after", str(err.value)).group(1))
+        assert reported == pytest.approx(rel, rel=1e-3)
 
     def test_pcg_makes_one_round_trip_per_iteration(self, grid8, monkeypatch, round_trips):
         iterations = []

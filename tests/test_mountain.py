@@ -180,6 +180,20 @@ class TestMountainPass:
             mountain_pass_solve(spec, bad_low, u_high, energy(spec, bad_low), ends[1],
                                 eta=eta)
 
+    def test_far_endpoint_for_sign_changing_f(self, grid8):
+        # f < 0 on a slab: the endpoint's profile is not constant but peaks
+        # where f does, and it still leaves the ball below the barrier
+        one = lt.constant_field(grid8, 1.0)
+        f = 0.6 * one + 1.3 * lt.cosine_field(grid8, 1.0, [1, 0, 0])
+        spec = ProblemSpec(lt.Coefficients(one, f, one), 5.5, theta=0.1, epsilon=1e-2)
+        center = lt.constant_field(grid8, 0.0)
+        eta, = sphere_barrier([spec], center, 1.0, np.random.default_rng(0))
+        u_high, e_high = build_far_endpoint(spec, eta, 1.0, center)
+        assert e_high == energy(spec, u_high) < eta
+        assert lt.h1h_norm(u_high - center, one) > 1.0
+        assert 0.0 < u_high.min() < u_high.max()
+        assert np.argmax(u_high.values) == np.argmax(f.values)
+
     def test_theta_zero_pass_point_is_solution_above_minimum(self, grid8):
         # no a-term: the pass point solves the regularized equation and its
         # energy dominates the ball minimum's
