@@ -144,7 +144,7 @@ def build_subsolution(spec: ProblemSpec) -> Subsolution:
 
     k0 = max(0.0, 1.0 - coeffs.h.min())
     bigh = coeffs.h + k0
-    f_minus = ScalarField(grid, np.maximum(-coeffs.f.values, 0.0))
+    f_minus = ScalarField._own(grid, np.maximum(-coeffs.f.values, 0.0))
 
     delta = 1.0
     psi = None
@@ -206,17 +206,18 @@ def build_subsolution(spec: ProblemSpec) -> Subsolution:
     return Subsolution(field=w, delta=delta, scale=float(best), shift_k=k0)
 
 
-def _solve_symmetric(w: ScalarField, rhs: ScalarField,
-                     border: ScalarField | None = None) -> tuple[ScalarField, float]:
-    """Solve (Delta + W) x = rhs for symmetric, possibly indefinite W via MINRES.
+def _symmetric_solver(w: ScalarField, border: ScalarField | None = None):
+    """The map rhs -> (x, s) that solves (Delta + W) x = rhs for symmetric,
+    possibly indefinite W via MINRES, with the operator set up once.
 
     With a border b it solves [[Delta + W, b], [b^T, 0]] [x; s] = [rhs; 0],
-    symmetric too and regular at a simple fold, instead.  Returns (x, s),
-    s = 0 without a border.  The preconditioner is M = diag((Delta + shift)^-1, 1),
-    and MINRES sees the operator as M^-1 plus the pointwise-and-border
+    symmetric too and regular at a simple fold, instead; s = 0 without a
+    border.  The preconditioner is M = diag((Delta + shift)^-1, 1), and
+    MINRES sees the operator as M^-1 plus the pointwise-and-border
     E = [[W - shift, b], [b^T, -1]], so each iteration costs one transform
     round trip; the true-residual check after the solve is the one full
-    application of the operator.
+    application of the operator.  The bordered vectors live in the grid's
+    scratch, so a solve allocates only x.
     """
     grid = w.grid
     shape, n = grid.resolutions, grid.npoints
@@ -225,25 +226,53 @@ def _solve_symmetric(w: ScalarField, rhs: ScalarField,
     b = np.zeros((0, n)) if border is None else border.values.reshape(1, n)
     dw = (w.values - shift).ravel()
 
-    def matvec(x):
-        return np.concatenate([apply(x[:n].reshape(shape)).ravel() + x[n:] @ b, b @ x[:n]])
+    def solve(rhs: ScalarField) -> tuple[ScalarField, float]:
+        *work, rhs_vec, column = grid._scratch(9, len(b))
+        column = column[:n]
 
-    def rest(x):
-        return np.concatenate([dw * x[:n] + x[n:] @ b, b @ x[:n] - x[n:]])
+        def add_column(x, head):
+            # head += x[n:] @ b, formed as numpy's matmul forms it, 0 + x[n] b,
+            # which maps a product -0 to +0; the matmul itself runs a slow loop
+            if border is None:
+                head += 0.0
+            else:
+                head += np.add(np.multiply(b[0], x[n], out=column), 0.0, out=column)
 
-    def pre(x):
-        return np.concatenate([precondition(x[:n].reshape(shape)).ravel(), x[n:]])
+        def rest(x, out):
+            np.multiply(dw, x[:n], out=out[:n])
+            add_column(x, out[:n])
+            np.subtract(np.matmul(b, x[:n], out=out[n:]), x[n:], out=out[n:])
+            return out
 
-    rhs_vec = np.concatenate([rhs.values.ravel(), np.zeros(len(b))])
-    x, info = minres(rest, pre, rhs_vec, rtol=1e-12, maxiter=3000)
-    resid = np.linalg.norm(matvec(x) - rhs_vec)
-    bn = np.linalg.norm(rhs_vec)
-    if info != 0 or (bn > 0 and resid > 1e-6 * bn):
-        raise NewtonError(
-            f"linearized solve failed (minres info={info}, rel residual={resid / max(bn, 1e-300):.3e}); "
-            "Jacobian singular or nearly so"
-        )
-    return ScalarField(grid, x[:n].reshape(shape)), float(x[n:].sum())
+        def pre(x, out):
+            precondition(x[:n].reshape(shape), out[:n].reshape(shape))
+            out[n:] = x[n:]
+            return out
+
+        rhs_vec[:n] = rhs.values.ravel()
+        rhs_vec[n:] = 0.0
+        x, info = minres(rest, pre, rhs_vec, rtol=1e-12, maxiter=3000, work=work)
+        check = work[0]  # A x - rhs, in a vector the solve has released
+        apply(x[:n].reshape(shape), check[:n].reshape(shape))
+        add_column(x, check[:n])
+        np.matmul(b, x[:n], out=check[n:])
+        check -= rhs_vec
+        resid = np.linalg.norm(check)
+        bn = np.linalg.norm(rhs_vec)
+        if info != 0 or (bn > 0 and resid > 1e-6 * bn):
+            raise NewtonError(
+                f"linearized solve failed (minres info={info}, "
+                f"rel residual={resid / max(bn, 1e-300):.3e}); Jacobian singular or nearly so"
+            )
+        return ScalarField._own(grid, x[:n].reshape(shape)), float(x[n:].sum())
+
+    return solve
+
+
+def _solve_symmetric(w: ScalarField, rhs: ScalarField,
+                     border: ScalarField | None = None) -> tuple[ScalarField, float]:
+    """One solve of _symmetric_solver(w, border): (x, s)."""
+    return _symmetric_solver(w, border)(rhs)
 
 
 def newton_refine(spec: ProblemSpec, u0: ScalarField) -> ScalarField:
@@ -305,10 +334,15 @@ def _bound_constant(spec: ProblemSpec, floor: float, sup: float) -> float:
     c = spec.coefficients
     q = spec.q
     f = c.f.values
+    bound, term = (v.reshape(f.shape) for v in spec.grid._scratch(2))
     # the f term at its worst end: floor where f >= 0, sup where f < 0
-    f_term = (q - 1.0) * np.minimum(f * floor ** (q - 2.0), f * sup ** (q - 2.0))
-    bound = (c.h.values - f_term
-             + (q + 1.0) * spec.theta * c.a.values * floor ** (-(q + 2.0)))
+    np.minimum(np.multiply(f, floor ** (q - 2.0), out=bound),
+               np.multiply(f, sup ** (q - 2.0), out=term), out=bound)
+    bound *= q - 1.0
+    np.subtract(c.h.values, bound, out=bound)
+    np.multiply((q + 1.0) * spec.theta, c.a.values, out=term)
+    term *= floor ** (-(q + 2.0))
+    bound += term
     return max(float(bound.max()), K_MIN)
 
 
@@ -346,20 +380,27 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField) -> Mon
     trigger = NEWTON_TRIGGER
     step = np.inf
 
+    theta_a = spec.theta * c.a.values
     for it in range(1, MAX_PICARD_ITERS + 1):
         # iterates are nondecreasing, so the current min floors this step's
         # comparison range; the 1.3x sup headroom matters only where f < 0
         k = _bound_constant(spec, v.min(), 1.3 * v.max())
         vv = v.values
-        f_of_v = (c.f.values * vv ** (q - 1.0)
-                  + spec.theta * c.a.values * vv ** (-(q + 1.0))
-                  - c.h.values * vv)
-        rhs = ScalarField(v.grid, f_of_v + k * vv)
+        # F(v) + K v = f v^(q-1) + theta a v^(-(q+1)) - h v + K v, in scratch
+        f_of_v, term = (x.reshape(vv.shape) for x in v.grid._scratch(2))
+        np.power(vv, q - 1.0, out=f_of_v)
+        f_of_v *= c.f.values
+        np.power(vv, -(q + 1.0), out=term)
+        term *= theta_a
+        f_of_v += term
+        f_of_v -= np.multiply(c.h.values, vv, out=term)
+        rhs = ScalarField._own(v.grid, f_of_v + np.multiply(k, vv, out=term))
         v_new = helmholtz_solve(k, rhs)
 
         # spectral roundoff is global, so the comparison noise floor scales
         # with the field sup; normalize before checking the 1e-12 discipline
-        violation = float((v.values - v_new.values).max()) / max(1.0, v.max())
+        drop = np.subtract(v.values, v_new.values, out=term)
+        violation = float(drop.max()) / max(1.0, v.max())
         if violation > MONOTONICITY_TOL:
             # blow-up concentrates the iterate beyond what the grid resolves,
             # and spectral ringing then breaks pointwise monotonicity; under
@@ -375,7 +416,7 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField) -> Mon
                 f"at step {it} (K = {k:.3e})"
             )
         max_violation = max(max_violation, violation)
-        step = float(np.abs(v_new.values - v.values).max())
+        step = float(np.abs(drop, out=drop).max())  # |v_new - v|, exactly
         v = v_new
         sup = v.max()
         sup_history.append(sup)
@@ -487,9 +528,10 @@ def _fold_newton(coeffs: Coefficients, sol: ScalarField, theta: float,
     for steps in range(NEWTON_MAX_STEPS + 1):
         spec = critical_spec(coeffs, theta)
         w = linearized_potential(spec, u)
-        y, g = _solve_symmetric(w, -(lap_phi0 + w * phi0), phi0)
+        solve = _symmetric_solver(w, phi0)
+        y, g = solve(-(lap_phi0 + w * phi0))
         v, uv, r = phi0 + y, u.values, residual(spec, u)
-        f_theta = ScalarField(u.grid, -a * uv ** (-(q + 1.0)))
+        f_theta = ScalarField._own(u.grid, -a * uv ** (-(q + 1.0)))
         g_u = v.values ** 2 * ((q - 1.0) * (q - 2.0) * f * uv ** (q - 3.0)
                                + (q + 1.0) * (q + 2.0) * theta * a * uv ** (-(q + 3.0)))
         j22 = float(np.sum(g_u * v.values))
@@ -497,8 +539,8 @@ def _fold_newton(coeffs: Coefficients, sol: ScalarField, theta: float,
             break
         if steps == NEWTON_MAX_STEPS:
             raise NewtonError(f"extended Newton did not converge in {steps} steps")
-        z1, s1 = _solve_symmetric(w, -r, phi0)
-        z2, s2 = _solve_symmetric(w, -f_theta, phi0)
+        z1, s1 = solve(-r)
+        z2, s2 = solve(-f_theta)
         g_theta = -(q + 1.0) * float(np.sum(v.values ** 2 * a * uv ** (-(q + 2.0))))
         jac = [[s2, g], [float(np.sum(g_u * z2.values)) + g_theta, j22]]
         dtheta, mu = np.linalg.solve(jac, [-s1, -g - float(np.sum(g_u * z1.values))])

@@ -150,8 +150,14 @@ def residual(spec: ProblemSpec, u: ScalarField) -> ScalarField:
     _require_positive(u)
     c = spec.coefficients
     uv = u.values
-    nl = c.f.values * uv ** (spec.q - 1.0) + spec.theta * c.a.values * uv ** (-(spec.q + 1.0))
-    return ScalarField(u.grid, laplacian(u).values + c.h.values * uv - nl)
+    nl, term, lhs = (x.reshape(uv.shape) for x in u.grid._scratch(3))
+    np.power(uv, spec.q - 1.0, out=nl)
+    nl *= c.f.values
+    np.multiply(spec.theta, c.a.values, out=term)
+    term *= np.power(uv, -(spec.q + 1.0), out=lhs)
+    nl += term
+    np.add(laplacian(u).values, np.multiply(c.h.values, uv, out=term), out=lhs)
+    return ScalarField._own(u.grid, np.subtract(lhs, nl))
 
 
 def regularized_residual(spec: ProblemSpec, u: ScalarField) -> ScalarField:
@@ -162,7 +168,7 @@ def regularized_residual(spec: ProblemSpec, u: ScalarField) -> ScalarField:
     up = np.maximum(u.values, 0.0)
     denom = (spec.epsilon + up**2) ** (spec.q / 2.0 + 1.0)
     nl = c.f.values * up ** (spec.q - 1.0) + spec.theta * c.a.values * up / denom
-    return ScalarField(u.grid, laplacian(u).values + c.h.values * u.values - nl)
+    return ScalarField._own(u.grid, laplacian(u).values + c.h.values * u.values - nl)
 
 
 # The gradient of the regularized energy coincides with its EL residual.
@@ -209,7 +215,7 @@ def linearized_potential(spec: ProblemSpec, u: ScalarField) -> ScalarField:
     w = (c.h.values
          - (spec.q - 1.0) * c.f.values * uv ** (spec.q - 2.0)
          + (spec.q + 1.0) * spec.theta * c.a.values * uv ** (-(spec.q + 2.0)))
-    return ScalarField(u.grid, w)
+    return ScalarField._own(u.grid, w)
 
 
 def regularized_potential(spec: ProblemSpec, u: ScalarField) -> ScalarField:
@@ -224,13 +230,13 @@ def regularized_potential(spec: ProblemSpec, u: ScalarField) -> ScalarField:
     w = (c.h.values
          - (spec.q - 1.0) * c.f.values * pos * up ** (spec.q - 2.0)
          - spec.theta * c.a.values * da)
-    return ScalarField(u.grid, w)
+    return ScalarField._own(u.grid, w)
 
 
 def linearized_apply(spec: ProblemSpec, u: ScalarField, v: ScalarField) -> ScalarField:
     """Apply the linearization Delta v + W(u) v of the residual at u."""
     apply, _ = helmholtz_operator(v.grid, linearized_potential(spec, u).values)
-    return ScalarField(v.grid, apply(v.values))
+    return ScalarField._own(v.grid, apply(v.values))
 
 
 @dataclass
@@ -315,7 +321,7 @@ def sobolev_constant_estimate(h: ScalarField, q: float) -> float:
     estimate = functional(u)
     step = 1.0
     for _ in range(SOBOLEV_MAX_STEPS):
-        g = ScalarField(grid, q * np.abs(u.values) ** (q - 1.0) * np.sign(u.values))
+        g = ScalarField._own(grid, q * np.abs(u.values) ** (q - 1.0) * np.sign(u.values))
         d = helmholtz_solve(h, g)  # H1_h Riesz representative of the L2 gradient
         # on the unit sphere the normal part of d is <d, u>_H1h u = (int g u) u
         tangent = d - l2_inner(g, u) * u

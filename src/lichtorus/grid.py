@@ -11,6 +11,13 @@ N_i x N_i matrix Q_i per axis (Boyd 2001; Trefethen 2000, ch. 3), where Delta
 is diagonal.  A transform is one GEMM per axis, N^(n+1) multiply-adds per
 axis on an N^n grid: faster than numpy's FFT up to about 64 points per axis,
 slower beyond (0.6 times its speed at 128^3).
+
+Each grid owns its scratch buffers: a pair of fields that the GEMMs of a
+transform ping-pong through, and a pool of flat vectors in which the Krylov
+solvers update their vectors and the residual and Picard step compute their
+terms.  The operators of one grid therefore must not run in two threads at
+once (distinct grids may).  minres updates its iterate x in place, so its
+callback must not keep x.
 """
 
 from __future__ import annotations
@@ -138,6 +145,26 @@ class TorusGrid:
             out.append(q.T @ b @ q)
         return tuple(out)
 
+    @functools.cached_property
+    def _spectral_pair(self) -> tuple[NDArray, NDArray]:
+        """Two fields of scratch that the GEMMs of a one-field transform
+        ping-pong through (see _rotate)."""
+        return np.empty(self.resolutions), np.empty(self.resolutions)
+
+    @functools.cached_property
+    def _scratch_pool(self) -> list[NDArray]:
+        return []
+
+    def _scratch(self, count: int, border: int = 0) -> list[NDArray]:
+        """count flat scratch vectors of a field and border <= 1 more
+        entries, views of buffers made on first use.  The Krylov solves, the
+        residual and the Picard step on this grid share them, so they hold
+        nothing from one call to the next."""
+        pool, size = self._scratch_pool, self._sizes[1]
+        while len(pool) < count:
+            pool.append(np.empty(size + 1))
+        return [v[:size + border] for v in pool[:count]]
+
     def meshgrid(self) -> tuple[NDArray, ...]:
         return np.meshgrid(*self.axes, indexing="ij")
 
@@ -163,14 +190,24 @@ class ScalarField:
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: TorusGrid, values):
-        arr = np.asarray(values, dtype=np.float64)
+        self._adopt(grid, np.array(values, dtype=np.float64, order="C"))
+
+    @classmethod
+    def _own(cls, grid: TorusGrid, values: NDArray) -> "ScalarField":
+        """The field of values, an array that the package has just computed
+        and that nothing else refers to: the checks of __init__ without its
+        copy."""
+        field = cls.__new__(cls)
+        field._adopt(grid, np.ascontiguousarray(values, dtype=np.float64))
+        return field
+
+    def _adopt(self, grid: TorusGrid, arr: NDArray):
         if arr.shape != grid.resolutions:
             raise ValueError(
                 f"field shape {arr.shape} does not match grid {grid.resolutions}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("field contains non-finite values")
-        arr = np.ascontiguousarray(arr).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", arr)
@@ -186,32 +223,32 @@ class ScalarField:
         return other
 
     def __add__(self, other):
-        return ScalarField(self.grid, self.values + self._coerce(other))
+        return ScalarField._own(self.grid, self.values + self._coerce(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return ScalarField(self.grid, self.values - self._coerce(other))
+        return ScalarField._own(self.grid, self.values - self._coerce(other))
 
     def __rsub__(self, other):
-        return ScalarField(self.grid, self._coerce(other) - self.values)
+        return ScalarField._own(self.grid, self._coerce(other) - self.values)
 
     def __mul__(self, other):
-        return ScalarField(self.grid, self.values * self._coerce(other))
+        return ScalarField._own(self.grid, self.values * self._coerce(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return ScalarField(self.grid, self.values / self._coerce(other))
+        return ScalarField._own(self.grid, self.values / self._coerce(other))
 
     def __rtruediv__(self, other):
-        return ScalarField(self.grid, self._coerce(other) / self.values)
+        return ScalarField._own(self.grid, self._coerce(other) / self.values)
 
     def __pow__(self, exponent):
-        return ScalarField(self.grid, np.power(self.values, exponent))
+        return ScalarField._own(self.grid, np.power(self.values, exponent))
 
     def __neg__(self):
-        return ScalarField(self.grid, -self.values)
+        return ScalarField._own(self.grid, -self.values)
 
     def min(self) -> float:
         return float(self.values.min())
@@ -228,7 +265,7 @@ class ScalarField:
 
 
 def constant_field(grid: TorusGrid, value: float) -> ScalarField:
-    return ScalarField(grid, np.full(grid.resolutions, float(value)))
+    return ScalarField._own(grid, np.full(grid.resolutions, float(value)))
 
 
 def cosine_values(grid: TorusGrid, amplitude: float, wavevector,
@@ -246,7 +283,7 @@ def cosine_values(grid: TorusGrid, amplitude: float, wavevector,
 
 def cosine_field(grid: TorusGrid, amplitude: float, wavevector, phase: float = 0.0) -> ScalarField:
     """amplitude * cos(2 pi sum_i k_i x_i / L_i + phase) with integer k."""
-    return ScalarField(grid, cosine_values(grid, amplitude, wavevector, phase))
+    return ScalarField._own(grid, cosine_values(grid, amplitude, wavevector, phase))
 
 
 def _check_same_grid(*fields: ScalarField) -> TorusGrid:
@@ -257,34 +294,55 @@ def _check_same_grid(*fields: ScalarField) -> TorusGrid:
     return grid
 
 
-def _rotate(values: NDArray, matrices) -> NDArray:
+def _rotate(grid: TorusGrid, values: NDArray, matrices, out: NDArray | None = None) -> NDArray:
     """Contract the leading field axis of each field in the stack values
     with matrices[0] (x -> x @ m), then the next with matrices[1], and so
     on: each GEMM moves the axis it contracts to the end, so after one GEMM
-    per axis the axes are back in order, with no copy in between."""
-    batch = values.shape[:values.ndim - len(matrices)]
-    out = values
-    for m in matrices:
-        out = out.reshape(*batch, len(m), -1).swapaxes(-1, -2) @ m
-    return out.reshape(values.shape)
+    per axis the axes are back in order, with no copy in between.
+
+    One field ping-pongs its GEMMs through the grid's scratch pair, starting
+    with the buffer that values is not, and writes the last into out, a
+    C-contiguous array of the grid's shape that the GEMM before it must not
+    have used (fresh when None).  A stack allocates every GEMM.
+    """
+    if values.shape != grid.resolutions:
+        batch = values.shape[:values.ndim - len(matrices)]
+        res = values
+        for m in matrices:
+            res = res.reshape(*batch, len(m), -1).swapaxes(-1, -2) @ m
+        return res.reshape(values.shape)
+    if out is None:
+        out = np.empty(grid.resolutions)
+    pair = grid._spectral_pair
+    if values is pair[0]:
+        pair = pair[::-1]
+    src, last = values, len(matrices) - 1
+    for i, m in enumerate(matrices):
+        n = len(m)
+        dst = out if i == last else pair[i % 2]
+        np.matmul(src.reshape(n, -1).T, m, out=dst.reshape(-1, n))
+        src = dst
+    return out
 
 
-def _to_fourier(grid: TorusGrid, values: NDArray) -> NDArray:
+def _to_fourier(grid: TorusGrid, values: NDArray, out: NDArray | None = None) -> NDArray:
     """The coefficients of each field of the stack values in the tensor
     basis of the grid's Q_i (Parseval: the grid sum of u^2 is their sum of
-    squares)."""
-    return _rotate(values, [q.T for q in grid._bases])
+    squares); out as in _rotate."""
+    return _rotate(grid, values, [q.T for q in grid._bases], out)
 
 
-def _from_fourier(grid: TorusGrid, coeffs: NDArray) -> NDArray:
-    """The fields whose coefficients are coeffs: the inverse of _to_fourier."""
-    return _rotate(coeffs, grid._bases)
+def _from_fourier(grid: TorusGrid, coeffs: NDArray, out: NDArray | None = None) -> NDArray:
+    """The fields whose coefficients are coeffs: the inverse of _to_fourier;
+    out as in _rotate."""
+    return _rotate(grid, coeffs, grid._bases, out)
 
 
 def _diagonal_apply(grid: TorusGrid, values: NDArray, symbol: NDArray,
-                    divide: bool = False) -> NDArray:
+                    divide: bool = False, out: NDArray | None = None) -> NDArray:
     """The operator with eigenvalues symbol on the grid's basis, applied to
-    the field values, or its inverse when divide is set.
+    the field values, or its inverse when divide is set; the image goes into
+    out (fresh when None), and everything else stays in the scratch pair.
 
     The mean, the constant mode, is taken out before the transform and
     mapped by the constant mode's eigenvalue alone: the transform's
@@ -292,22 +350,26 @@ def _diagonal_apply(grid: TorusGrid, values: NDArray, symbol: NDArray,
     has an exactly constant image (Delta c = 0).  Dividing by the symbol,
     rather than multiplying by its reciprocal, saves a rounding per mode.
     """
-    mean = values.mean()
-    coeffs = _to_fourier(grid, values - mean)
+    mean = values.sum() / values.size  # values.mean(), without its wrapper
+    pair = grid._spectral_pair
+    centred = np.subtract(values, mean, out=pair[0])
+    # the forward GEMMs alternate from pair[1]; the last lands in the buffer
+    # that the one before it left free
+    coeffs = _to_fourier(grid, centred, out=pair[grid.dim % 2])
     if divide:
         coeffs /= symbol
         mean /= symbol.flat[0]
     else:
         coeffs *= symbol
         mean *= symbol.flat[0]
-    out = _from_fourier(grid, coeffs)
+    out = _from_fourier(grid, coeffs, out)
     out += mean
     return out
 
 
 def laplacian(u: ScalarField) -> ScalarField:
     """Delta u = -div grad u, exact for bandlimited fields."""
-    return ScalarField(u.grid, _diagonal_apply(u.grid, u.values, u.grid._eigenvalues))
+    return ScalarField._own(u.grid, _diagonal_apply(u.grid, u.values, u.grid._eigenvalues))
 
 
 def gradient(u: ScalarField) -> list[ScalarField]:
@@ -318,7 +380,7 @@ def gradient(u: ScalarField) -> list[ScalarField]:
     out = []
     for axis, d in enumerate(grid._derivatives):
         block = values.reshape(int(np.prod(res[:axis])), res[axis], -1)
-        out.append(ScalarField(grid, (d @ block).reshape(res)))
+        out.append(ScalarField._own(grid, (d @ block).reshape(res)))
     return out
 
 
@@ -377,21 +439,27 @@ def h1h_norm(u: ScalarField, h: ScalarField) -> float:
     return float(h1h_norms(u.values, h))
 
 
-def _pcg(rest, apply_m, b: NDArray, tol: float, max_iter: int) -> tuple[NDArray, int]:
+def _pcg(rest, apply_m, b: NDArray, tol: float, max_iter: int,
+         work) -> tuple[NDArray, int]:
     """Preconditioned conjugate gradients on raw arrays for A = M^(-1) + rest,
     with M = apply_m symmetric positive definite and rest a cheap symmetric
-    map: one application of M per iteration and none of M^(-1).
+    map: one application of M per iteration and none of M^(-1).  Both maps
+    take (x, out), write their image of x into out and return it.
 
     Each direction p carries q = M^(-1) p by the recurrence q <- r + beta q,
     since z = M r gives M^(-1) z = r, so A p = q + rest(p).  The start
-    x0 = M b has the residual b - A x0 = -rest(x0).
+    x0 = M b has the residual b - A x0 = -rest(x0).  x is the one fresh
+    array; the other vectors are updated in place in work, six arrays of b's
+    shape.
     """
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b), 0
-    x = apply_m(b)
-    r = -rest(x)
-    p = q = np.zeros_like(b)
+    r, z, p, q, ap, tmp = work
+    x = apply_m(b, np.empty_like(b))
+    np.negative(rest(x, r), out=r)
+    p.fill(0.0)
+    q.fill(0.0)
     rz = np.inf  # the first direction is z itself
     for it in range(max_iter + 1):
         rnorm = float(np.linalg.norm(r))
@@ -399,37 +467,41 @@ def _pcg(rest, apply_m, b: NDArray, tol: float, max_iter: int) -> tuple[NDArray,
             return x, it
         if it == max_iter:
             break
-        z = apply_m(r)
+        apply_m(r, z)
         rz_new = float(np.vdot(r, z))
         beta = rz_new / rz
-        p = z + beta * p
-        q = r + beta * q
+        np.add(z, np.multiply(p, beta, out=tmp), out=p)  # p = z + beta p
+        np.add(r, np.multiply(q, beta, out=tmp), out=q)  # q = r + beta q
         rz = rz_new
-        ap = q + rest(p)
+        np.add(q, rest(p, ap), out=ap)
         alpha = rz / float(np.vdot(p, ap))
-        x = x + alpha * p
-        r = r - alpha * ap
+        x += np.multiply(p, alpha, out=tmp)
+        r -= np.multiply(ap, alpha, out=tmp)
     raise KrylovError(f"PCG stalled at relative residual {rnorm / bnorm:.3e} "
                       f"after {max_iter} iterations")
 
 
-def minres(rest, apply_m, b: NDArray, rtol: float, maxiter: int,
+def minres(rest, apply_m, b: NDArray, rtol: float, maxiter: int, work,
            callback=None) -> tuple[NDArray, int]:
     """Preconditioned MINRES (Paige & Saunders 1975) on flat arrays for the
     symmetric, possibly indefinite A = M^(-1) + rest, with M = apply_m
-    symmetric positive definite: one application of M per iteration.
+    symmetric positive definite: one application of M per iteration.  Both
+    maps take (x, out), write their image of x into out and return it.
 
     The recurrences and stopping tests are those of
     scipy.sparse.linalg.minres from x0 = 0, except that A v costs no
     application of M^(-1): the Lanczos vector is v = y / beta with y = M r2,
-    so A v = r2 / beta + rest(v).  callback(x) runs once per iteration.
-    Returns (x, info), info = maxiter when the iteration limit ended the
-    solve and 0 otherwise.
+    so A v = r2 / beta + rest(v).  x is the one fresh array; the other
+    vectors are updated in place in work, seven arrays of b's shape.
+    callback(x) runs once per iteration and must not keep x, which the next
+    iteration updates.  Returns (x, info), info = maxiter when the iteration
+    limit ended the solve and 0 otherwise.
     """
     eps = np.finfo(np.float64).eps
+    v, tmp, w, w2, *free = work
     x = np.zeros_like(b)
     r1 = r2 = b
-    y = apply_m(r1)
+    y = apply_m(r1, free.pop())
     beta1 = float(np.inner(r1, y))
     if beta1 < 0:
         raise ValueError("indefinite preconditioner")
@@ -440,17 +512,20 @@ def minres(rest, apply_m, b: NDArray, rtol: float, maxiter: int,
     oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
     tnorm2, gmax, gmin = 0.0, 0.0, np.finfo(np.float64).max
     cs, sn = -1.0, 0.0
-    w = w2 = np.zeros_like(b)
+    w.fill(0.0)
+    w2.fill(0.0)
     for itn in range(1, maxiter + 1):
         s = 1.0 / beta
-        v = s * y
-        y = s * r2 + rest(v)
+        np.multiply(y, s, out=v)
+        np.add(np.multiply(r2, s, out=tmp), rest(v, y), out=y)  # y = s r2 + rest(v)
         if itn >= 2:
-            y = y - (beta / oldb) * r1
+            y -= np.multiply(r1, beta / oldb, out=tmp)
         alfa = float(np.inner(v, y))
-        y = y - (alfa / beta) * r2
+        y -= np.multiply(r2, alfa / beta, out=tmp)
+        if r1 is not b:
+            free.append(r1)
         r1, r2 = r2, y
-        y = apply_m(r2)
+        y = apply_m(r2, free.pop())
         oldb, beta = beta, float(np.inner(r2, y))
         if beta < 0:
             raise ValueError("non-symmetric matrix")
@@ -469,9 +544,13 @@ def minres(rest, apply_m, b: NDArray, rtol: float, maxiter: int,
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
 
+        # w = (v - oldeps w1 - delta w2) / gamma, written over w1
         w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
-        x = x + phi * w
+        np.subtract(v, np.multiply(w1, oldeps, out=tmp), out=w1)
+        w1 -= np.multiply(w2, delta, out=tmp)
+        w1 *= 1.0 / gamma
+        w = w1
+        x += np.multiply(w, phi, out=tmp)
 
         # anorm >= beta1 > 0; test1 is ||r|| / (||A|| ||x||), test2 ||A r|| / (||A|| ||r||)
         gmax, gmin = max(gmax, gamma), min(gmin, gamma)
@@ -493,16 +572,21 @@ def helmholtz_operator(grid: TorusGrid, c, shift: float = 1.0):
 
     c is a number or an array of the grid's shape; shift > 0.  The second
     map inverts the first exactly when c is the constant shift, and is the
-    spectral preconditioner of Delta + c otherwise.
+    spectral preconditioner of Delta + c otherwise.  Both maps take an
+    optional out, a C-contiguous array of the grid's shape that receives the
+    image (fresh when None).
     """
     lam = grid._eigenvalues
     denom = lam + shift
 
-    def apply(x: NDArray) -> NDArray:
-        return _diagonal_apply(grid, x, lam) + c * x
+    def apply(x: NDArray, out: NDArray | None = None) -> NDArray:
+        out = _diagonal_apply(grid, x, lam, out=out)
+        # the scratch pair is free again once _diagonal_apply returns
+        out += np.multiply(c, x, out=grid._spectral_pair[0])
+        return out
 
-    def inverse(x: NDArray) -> NDArray:
-        return _diagonal_apply(grid, x, denom, divide=True)
+    def inverse(x: NDArray, out: NDArray | None = None) -> NDArray:
+        return _diagonal_apply(grid, x, denom, divide=True, out=out)
 
     return apply, inverse
 
@@ -527,7 +611,7 @@ def helmholtz_solve(c, rhs: ScalarField, tol: float = 1e-10,
         if cval <= 0:
             raise NonCoerciveOperatorError(f"constant coefficient {cval} is not positive")
         _, inverse = helmholtz_operator(grid, cval, cval)
-        return ScalarField(grid, inverse(rhs.values))
+        return ScalarField._own(grid, inverse(rhs.values))
 
     cbar = float(c.values.mean())
     if cbar <= 0:
@@ -536,5 +620,7 @@ def helmholtz_solve(c, rhs: ScalarField, tol: float = 1e-10,
         )
     _, precondition = helmholtz_operator(grid, c.values, cbar)
     dc = c.values - cbar
-    x, _ = _pcg(lambda y: dc * y, precondition, rhs.values, tol, max_iter)
-    return ScalarField(grid, x)
+    work = [v.reshape(grid.resolutions) for v in grid._scratch(6)]
+    x, _ = _pcg(lambda y, out: np.multiply(dc, y, out=out), precondition, rhs.values,
+                tol, max_iter, work)
+    return ScalarField._own(grid, x)

@@ -409,7 +409,7 @@ def build_far_endpoint(spec: ProblemSpec, eta: float, min_distance: float,
     else:
         fv = coeffs.f.values
         span = fv.max() - fv.min()
-        psi = ScalarField(grid, (fv - fv.min()) / span + 0.1)
+        psi = ScalarField._own(grid, (fv - fv.min()) / span + 0.1)
     weight = float(np.sum(coeffs.f.values * psi.values**ts)) * grid.cell_volume
     if weight <= 0:
         raise GeometryError("could not build psi with int f psi^(2*) > 0")

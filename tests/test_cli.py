@@ -70,6 +70,24 @@ def test_fold_determinism(tmp_path):
     assert b1 == b2
 
 
+def test_fold_runs_share_no_state_through_the_workspace(tmp_path):
+    # each grid owns scratch buffers that outlive a run: a 16^3 fold run
+    # after a 12^4 one writes the same bytes as the 16^3 run before it
+    cosine_a = {"constant": 1.0, "cosines": [
+        {"amplitude": 0.3, "wavevector": [1, 0, 0], "phase": 0.0}]}
+    configs = []
+    for dim, res, a in [(3, 16, cosine_a), (4, 12, {"constant": 1.0})]:
+        cfg = base_config("fold", "ignored", theta_hint=0.1)
+        cfg["grid"] = {"dim": dim, "resolutions": [res] * dim, "periods": [1.0] * dim}
+        cfg["coefficients"]["a"] = a
+        cfg["solver"] = {"fold_tol": 1e-4}
+        configs.append(write_config(tmp_path, cfg, f"fold{dim}.json"))
+    for i, cfgp in enumerate([configs[0], configs[1], configs[0]]):
+        assert main(["fold", "--config", cfgp, "--out", str(tmp_path / f"run{i}")]) == 0
+    for name in ("solution.field", "branch.csv"):
+        assert (tmp_path / "run0" / name).read_bytes() == (tmp_path / "run2" / name).read_bytes()
+
+
 def test_branch_mode_csv_rows(tmp_path):
     out = str(tmp_path / "out")
     thetas = [round(0.01 + 0.012 * i, 6) for i in range(10)]

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import lichtorus as lt
 from lichtorus import branch
 from lichtorus import grid as grid_module
+from lichtorus.branch import NewtonError
 from lichtorus.grid import (
     GridMismatchError,
     KrylovError,
@@ -66,6 +68,20 @@ class TestScalarField:
         vals[0, 0, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             lt.ScalarField(grid8, vals)
+
+    def test_public_constructor_copies(self, grid8):
+        arr = np.ones(grid8.resolutions)
+        u = lt.ScalarField(grid8, arr)
+        arr[0, 0, 0] = 5.0
+        assert arr.flags.writeable
+        assert u.values[0, 0, 0] == 1.0
+
+    def test_arithmetic_results_are_read_only_and_finite(self, grid8):
+        u = lt.constant_field(grid8, 2.0)
+        for result in (u + 1.0, 1.0 - u, u * u, u / 2.0, u ** 2, -u, lt.laplacian(u)):
+            assert not result.values.flags.writeable
+        with pytest.raises(ValueError, match="non-finite"):
+            u + np.inf
 
     def test_arithmetic(self, grid8):
         u = lt.constant_field(grid8, 3.0)
@@ -297,8 +313,9 @@ def test_import_leaves_scipy_out():
 
 def _symmetric_system(w, border=None):
     """(Delta + W) x = rhs, bordered by [[., b], [b^T, 0]] when a border is
-    given, on flat arrays: the full operator, the preconditioner
-    M = diag((Delta + shift)^-1, 1) and the rest A - M^-1."""
+    given, on flat arrays: the full operator x -> A x, and the maps
+    (x, out) of the preconditioner M = diag((Delta + shift)^-1, 1) and of
+    the rest A - M^-1."""
     grid = w.grid
     shape, n = grid.resolutions, grid.npoints
     shift = max(1.0, abs(float(w.values.mean())))
@@ -308,32 +325,178 @@ def _symmetric_system(w, border=None):
     def full(x):
         return np.concatenate([apply(x[:n].reshape(shape)).ravel() + x[n:] @ b, b @ x[:n]])
 
-    def pre(x):
-        return np.concatenate([precondition(x[:n].reshape(shape)).ravel(), x[n:]])
+    def pre(x, out):
+        out[:n] = precondition(x[:n].reshape(shape)).ravel()
+        out[n:] = x[n:]
+        return out
 
-    def rest(x):
-        return np.concatenate([(w.values.ravel() - shift) * x[:n] + x[n:] @ b,
-                               b @ x[:n] - x[n:]])
+    def rest(x, out):
+        out[:] = np.concatenate([(w.values.ravel() - shift) * x[:n] + x[n:] @ b,
+                                 b @ x[:n] - x[n:]])
+        return out
 
     return full, pre, rest, n + len(b)
 
 
+def _krylov_problem(grid, bordered):
+    """A test system on any grid, (w, border, rhs): SPD Delta + W, or a W
+    with one negative eigenvalue and a regular border; and a smooth right
+    side."""
+    one = lt.constant_field(grid, 1.0)
+    axis = [lt.cosine_field(grid, 1.0, np.eye(grid.dim, dtype=int)[i]) for i in range(2)]
+    if bordered:
+        w, border = -30.0 * one + 5.0 * axis[0], one + 0.3 * axis[1]
+    else:
+        w, border = 10.0 * one + 9.5 * axis[0], None
+    return w, border, smooth_random_field(grid, np.random.default_rng(5))
+
+
+def _flat(rhs, size):
+    """rhs as a flat right side of the given size, zero in the border entry."""
+    return np.concatenate([rhs.values.ravel(), np.zeros(size - rhs.values.size)])
+
+
+def _allocating(fn):
+    """The one-argument form x -> fn(x, fresh out) of an (x, out) map."""
+    return lambda x: fn(x, np.empty_like(x))
+
+
+def _reference_minres(rest, apply_m, b, rtol, maxiter, callback):
+    """MINRES as grid.minres computed it before it worked in place: every
+    vector a fresh array, maps of one argument."""
+    eps = np.finfo(np.float64).eps
+    x = np.zeros_like(b)
+    r1 = r2 = b
+    y = apply_m(r1)
+    beta1 = float(np.inner(r1, y))
+    if beta1 < 0:
+        raise ValueError("indefinite preconditioner")
+    if beta1 == 0:
+        return x, 0
+    beta1 = np.sqrt(beta1)
+    oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
+    tnorm2, gmax, gmin = 0.0, 0.0, np.finfo(np.float64).max
+    cs, sn = -1.0, 0.0
+    w = w2 = np.zeros_like(b)
+    for itn in range(1, maxiter + 1):
+        s = 1.0 / beta
+        v = s * y
+        y = s * r2 + rest(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = float(np.inner(v, y))
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = apply_m(r2)
+        oldb, beta = beta, float(np.inner(r2, y))
+        if beta < 0:
+            raise ValueError("non-symmetric matrix")
+        beta = np.sqrt(beta)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        exhausted = itn == 1 and beta / beta1 <= 10 * eps
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = np.linalg.norm([gbar, dbar])
+        gamma = max(np.linalg.norm([gbar, beta]), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x = x + phi * w
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        anorm = np.sqrt(tnorm2)
+        ynorm = np.linalg.norm(x)
+        test1 = phibar / (anorm * ynorm) if ynorm > 0 else np.inf
+        test2 = root / anorm
+        callback(x)
+        if (exhausted or test1 <= rtol or test2 <= rtol or 1 + test1 <= 1 or 1 + test2 <= 1
+                or anorm * ynorm * eps >= beta1 or gmax / gmin >= 0.1 / eps):
+            return x, 0
+    return x, maxiter
+
+
+def _peak_fields(grid, call) -> float:
+    """The peak of the memory that call() allocates, traced after one
+    warm-up call (which makes the grid's scratch), in fields of the grid."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (8.0 * grid.npoints)
+
+
+@pytest.fixture
+def grid12_4():
+    return lt.build_grid(4, [12] * 4, [1.0] * 4)
+
+
+def test_diagonal_apply_allocates_only_its_result(grid12_4):
+    x = smooth_random_field(grid12_4, np.random.default_rng(3)).values
+    peak = _peak_fields(grid12_4, lambda: grid_module._diagonal_apply(
+        grid12_4, x, grid12_4._eigenvalues))
+    assert peak <= 1.1
+
+
+def test_bordered_solve_allocates_no_vector_per_iteration(grid12_4, monkeypatch):
+    one = lt.constant_field(grid12_4, 1.0)
+    w = 3.0 * one + lt.cosine_field(grid12_4, 1.0, [1, 0, 0, 0])
+    rhs = smooth_random_field(grid12_4, np.random.default_rng(7))
+    solver = branch.minres
+    peaks = {}
+    for maxiter in (5, 50):
+        monkeypatch.setattr(branch, "minres", lambda *a, maxiter=maxiter, **k: solver(
+            *a, **dict(k, maxiter=maxiter)))
+
+        def solve():
+            try:
+                branch._solve_symmetric(w, rhs, one)
+            except NewtonError:  # the cap ended the solve before convergence
+                pass
+        peaks[maxiter] = _peak_fields(grid12_4, solve)
+    assert peaks[50] <= peaks[5] <= 8.0
+
+
 class TestKrylov:
+    @pytest.mark.parametrize("bordered", [False, True], ids=["plain SPD", "bordered indefinite"])
+    @pytest.mark.parametrize("res", [[8] * 3, [12] * 4], ids=["8^3", "12^4"])
+    def test_minres_in_place_is_bit_identical(self, res, bordered):
+        grid = lt.build_grid(len(res), res, [1.0] * len(res))
+        w, border, rhs_field = _krylov_problem(grid, bordered)
+        _, pre, rest, size = _symmetric_system(w, border)
+        rhs = _flat(rhs_field, size)
+        counts = {"ref": 0, "own": 0}
+
+        def counter(key):
+            return lambda xk: counts.__setitem__(key, counts[key] + 1)
+
+        ref, ref_info = _reference_minres(_allocating(rest), _allocating(pre), rhs, 1e-12, 3000,
+                                          counter("ref"))
+        x, info = grid_module.minres(rest, pre, rhs, rtol=1e-12, maxiter=3000,
+                                     work=[np.empty_like(rhs) for _ in range(7)],
+                                     callback=counter("own"))
+        assert info == ref_info == 0
+        assert counts["own"] == counts["ref"] > 5
+        assert np.array_equal(x, ref)
+        # the solver's own bordered maps, in the grid's scratch, give the same bits
+        field, border_value = branch._solve_symmetric(w, rhs_field, border)
+        assert np.array_equal(field.values.ravel(), ref[:grid.npoints])
+        assert border_value == ref[grid.npoints:].sum()
+
     @pytest.mark.parametrize("bordered", [False, True], ids=["unbordered SPD", "bordered indefinite"])
     def test_minres_matches_scipy(self, grid8, bordered):
         from scipy.sparse.linalg import LinearOperator
         from scipy.sparse.linalg import minres as scipy_minres
 
-        one = lt.constant_field(grid8, 1.0)
-        wave = lt.cosine_field(grid8, 1.0, [1, 0, 0])
-        if bordered:  # Delta + W has one negative eigenvalue; the border is regular
-            w, border = -30.0 * one + 5.0 * wave, one + 0.3 * lt.cosine_field(grid8, 1.0, [0, 1, 0])
-        else:
-            w, border = 10.0 * one + 9.5 * wave, None
+        w, border, rhs_field = _krylov_problem(grid8, bordered)
         full, pre, rest, size = _symmetric_system(w, border)
-        rhs = np.concatenate([smooth_random_field(grid8, np.random.default_rng(5)).values.ravel(),
-                              np.zeros(size - grid8.npoints)])
-
+        rhs = _flat(rhs_field, size)
         counts = {"scipy": 0, "own": 0}
 
         def counter(key):
@@ -341,9 +504,11 @@ class TestKrylov:
 
         ref, ref_info = scipy_minres(
             LinearOperator((size, size), matvec=full, dtype=np.float64), rhs, rtol=1e-12,
-            maxiter=3000, M=LinearOperator((size, size), matvec=pre, dtype=np.float64),
+            maxiter=3000, M=LinearOperator((size, size), matvec=_allocating(pre),
+                                           dtype=np.float64),
             callback=counter("scipy"))
         x, info = grid_module.minres(rest, pre, rhs, rtol=1e-12, maxiter=3000,
+                                     work=[np.empty_like(rhs) for _ in range(7)],
                                      callback=counter("own"))
         assert ref_info == 0 and info == 0
         assert counts["own"] == counts["scipy"] > 5
