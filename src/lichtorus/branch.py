@@ -11,7 +11,10 @@ pointwise nondecreasing and stay above w > 0; F + K id need not be
 nonnegative, and K needs no headroom above B, which would only slow the
 contraction.  They converge to the smallest positive solution or grow
 without bound when none exists.  The fold theta_star is located by
-Newton on the extended system, certified by one probe each side.
+Newton on the extended system, first on the half grid (nested iteration:
+Allgower, Boehmer, Potra & Rheinboldt 1986), then refined from the
+prolonged half-grid fold and certified by one probe each side on the full
+grid.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .core import (
     smallest_eigenpair,
 )
 from .errors import SolverFailure
-from .grid import ScalarField, helmholtz_operator, helmholtz_solve, laplacian, minres
+from .grid import ScalarField, helmholtz_operator, helmholtz_solve, laplacian, minres, transfer
 
 log = logging.getLogger(__name__)
 
@@ -123,6 +126,8 @@ class FoldResult:
     bracket: tuple[float, float]
     last_branch_point: BranchPoint
     refinement_steps: int
+    coarse_theta_star: float | None
+    coarse_refinement_steps: int
 
 
 def build_subsolution(spec: ProblemSpec) -> Subsolution:
@@ -281,6 +286,11 @@ def newton_refine(spec: ProblemSpec, u0: ScalarField) -> ScalarField:
     Handles both the unregularized equation (epsilon = 0, positivity enforced
     by step halving) and the regularized one (epsilon > 0, any sign).
     """
+    return _newton(spec, u0)[0]
+
+
+def _newton(spec: ProblemSpec, u0: ScalarField) -> tuple[ScalarField, float]:
+    """newton_refine's point and the sup norm of its residual."""
     if spec.epsilon > 0:
         res_fn, pot_fn = energy_gradient, regularized_potential
         positivity = False
@@ -293,7 +303,7 @@ def newton_refine(spec: ProblemSpec, u0: ScalarField) -> ScalarField:
     rn = r.sup_norm()
     for _ in range(NEWTON_MAX_STEPS):
         if rn <= NEWTON_RES_TOL:
-            return u
+            return u, rn
         w = pot_fn(spec, u)
         step, _ = _solve_symmetric(w, -r)
         alpha = 1.0
@@ -310,7 +320,7 @@ def newton_refine(spec: ProblemSpec, u0: ScalarField) -> ScalarField:
         else:
             raise NewtonError(f"no acceptable Newton step (residual {rn:.3e})")
     if rn <= NEWTON_RES_TOL:
-        return u
+        return u, rn
     raise NewtonError(f"Newton did not reach residual tolerance (final {rn:.3e})")
 
 
@@ -426,14 +436,13 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField) -> Mon
 
         if step <= trigger or step <= PICARD_TOL:
             try:
-                u = newton_refine(spec, v)
+                u, rn = _newton(spec, v)
             except NewtonError as exc:
                 log.debug("newton declined: %s", exc)
             else:
                 # the minimal solution dominates every iterate; a refined point
                 # below v means Newton strayed off the minimal branch
                 if float((v.values - u.values).max()) <= 1e-8:
-                    rn = residual(spec, u).sup_norm()
                     return MonotoneResult(True, u, it, max_violation, rn, "newton")
             if step <= PICARD_TOL:
                 rn = residual(spec, v).sup_norm()
@@ -508,21 +517,18 @@ def _existence_solve(coeffs, theta, warm: ScalarField | None) -> MonotoneResult:
     return minimal_solution(critical_spec(coeffs, theta), warm)
 
 
-def _fold_newton(coeffs: Coefficients, sol: ScalarField, theta: float,
-                 tol: float) -> tuple[float, BranchPoint, float, int]:
+def _extended_newton(coeffs: Coefficients, u: ScalarField, theta: float, phi0: ScalarField
+                     ) -> tuple[ScalarField, float, ScalarField, ScalarField, float, int]:
     """Newton on the minimally extended system (Griewank & Reddien 1984) from
-    the minimal solution sol at theta: (theta_star, lower certificate, upper
-    probe theta, Newton steps), or NewtonError.
+    (u, theta) with border phi0, on coeffs' grid: (u*, theta*, null vector
+    v, F_theta, j22, Newton steps), or NewtonError.
 
     The equations are F = 0 and g = 0, where [[F_u, phi0], [phi0^T, 0]]
-    [v; g] = [0; 1] and phi0 is the first eigenvector at sol.  F_u is
-    symmetric, so g_u = -v^2 W'(u) and g_theta = -sum v^2 dW/dtheta; a step is
-    three bordered solves (v - phi0, -F, -F_theta) and a 2x2 solve for
-    (dtheta, mu) in du = z1 + dtheta z2 + mu v.
+    [v; g] = [0; 1].  F_u is symmetric, so g_u = -v^2 W'(u) and g_theta =
+    -sum v^2 dW/dtheta; a step is three bordered solves (v - phi0, -F,
+    -F_theta) and a 2x2 solve for (dtheta, mu) in du = z1 + dtheta z2 + mu v.
     """
-    spec = critical_spec(coeffs, theta)
-    u, q, f, a = sol, spec.q, coeffs.f.values, coeffs.a.values
-    phi0 = smallest_eigenpair(linearized_potential(spec, sol)).vector
+    q, f, a = critical_spec(coeffs, theta).q, coeffs.f.values, coeffs.a.values
     phi0 = phi0 * (1.0 / np.linalg.norm(phi0.values))
     lap_phi0 = laplacian(phi0)
     for steps in range(NEWTON_MAX_STEPS + 1):
@@ -536,7 +542,7 @@ def _fold_newton(coeffs: Coefficients, sol: ScalarField, theta: float,
                                + (q + 1.0) * (q + 2.0) * theta * a * uv ** (-(q + 3.0)))
         j22 = float(np.sum(g_u * v.values))
         if r.sup_norm() <= NEWTON_RES_TOL and abs(g) <= NEWTON_RES_TOL:
-            break
+            return u, float(theta), v, f_theta, j22, steps
         if steps == NEWTON_MAX_STEPS:
             raise NewtonError(f"extended Newton did not converge in {steps} steps")
         z1, s1 = solve(-r)
@@ -551,6 +557,51 @@ def _fold_newton(coeffs: Coefficients, sol: ScalarField, theta: float,
             if alpha < 1e-8:
                 raise NewtonError("extended Newton: no positive step")
         u, theta = u + alpha * du, float(theta + alpha * dtheta)
+
+
+def _first_vector(coeffs: Coefficients, u: ScalarField, theta: float) -> ScalarField:
+    """The first eigenvector of the linearization at u, theta."""
+    return smallest_eigenpair(linearized_potential(critical_spec(coeffs, theta), u)).vector
+
+
+def _half_grid_fold(coeffs: Coefficients, sol: ScalarField, theta: float):
+    """_extended_newton on the half grid from sol and theta, restricted
+    there, or None when the grid has no half grid, the restricted
+    coefficients are not admissible or that Newton fails."""
+    half = coeffs.grid.half
+    if half is None:
+        return None
+    try:
+        coarse = Coefficients(*(transfer(c, half) for c in (coeffs.h, coeffs.f, coeffs.a)))
+    except ValueError as exc:  # e.g. a Gibbs dip of the restricted a below 0
+        log.debug("no half-grid fold: %s", exc)
+        return None
+    u = transfer(sol, half)
+    try:
+        return _extended_newton(coarse, u, theta, _first_vector(coarse, u, theta))
+    except SolverFailure as exc:
+        log.debug("no half-grid fold: %s", exc)
+        return None
+
+
+def _fold_newton(coeffs: Coefficients, sol: ScalarField, theta: float,
+                 tol: float) -> FoldResult:
+    """The certified fold from the minimal solution sol at theta, or
+    NewtonError.
+
+    The extended Newton first runs on the half grid, and the full-grid one
+    starts from its prolonged fold, with the prolonged null vector as the
+    border; without a half-grid fold it starts from sol, theta and the
+    first eigenvector at sol.  Both certificates are on the full grid.
+    """
+    coarse = _half_grid_fold(coeffs, sol, theta)
+    if coarse is None:
+        coarse_theta, coarse_steps = None, 0
+        start = (sol, theta, _first_vector(coeffs, sol, theta))
+    else:
+        u_c, coarse_theta, v_c, _, _, coarse_steps = coarse
+        start = (transfer(u_c, coeffs.grid), coarse_theta, transfer(v_c, coeffs.grid))
+    u, theta, v, f_theta, j22, steps = _extended_newton(coeffs, *start)
 
     # Certify from below.  At a quadratic fold the minimal solution at
     # theta* - delta is u* - s v + O(s^2), delta = s^2 j22 / (2 s2) with
@@ -574,7 +625,7 @@ def _fold_newton(coeffs: Coefficients, sol: ScalarField, theta: float,
     try:
         _existence_solve(coeffs, theta_hi, u_lo)
     except NoSolutionError:
-        return theta, point, theta_hi, steps
+        return FoldResult(theta, (point.theta, theta_hi), point, steps, coarse_theta, coarse_steps)
     raise NewtonError(f"a minimal solution exists at {theta_hi}, past the fold")
 
 
@@ -583,9 +634,10 @@ def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
     """Locate the fold: largest theta admitting a minimal solution.
 
     Doubling brackets the fold on the existence dichotomy; Newton on the
-    extended system then locates it from the last converged point, certified
-    by one solution below it and one diverging probe above it.  A failed
-    Newton or certificate raises its SolverFailure.
+    extended system then locates it on the half grid from the last
+    converged point and refines it on the full grid, certified there by one
+    solution below it and one diverging probe above it.  A failed Newton or
+    certificate raises its SolverFailure.
     """
     if theta_hint <= 0:
         raise ValueError("theta_hint must be positive")
@@ -613,9 +665,8 @@ def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
     else:
         raise BracketError("no fold found within the doubling cap; is f <= 0 somewhere?")
 
-    # Phase C: Newton on the extended system.
-    theta_star, point, theta_hi, refine_steps = _fold_newton(coeffs, sol, theta_lo, tol)
+    # Phase C: Newton on the extended system, from the half-grid fold.
+    fold = _fold_newton(coeffs, sol, theta_lo, tol)
     log.info("fold: theta_star=%.12f bracket=(%.12f, %.12f) lambda=%.3e",
-             theta_star, point.theta, theta_hi, point.lam)
-    return FoldResult(theta_star=float(theta_star), bracket=(point.theta, theta_hi),
-                      last_branch_point=point, refinement_steps=refine_steps)
+             fold.theta_star, *fold.bracket, fold.last_branch_point.lam)
+    return fold

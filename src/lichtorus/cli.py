@@ -129,6 +129,8 @@ def _run_fold(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
         "bracket_lo": fold.bracket[0], "bracket_hi": fold.bracket[1],
         "lambda_last": fold.last_branch_point.lam,
         "refinement_steps": fold.refinement_steps,
+        "coarse_theta_star": fold.coarse_theta_star,
+        "coarse_refinement_steps": fold.coarse_refinement_steps,
     })
     writer.write_csv("branch.csv", BRANCH_HEADER, _branch_rows([fold.last_branch_point]))
     writer.write_field("solution.field", fold.last_branch_point.solution)

@@ -12,6 +12,11 @@ is diagonal.  A transform is one GEMM per axis, N^(n+1) multiply-adds per
 axis on an N^n grid: faster than numpy's FFT up to about 64 points per axis,
 slower beyond (0.6 times its speed at 128^3).
 
+A grid whose N_i are multiples of 4, at least 8, has a half grid with N_i/2
+points per axis, and transfer moves a field between the two exactly in
+spectral terms: truncation going down, zero padding going up, one matrix per
+axis built from the two grids' bases.
+
 Each grid owns its scratch buffers: a pair of fields that the GEMMs of a
 transform ping-pong through, and a pool of flat vectors in which the Krylov
 solvers update their vectors and the residual and Picard step compute their
@@ -144,6 +149,35 @@ class TorusGrid:
             b[cos_rows + 1, cos_rows] = -omega
             out.append(q.T @ b @ q)
         return tuple(out)
+
+    @functools.cached_property
+    def half(self) -> TorusGrid | None:
+        """The grid with N_i/2 points on every axis, or None when some N_i/2
+        is odd or below 4."""
+        if any(n % 4 or n < 8 for n in self.resolutions):
+            return None
+        return TorusGrid(self.dim, tuple(n // 2 for n in self.resolutions), self.periods)
+
+    @functools.cached_property
+    def _transfers(self) -> tuple[tuple[NDArray, ...], tuple[NDArray, ...]]:
+        """Per-axis restriction (N_i/2 x N_i) and prolongation (N_i x N_i/2)
+        matrices between this grid and its half grid.  The first N_i/2 rows
+        of the two bases sample the same modes, up to scale: the coarse
+        Nyquist row samples the fine cos(k = N_i/4) row, whose sine
+        partner vanishes on the coarse points and is dropped.  Restriction
+        keeps those coefficients and drops the rest; prolongation pads the
+        rest with zeros.  Restriction is the left inverse of prolongation,
+        and solving it against their product takes the bases' rounding out
+        of that identity."""
+        down, up = [], []
+        for fine, coarse in zip(self._bases, self.half._bases):
+            nc = len(coarse)
+            scale = np.full((nc, 1), np.sqrt(nc / len(fine)))  # regular modes, going down
+            scale[-1] = np.sqrt(2.0 * nc / len(fine))  # fine cos(k = nc/2) to the Nyquist row
+            restrict = coarse.T @ (scale * fine[:nc])
+            up.append(fine[:nc].T @ (coarse / scale))
+            down.append(np.linalg.solve(restrict @ up[-1], restrict))
+        return tuple(down), tuple(up)
 
     @functools.cached_property
     def _spectral_pair(self) -> tuple[NDArray, NDArray]:
@@ -382,6 +416,28 @@ def gradient(u: ScalarField) -> list[ScalarField]:
         block = values.reshape(int(np.prod(res[:axis])), res[axis], -1)
         out.append(ScalarField._own(grid, (d @ block).reshape(res)))
     return out
+
+
+def transfer(u: ScalarField, grid: TorusGrid) -> ScalarField:
+    """u on grid, which is u's half grid or the grid whose half u lives on:
+    going down, its trigonometric interpolant with the modes that the half
+    grid cannot hold truncated; going up, that interpolant itself.  One
+    matrix per axis, applied as gradient applies its D_i.  The mean goes
+    around the matrices, as in _diagonal_apply: a constant stays exact."""
+    if grid == u.grid.half:
+        matrices = u.grid._transfers[0]
+    elif u.grid == grid.half:
+        matrices = grid._transfers[1]
+    else:
+        raise GridMismatchError("transfer goes between a grid and its half grid")
+    res = grid.resolutions
+    mean = u.values.sum() / u.values.size
+    values = u.values - mean
+    for axis, m in enumerate(matrices):
+        values = m @ values.reshape(int(np.prod(res[:axis])), m.shape[1], -1)
+    values = values.reshape(res)
+    values += mean
+    return ScalarField._own(grid, values)
 
 
 def integrate(u: ScalarField) -> float:

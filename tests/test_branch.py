@@ -235,7 +235,7 @@ class TestMinimalSolution:
     def test_newton_below_the_iterate_is_declined(self, unit_coeffs8, monkeypatch):
         # a Newton point below the Picard iterate left the minimal branch;
         # the step-converged solve returns the iterate itself
-        monkeypatch.setattr(branch, "newton_refine", lambda spec, v: v - 1e-6)
+        monkeypatch.setattr(branch, "_newton", lambda spec, v: (v - 1e-6, 0.0))
         spec = critical_spec(unit_coeffs8, 0.1)
         out = monotone_iterate(spec, build_subsolution(spec))
         assert out.reason == "converged"
@@ -285,6 +285,21 @@ class TestNewtonRefine:
             newton_refine(spec, lt.constant_field(grid8, c_fold))
 
 
+def _fold_case(case):
+    """(coefficients, theta_hint) of a fold that the half-grid tests run."""
+    if case == "unit 12^4":
+        one = lt.constant_field(lt.build_grid(4, [12] * 4, [1.0] * 4), 1.0)
+        return lt.Coefficients(one, one, one), 0.1
+    res = 32 if case == "readme 32^3" else 16
+    g = lt.build_grid(3, [res] * 3, [1.0] * 3)
+    one = lt.constant_field(g, 1.0)
+    if case == "item 9 16^3":  # ROADMAP item 9's coefficients
+        return lt.Coefficients(one, 0.6 * one + lt.cosine_field(g, 2.0, [1, 0, 0]),
+                               one + lt.cosine_field(g, 0.3, [0, 1, 0])), 0.05
+    amplitude, wavevector = (0.5, [7, 0, 0]) if case == "a with k = 7" else (0.3, [1, 0, 0])
+    return lt.Coefficients(one, one, one + lt.cosine_field(g, amplitude, wavevector)), 0.1
+
+
 class TestFoldLocation:
     def test_unit_constants_n3(self, unit_coeffs8):
         fold = find_theta_star(unit_coeffs8, theta_hint=0.1, tol=1e-4)
@@ -331,7 +346,8 @@ class TestFoldLocation:
         one = lt.constant_field(g, 1.0)
         fold = find_theta_star(lt.Coefficients(one, one, one), theta_hint=hint, tol=1e-4)
         assert abs(fold.theta_star - exact) <= 1e-12
-        assert fold.refinement_steps > 0
+        # Newton refines, on the half grid where there is one
+        assert fold.coarse_refinement_steps + fold.refinement_steps > 0
 
     def test_one_probe_past_the_fold(self, unit_coeffs8, monkeypatch):
         # one converged and one diverged doubling probe, then the one
@@ -383,6 +399,72 @@ class TestFoldLocation:
         monkeypatch.setattr(branch, "_fold_newton", failing)
         with pytest.raises(NewtonError, match="forced failure"):
             find_theta_star(unit_coeffs8, theta_hint=0.1, tol=1e-4)
+
+    @pytest.mark.parametrize("case", ["readme 16^3", "unit 12^4", "item 9 16^3", "a with k = 7"])
+    def test_half_grid_start_keeps_the_single_level_fold(self, case, monkeypatch):
+        # the half-grid fold only moves the full-grid Newton's start: the
+        # certified theta_star stays that of the start at the bracket point,
+        # also where a has a mode (k = 7) that the 8^3 grid truncates away
+        coeffs, hint = _fold_case(case)
+        fold = find_theta_star(coeffs, theta_hint=hint, tol=1e-4)
+        assert fold.coarse_theta_star is not None and fold.coarse_refinement_steps > 0
+        monkeypatch.setattr(branch, "_half_grid_fold", lambda *args: None)
+        single = find_theta_star(coeffs, theta_hint=hint, tol=1e-4)
+        assert single.coarse_theta_star is None and single.coarse_refinement_steps == 0
+        assert abs(fold.theta_star - single.theta_star) <= 1e-10
+        assert fold.refinement_steps < single.refinement_steps
+
+    def test_failed_half_grid_fold_falls_back_to_the_bracket_point(self, monkeypatch):
+        coeffs, _ = _fold_case("readme 16^3")
+        real = branch._extended_newton
+
+        def failing_on_the_half_grid(c, *args):
+            if c.grid == coeffs.grid.half:
+                raise NewtonError("forced failure on the half grid")
+            return real(c, *args)
+
+        monkeypatch.setattr(branch, "_extended_newton", failing_on_the_half_grid)
+        fold = find_theta_star(coeffs, theta_hint=0.1, tol=1e-4)
+        assert fold.coarse_theta_star is None and fold.coarse_refinement_steps == 0
+        monkeypatch.setattr(branch, "_half_grid_fold", lambda *args: None)
+        single = find_theta_star(coeffs, theta_hint=0.1, tol=1e-4)
+        assert (single.theta_star, single.bracket, single.refinement_steps) == \
+            (fold.theta_star, fold.bracket, fold.refinement_steps)
+        assert np.array_equal(single.last_branch_point.solution.values,
+                              fold.last_branch_point.solution.values)
+
+    def test_no_half_grid_fold_without_admissible_coefficients(self, grid16):
+        # a single spike of a restricts to a Dirichlet kernel, negative in its
+        # side lobes; 6^5 has no half grid at all
+        spike = np.zeros(grid16.resolutions)
+        spike[0, 0, 0] = 1.0
+        one = lt.constant_field(grid16, 1.0)
+        coeffs = lt.Coefficients(one, one, lt.ScalarField(grid16, spike))
+        assert branch._half_grid_fold(coeffs, one, 0.1) is None
+        one = lt.constant_field(lt.build_grid(5, [6] * 5, [1.0] * 5), 1.0)
+        assert branch._half_grid_fold(lt.Coefficients(one, one, one), one, 0.1) is None
+
+    def test_full_grid_work_of_the_readme_fold(self, monkeypatch):
+        # one full-grid Newton step from the half-grid fold: three bordered
+        # solves and the one that finds it converged (16 from the bracket point)
+        coeffs, _ = _fold_case("readme 16^3")
+        solves = []
+        real = branch._symmetric_solver
+
+        def counting(w, border=None):
+            solve = real(w, border)
+            if border is None or w.grid != coeffs.grid:
+                return solve
+            return lambda rhs: solves.append(1) or solve(rhs)
+
+        monkeypatch.setattr(branch, "_symmetric_solver", counting)
+        find_theta_star(coeffs, theta_hint=0.1, tol=1e-4)
+        assert 0 < len(solves) <= 4
+
+    def test_full_grid_newton_steps_at_32_cubed(self):
+        fold = find_theta_star(_fold_case("readme 32^3")[0], theta_hint=0.1, tol=1e-4)
+        assert fold.refinement_steps <= 1
+        assert abs(fold.theta_star - fold.coarse_theta_star) <= 1e-10
 
     def test_no_solution_error(self, grid8):
         # f so large that no positive solution exists at any probed theta

@@ -299,6 +299,57 @@ def test_cosine_field_is_bit_identical_to_the_meshgrid_form():
     assert np.array_equal(field.values, 1.7 * np.cos(arg + phase))
 
 
+class TestHalfGrid:
+    SHAPES = [[16] * 3, [12] * 4, [8, 12, 16]]
+
+    def test_half_grid_halves_every_axis(self):
+        g = lt.build_grid(3, [8, 12, 16], [1.0, 2.0, 0.5])
+        assert g.half == lt.build_grid(3, [4, 6, 8], [1.0, 2.0, 0.5])
+        assert g.half is g.half  # one half grid, with one set of cached bases
+
+    @pytest.mark.parametrize("dim, res", [(5, 6), (3, 4), (3, 10)])
+    def test_no_half_grid_below_4_or_at_odd_halves(self, dim, res):
+        assert lt.build_grid(dim, [res] * dim, [1.0] * dim).half is None
+
+    @pytest.mark.parametrize("res", SHAPES, ids=str)
+    def test_restriction_inverts_prolongation(self, res):
+        g = lt.build_grid(len(res), res, [1.0, 2.0, 0.5, 1.5][:len(res)])
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            u = smooth_random_field(g.half, rng, mean=1.0, modes=4)
+            back = grid_module.transfer(grid_module.transfer(u, g), g.half)
+            assert np.abs(back.values - u.values).max() <= 1e-15 * u.sup_norm()
+
+    @pytest.mark.parametrize("res", SHAPES, ids=str)
+    def test_prolongation_reproduces_resolved_cosines(self, res):
+        g = lt.build_grid(len(res), res, [1.0, 2.0, 0.5, 1.5][:len(res)])
+        top = [n // 4 - 1 for n in res]  # |k| < N_c/2 on every axis
+        for wavevector in ([1] + [0] * (g.dim - 1), top, [-k for k in top]):
+            fine = grid_module.transfer(lt.cosine_field(g.half, 1.0, wavevector, 0.4), g)
+            assert np.abs(fine.values - lt.cosine_field(g, 1.0, wavevector, 0.4).values).max() <= 1e-14
+
+    def test_restriction_truncates_and_keeps_the_cosine_of_the_coarse_nyquist(self, grid16):
+        # cos and sin of k = 4 on 16^3: the cosine is the Nyquist mode of 8^3,
+        # the sine vanishes on the 8^3 points; k = 5 has no place there
+        down = lambda k, phase: grid_module.transfer(
+            lt.cosine_field(grid16, 1.0, [k, 0, 0], phase), grid16.half).values
+        nyquist = lt.cosine_field(grid16.half, 1.0, [4, 0, 0]).values
+        assert np.abs(down(4, 0.0) - nyquist).max() <= 1e-14
+        assert np.abs(down(4, -np.pi / 2)).max() <= 1e-14
+        assert np.abs(down(5, 0.3)).max() <= 1e-14
+
+    def test_constants_transfer_exactly(self, grid16):
+        c = lt.constant_field(grid16.half, 0.7)
+        assert np.all(grid_module.transfer(c, grid16).values == 0.7)
+        assert np.all(grid_module.transfer(lt.constant_field(grid16, 0.7), grid16.half).values == 0.7)
+
+    def test_transfer_goes_only_between_a_grid_and_its_half(self, grid16):
+        u = lt.constant_field(grid16, 1.0)
+        for target in (grid16, grid16.half.half, lt.build_grid(3, [8] * 3, [2.0] * 3)):
+            with pytest.raises(GridMismatchError):
+                grid_module.transfer(u, target)
+
+
 def test_import_leaves_scipy_out():
     # neither the package nor what a CLI run imports (cli, config) loads any
     # scipy module; only the bubble comparison imports scipy, when it runs
