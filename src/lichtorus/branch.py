@@ -236,12 +236,9 @@ def _symmetric_solver(w: ScalarField, border: ScalarField | None = None):
         column = column[:n]
 
         def add_column(x, head):
-            # head += x[n:] @ b, formed as numpy's matmul forms it, 0 + x[n] b,
-            # which maps a product -0 to +0; the matmul itself runs a slow loop
-            if border is None:
-                head += 0.0
-            else:
-                head += np.add(np.multiply(b[0], x[n], out=column), 0.0, out=column)
+            # head += x[n:] @ b; the matmul itself runs a slow loop
+            if border is not None:
+                head += np.multiply(b[0], x[n], out=column)
 
         def rest(x, out):
             np.multiply(dw, x[:n], out=out[:n])

@@ -92,12 +92,13 @@ STABILITY_HEADER = ["q", "sup_u", "min_u", "mu", "deviation", "sup_diff",
 
 
 def _run_solve(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
-    spec = critical_spec(coeffs, cfg.theta).at(q=cfg.q)
+    par = cfg.parameters
+    spec = critical_spec(coeffs, par["theta"]).at(q=par["q"])
     out = branch_mod.minimal_solution(spec)
     point = branch_mod._branch_point(spec, out.solution, out.iterations)
     sol = point.solution
     quantities.update({
-        "theta": cfg.theta, "iterations": out.iterations,
+        "theta": par["theta"], "iterations": out.iterations,
         "residual_norm": out.residual_norm,
         "min_u": sol.min(), "max_u": sol.max(),
         "energy": point.energy, "lambda": point.lam,
@@ -108,7 +109,8 @@ def _run_solve(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
 
 
 def _run_branch(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
-    record = branch_mod.trace_branch(coeffs, cfg.theta_schedule, q=cfg.q)
+    record = branch_mod.trace_branch(coeffs, cfg.parameters["theta_schedule"],
+                                     q=cfg.parameters["q"])
     quantities.update({
         "n_points": len(record.points),
         "theta_first": record.points[0].theta,
@@ -122,8 +124,8 @@ def _run_branch(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
 
 
 def _run_fold(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
-    fold = branch_mod.find_theta_star(coeffs, theta_hint=cfg.theta_hint,
-                                      tol=cfg.fold_tol)
+    fold = branch_mod.find_theta_star(coeffs, theta_hint=cfg.parameters["theta_hint"],
+                                      tol=cfg.solver["fold_tol"])
     quantities.update({
         "theta_star": fold.theta_star,
         "bracket_lo": fold.bracket[0], "bracket_hi": fold.bracket[1],
@@ -138,12 +140,13 @@ def _run_fold(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
 
 
 def _run_mountain_pass(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
-    pair = mountain_mod.critical_limit(coeffs, cfg.theta,
-                                       eps_schedule=cfg.epsilon_schedule,
-                                       q_schedule=cfg.q_schedule, seed=cfg.seed,
-                                       ball_radius=cfg.ball_radius)
+    par = cfg.parameters
+    pair = mountain_mod.critical_limit(coeffs, par["theta"],
+                                       eps_schedule=par["epsilon_schedule"],
+                                       q_schedule=par["q_schedule"], seed=cfg.seed,
+                                       ball_radius=cfg.solver["ball_radius"])
     quantities.update({
-        "theta": cfg.theta,
+        "theta": par["theta"],
         "energy_minimal": pair.minimal.energy,
         "lambda_minimal": pair.minimal.lam,
         "eta": pair.eta,
@@ -172,10 +175,10 @@ def _run_certificate(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: d
 
 
 def _run_stability(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
-    perturbations = None
-    if cfg.a_perturbations is not None:
-        perturbations = [coeffs.a * amp for amp in cfg.a_perturbations]
-    result = diag_mod.stability_experiment(coeffs, cfg.theta, cfg.q_schedule,
+    par = cfg.parameters
+    bumps = par["a_perturbations"]
+    perturbations = None if bumps is None else [coeffs.a * amp for amp in bumps]
+    result = diag_mod.stability_experiment(coeffs, par["theta"], par["q_schedule"],
                                            perturbations)
     quantities.update({
         "verdict": result.verdict,
@@ -193,10 +196,11 @@ def _run_stability(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dic
 
 
 def _run_bubble(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
-    spec = BubbleSpec(n=cfg.dim, f0=cfg.bubble_f0)
-    h1 = spec.r0 / cfg.bubble_spacing_denominator
-    _, rep1 = diag_mod.standard_bubble(spec, cfg.bubble_window, spacing=h1)
-    _, rep2 = diag_mod.standard_bubble(spec, cfg.bubble_window, spacing=h1 / 2)
+    sol = cfg.solver
+    spec = BubbleSpec(n=cfg.dim, f0=sol["bubble_f0"])
+    h1 = spec.r0 / sol["bubble_spacing_denominator"]
+    _, rep1 = diag_mod.standard_bubble(spec, sol["bubble_window"], spacing=h1)
+    _, rep2 = diag_mod.standard_bubble(spec, sol["bubble_window"], spacing=h1 / 2)
     ratio = rep1.max_rel_residual / rep2.max_rel_residual
     quantities.update({
         "f0": spec.f0, "r0": spec.r0, "spacing": rep1.spacing,

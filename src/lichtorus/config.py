@@ -4,8 +4,10 @@ Configs are JSON with the blocks documented in the README: mode, grid,
 coefficients (constant plus truncated cosine series), parameters, solver and
 output.  Validation is strict: unknown keys are errors, and so are
 parameters and solver keys that the mode does not read (MODE_KEYS); every
-violation is reported with its key path, and the mode's keys, defaults
-included, are echoed so a run is reproducible from the report alone.
+violation is reported with its key path.  KEYS states each of those keys'
+kind and default once.  A RunConfig keeps the validated JSON blocks, the
+mode's keys with their defaults filled in, and echoes them as they are, so
+a run is reproducible from the report alone.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Coefficients, critical_exponent
 from .errors import LichtorusError
@@ -35,6 +37,22 @@ MODE_KEYS = {
                                 "bubble_spacing_denominator": False}},
 }
 MODES = tuple(MODE_KEYS)
+# Each parameters and solver key's kind and default.  A kind is a number
+# type, or for a schedule the order its entries must have.
+KEYS = {
+    "theta": (float, None),
+    "theta_hint": (float, 0.1),
+    "theta_schedule": ("increasing", None),
+    "q": (float, None),                      # None: the critical exponent 2*
+    "q_schedule": ("increasing", None),      # None: critical_limit's default
+    "epsilon_schedule": ("decreasing", None),  # None: critical_limit's default
+    "a_perturbations": ("unordered", None),
+    "fold_tol": (float, 1e-4),
+    "ball_radius": (float, None),            # None: the certificate's t0
+    "bubble_f0": (float, None),              # parse_config fills in n(n-2)
+    "bubble_window": (float, 0.5),
+    "bubble_spacing_denominator": (int, 64),
+}
 MAX_POINTS = 2**22   # points of a solver grid, and of the finer bubble-check lattice
 
 
@@ -45,45 +63,16 @@ class ConfigError(LichtorusError):
 
 
 @dataclass
-class CosineTerm:
-    amplitude: float
-    wavevector: tuple[int, ...]
-    phase: float = 0.0
-
-
-@dataclass
-class CoefficientSpec:
-    constant: float
-    cosines: list[CosineTerm] = field(default_factory=list)
-
-    def build(self, grid: TorusGrid) -> ScalarField:
-        out = constant_field(grid, self.constant)
-        for term in self.cosines:
-            out = out + cosine_field(grid, term.amplitude, term.wavevector, term.phase)
-        return out
-
-
-@dataclass
 class RunConfig:
     mode: str
     dim: int
     resolutions: list[int]
     periods: list[float]
-    h: CoefficientSpec
-    f: CoefficientSpec
-    a: CoefficientSpec
-    theta: float | None
-    theta_hint: float
-    theta_schedule: list[float] | None
-    q: float | None
-    q_schedule: list[float] | None
-    epsilon_schedule: list[float] | None
-    a_perturbations: list[float] | None
-    fold_tol: float
-    ball_radius: float | None
-    bubble_f0: float
-    bubble_window: float
-    bubble_spacing_denominator: int
+    h: dict
+    f: dict
+    a: dict
+    parameters: dict
+    solver: dict
     out_dir: str
     formats: list[str]
     seed: int
@@ -93,27 +82,26 @@ class RunConfig:
 
     def coefficients(self) -> Coefficients:
         grid = self.grid()
+
+        def build(block: dict) -> ScalarField:
+            out = constant_field(grid, block["constant"])
+            for term in block["cosines"]:
+                out = out + cosine_field(grid, **term)
+            return out
         try:
-            return Coefficients(self.h.build(grid), self.f.build(grid),
-                                self.a.build(grid))
+            return Coefficients(build(self.h), build(self.f), build(self.a))
         except ValueError as exc:
             raise ConfigError(f"coefficients: {exc}") from exc
 
     def normalized(self) -> dict:
         """Echo of the mode's keys with defaults materialized (JSON-serializable)."""
-        coeff = lambda c: {
-            "constant": c.constant,
-            "cosines": [{"amplitude": t.amplitude, "wavevector": list(t.wavevector),
-                         "phase": t.phase} for t in c.cosines],
-        }
         return {
             "mode": self.mode,
             "grid": {"dim": self.dim, "resolutions": self.resolutions,
                      "periods": self.periods},
-            "coefficients": {"h": coeff(self.h), "f": coeff(self.f), "a": coeff(self.a)},
-            **{block: {key: getattr(self, key)
-                       for key in MODE_KEYS[self.mode].get(block, {})}
-               for block in ("parameters", "solver")},
+            "coefficients": {"h": self.h, "f": self.f, "a": self.a},
+            "parameters": self.parameters,
+            "solver": self.solver,
             "output": {"directory": self.out_dir, "formats": self.formats},
             "seed": self.seed,
         }
@@ -126,8 +114,9 @@ def _require_keys(obj: dict, allowed: set[str], path: str):
 
 
 def _mode_block(raw: dict, block: str, mode: str) -> dict:
-    """raw's parameters or solver block, holding only keys the mode reads
-    and every key it requires."""
+    """raw's parameters or solver block, refused unless it holds only keys
+    the mode reads and every key it requires; returns each key the mode
+    reads, of its KEYS kind, or its default when left out."""
     obj = raw.get(block) or {}
     if not isinstance(obj, dict):
         raise ConfigError(f"{block}: expected an object")
@@ -140,15 +129,17 @@ def _mode_block(raw: dict, block: str, mode: str) -> dict:
     for key, required in reads.items():
         if required and obj.get(key) is None:
             raise ConfigError(f"{block}.{key}: required for mode {mode!r}")
-    return obj
+    return {key: _get(obj, block, key, *KEYS[key]) for key in reads}
 
 
-def _get(obj: dict, key: str, kind, path: str, default=None, required=False):
+def _get(obj: dict, path: str, key: str, kind, default=None, required=False):
     if key not in obj or obj[key] is None:
         if required:
             raise ConfigError(f"{path}.{key}: required key missing")
         return default
     val = obj[key]
+    if isinstance(kind, str):
+        return _check_schedule(val, f"{path}.{key}", kind)
     if kind is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
     if isinstance(val, bool) or not isinstance(val, kind):
@@ -156,32 +147,32 @@ def _get(obj: dict, key: str, kind, path: str, default=None, required=False):
     return val
 
 
-def _parse_coefficient(obj, dim: int, path: str) -> CoefficientSpec:
+def _parse_coefficient(obj, dim: int, path: str) -> dict:
+    """obj as {"constant", "cosines": [{"amplitude", "wavevector", "phase"}]},
+    numbers as floats and the phase 0.0 when left out."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
     _require_keys(obj, {"constant", "cosines"}, path)
-    constant = _get(obj, "constant", float, path, required=True)
+    constant = _get(obj, path, "constant", float, required=True)
     cosines = []
     for i, term in enumerate(obj.get("cosines") or []):
         tpath = f"{path}.cosines[{i}]"
         if not isinstance(term, dict):
             raise ConfigError(f"{tpath}: expected an object")
         _require_keys(term, {"amplitude", "wavevector", "phase"}, tpath)
-        amp = _get(term, "amplitude", float, tpath, required=True)
+        amp = _get(term, tpath, "amplitude", float, required=True)
         wv = term.get("wavevector")
         if (not isinstance(wv, list) or len(wv) != dim
                 or not all(isinstance(k, int) and not isinstance(k, bool) for k in wv)):
             raise ConfigError(f"{tpath}.wavevector: expected {dim} integers")
-        phase = _get(term, "phase", float, tpath, default=0.0)
-        cosines.append(CosineTerm(amplitude=amp, wavevector=tuple(wv), phase=phase))
-    return CoefficientSpec(constant=constant, cosines=cosines)
+        phase = _get(term, tpath, "phase", float, default=0.0)
+        cosines.append({"amplitude": amp, "wavevector": wv, "phase": phase})
+    return {"constant": constant, "cosines": cosines}
 
 
-def _check_schedule(seq, path: str, increasing: bool | None):
-    """seq as a nonempty list of floats, strictly monotone unless increasing
-    is None; None when seq is."""
-    if seq is None:
-        return None
+def _check_schedule(seq, path: str, order: str):
+    """seq as a nonempty list of floats, strictly increasing or decreasing
+    as order says, unless it is "unordered"."""
     if not isinstance(seq, list) or not seq:
         raise ConfigError(f"{path}: expected a nonempty list")
     vals = []
@@ -189,10 +180,9 @@ def _check_schedule(seq, path: str, increasing: bool | None):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"{path}[{i}]: expected a number")
         vals.append(float(v))
-    if increasing is not None and any(b <= a if increasing else b >= a
-                                      for a, b in zip(vals, vals[1:])):
-        raise ConfigError(f"{path}: schedule must be strictly "
-                          f"{'increasing' if increasing else 'decreasing'}")
+    if order != "unordered" and any(b <= a if order == "increasing" else b >= a
+                                    for a, b in zip(vals, vals[1:])):
+        raise ConfigError(f"{path}: schedule must be strictly {order}")
     return vals
 
 
@@ -222,7 +212,7 @@ def parse_config(text: str) -> RunConfig:
     _require_keys(raw, {"mode", "grid", "coefficients", "parameters",
                         "solver", "output", "seed"}, "top level")
 
-    mode = _get(raw, "mode", str, "top level", required=True)
+    mode = _get(raw, "top level", "mode", str, required=True)
     if mode not in MODES:
         raise ConfigError(f"mode: unknown mode {mode!r} (choose from {', '.join(MODES)})")
 
@@ -230,7 +220,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(grid_obj, dict):
         raise ConfigError("grid: required block missing")
     _require_keys(grid_obj, {"dim", "resolutions", "periods"}, "grid")
-    dim = _get(grid_obj, "dim", int, "grid", required=True)
+    dim = _get(grid_obj, "grid", "dim", int, required=True)
     if dim not in (3, 4, 5):
         raise ConfigError(f"grid.dim: dimension out of range: {dim}")
     resolutions = grid_obj.get("resolutions")
@@ -273,33 +263,25 @@ def parse_config(text: str) -> RunConfig:
     a = _parse_coefficient(coeff_obj["a"], dim, "coefficients.a")
 
     par = _mode_block(raw, "parameters", mode)
-    theta = _get(par, "theta", float, "parameters")
+    theta, theta_hint = par.get("theta"), par.get("theta_hint")
     if theta is not None and theta < 0:
         raise ConfigError("parameters.theta: must be >= 0")
-    theta_hint = _get(par, "theta_hint", float, "parameters", default=0.1)
-    if theta_hint <= 0:
+    if theta_hint is not None and theta_hint <= 0:
         raise ConfigError("parameters.theta_hint: must be positive")
-    theta_schedule = _check_schedule(par.get("theta_schedule"),
-                                     "parameters.theta_schedule", increasing=True)
-    if theta_schedule and theta_schedule[0] < 0:
+    if par.get("theta_schedule") and par["theta_schedule"][0] < 0:
         raise ConfigError("parameters.theta_schedule: entries must be >= 0")
-    q = _get(par, "q", float, "parameters")
+    q, q_schedule = par.get("q"), par.get("q_schedule")
     ts = critical_exponent(dim)
     if q is not None and not (2.0 <= q <= ts + 1e-12):
         raise ConfigError(f"parameters.q: must lie in [2, {ts}]")
-    q_schedule = _check_schedule(par.get("q_schedule"), "parameters.q_schedule",
-                                 increasing=True)
     if q_schedule and not (2.0 <= q_schedule[0] and q_schedule[-1] <= ts + 1e-12):
         raise ConfigError(f"parameters.q_schedule: entries must lie in [2, 2* = {ts}]")
     if mode == "mountain-pass" and q_schedule and q_schedule[-1] >= ts:
         raise ConfigError(f"parameters.q_schedule: mountain-pass entries must be "
                           f"below 2* = {ts}")
-    epsilon_schedule = _check_schedule(par.get("epsilon_schedule"),
-                                       "parameters.epsilon_schedule", increasing=False)
-    if epsilon_schedule and epsilon_schedule[-1] <= 0:
+    if par.get("epsilon_schedule") and par["epsilon_schedule"][-1] <= 0:
         raise ConfigError("parameters.epsilon_schedule: entries must be positive")
-    a_perturbations = _check_schedule(par.get("a_perturbations"),
-                                      "parameters.a_perturbations", increasing=None)
+    a_perturbations = par.get("a_perturbations")
     for i, v in enumerate(a_perturbations or []):
         if v <= -1.0:
             raise ConfigError(f"parameters.a_perturbations[{i}]: relative bump must "
@@ -308,16 +290,17 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("parameters.a_perturbations: length must match q_schedule")
 
     sol = _mode_block(raw, "solver", mode)
-    fold_tol = _get(sol, "fold_tol", float, "solver", default=1e-4)
-    if fold_tol <= 0:
+    fold_tol, ball_radius = sol.get("fold_tol"), sol.get("ball_radius")
+    if fold_tol is not None and fold_tol <= 0:
         raise ConfigError("solver.fold_tol: tolerance must be positive")
-    ball_radius = _get(sol, "ball_radius", float, "solver")
     if ball_radius is not None and ball_radius <= 0:
         raise ConfigError("solver.ball_radius: must be positive")
-    bubble_f0 = _get(sol, "bubble_f0", float, "solver", default=float(dim * (dim - 2)))
-    bubble_window = _get(sol, "bubble_window", float, "solver", default=0.5)
-    bubble_den = _get(sol, "bubble_spacing_denominator", int, "solver", default=64)
     if mode == "bubble-check":
+        if sol["bubble_f0"] is None:
+            sol["bubble_f0"] = float(dim * (dim - 2))
+        bubble_f0 = sol["bubble_f0"]
+        bubble_window = sol["bubble_window"]
+        bubble_den = sol["bubble_spacing_denominator"]
         if bubble_f0 <= 0:
             raise ConfigError("solver.bubble_f0: must be positive")
         if bubble_window <= 0:
@@ -344,22 +327,16 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(out, dict):
         raise ConfigError("output: expected an object")
     _require_keys(out, {"directory", "formats"}, "output")
-    out_dir = _get(out, "directory", str, "output", default="out")
+    out_dir = _get(out, "output", "directory", str, default="out")
     formats = out.get("formats", ["csv", "field"])
     if (not isinstance(formats, list)
             or any(fmt not in ("csv", "field") for fmt in formats)):
         raise ConfigError("output.formats: entries must be 'csv' or 'field'")
 
-    seed = _get(raw, "seed", int, "top level", default=0)
+    seed = _get(raw, "top level", "seed", int, default=0)
     if seed < 0:
         raise ConfigError("seed: must be a nonnegative integer")
 
     return RunConfig(mode=mode, dim=dim, resolutions=list(resolutions),
-                     periods=pvals, h=h, f=f, a=a, theta=theta,
-                     theta_hint=theta_hint, theta_schedule=theta_schedule,
-                     q=q, q_schedule=q_schedule, epsilon_schedule=epsilon_schedule,
-                     a_perturbations=a_perturbations, fold_tol=fold_tol,
-                     ball_radius=ball_radius,
-                     bubble_f0=bubble_f0, bubble_window=bubble_window,
-                     bubble_spacing_denominator=bubble_den, out_dir=out_dir,
-                     formats=list(formats), seed=seed)
+                     periods=pvals, h=h, f=f, a=a, parameters=par, solver=sol,
+                     out_dir=out_dir, formats=list(formats), seed=seed)

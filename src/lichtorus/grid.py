@@ -48,6 +48,10 @@ class KrylovError(SolverFailure):
     """Raised when the preconditioned CG iteration does not converge."""
 
 
+class NonFiniteFieldError(SolverFailure, ValueError):
+    """Raised when a field the package computed overflowed to inf or nan."""
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform collocation grid on a flat torus of dimension 3, 4 or 5.
@@ -224,24 +228,25 @@ class ScalarField:
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: TorusGrid, values):
-        self._adopt(grid, np.array(values, dtype=np.float64, order="C"))
+        self._adopt(grid, np.array(values, dtype=np.float64, order="C"), ValueError)
 
     @classmethod
     def _own(cls, grid: TorusGrid, values: NDArray) -> "ScalarField":
         """The field of values, an array that the package has just computed
         and that nothing else refers to: the checks of __init__ without its
-        copy."""
+        copy; non-finite values are a NonFiniteFieldError."""
         field = cls.__new__(cls)
-        field._adopt(grid, np.ascontiguousarray(values, dtype=np.float64))
+        field._adopt(grid, np.ascontiguousarray(values, dtype=np.float64),
+                     NonFiniteFieldError)
         return field
 
-    def _adopt(self, grid: TorusGrid, arr: NDArray):
+    def _adopt(self, grid: TorusGrid, arr: NDArray, non_finite: type[ValueError]):
         if arr.shape != grid.resolutions:
             raise ValueError(
                 f"field shape {arr.shape} does not match grid {grid.resolutions}"
             )
         if not np.isfinite(arr).all():
-            raise ValueError("field contains non-finite values")
+            raise non_finite("field contains non-finite values")
         arr.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", arr)

@@ -470,6 +470,9 @@ def critical_limit(coeffs: Coefficients, theta: float,
     specs = [ProblemSpec(coeffs, q, theta=theta, epsilon=eps) for eps, q in stages]
     *etas, eta_crit = sphere_barrier([*specs, crit], center, radius,
                                      np.random.default_rng(seed))
+    if not minimal_bp.energy < eta_crit:
+        raise GeometryError(f"minimal energy {minimal_bp.energy:.8f} is not below "
+                            f"the barrier eta={eta_crit:.8f}")
 
     u_low = minimize_in_ball(specs[0], center, radius, start=minimal_bp.solution)
     u_high, e_high = build_far_endpoint(specs[0], etas[0], radius, center)
@@ -492,9 +495,6 @@ def critical_limit(coeffs: Coefficients, theta: float,
 
     # Final refinement of the pass point on the true critical equation.
     v_star, e_second = _pass_point(crit, v, eta_crit)
-    if not minimal_bp.energy < eta_crit:
-        raise GeometryError(f"minimal energy {minimal_bp.energy:.8f} is not below "
-                            f"the barrier eta={eta_crit:.8f}")
     separation = float(np.abs(minimal_bp.solution.values - v_star.values).max())
     return TwoSolutions(minimal=minimal_bp, second=v_star,
                         second_energy=e_second, eta=eta_crit, separation=separation,

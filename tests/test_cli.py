@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import lichtorus
-from lichtorus import branch, cli
+from lichtorus import branch, cli, mountain
 from lichtorus.cli import main, verify_manifest
 
 
@@ -423,3 +423,83 @@ def test_readme_fold_example_prints_its_documented_output(tmp_path, capsys):
             assert int(have) == int(want), key
         except ValueError:
             assert float(have) == pytest.approx(float(want), rel=1e-9), key
+
+
+def _run_through_the_interpreter(cfgp, mode):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(lichtorus.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-m", "lichtorus.cli", mode,
+                           "--config", cfgp], capture_output=True, text=True,
+                          env=env, timeout=300)
+
+
+@pytest.mark.parametrize("mode, params", [
+    ("solve", {"theta": 0.1}),
+    ("fold", {}),
+    ("stability-test", {"theta": 0.1, "q_schedule": [5.0, 5.5]}),
+    ("mountain-pass", {"theta": 0.1}),
+])
+def test_overflow_is_a_solver_failure(tmp_path, mode, params):
+    # a = 1e300 is a finite config number, but the run's fields overflow:
+    # a solver failure whose report names it, not a traceback.  In a
+    # subprocess, so that numpy's overflow warnings do not meet -W error.
+    out = tmp_path / "out"
+    cfg = base_config(mode, str(out), **params)
+    cfg["coefficients"]["a"] = {"constant": 1e300}
+    done = _run_through_the_interpreter(write_config(tmp_path, cfg), mode)
+    assert done.returncode == 3
+    assert "solver failure: field contains non-finite values" in done.stderr
+    assert "Traceback" not in done.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert report["error_class"] == "NonFiniteFieldError"
+    assert (report["exit_code"], report["status"], report["files"]) == (3, "failed", [])
+
+
+def test_mountain_pass_blowup_exit_code(tmp_path, monkeypatch):
+    # a sup cap below the minimal solution's sup: the first stage's pass
+    # point reads as a family that blows up
+    monkeypatch.setattr(mountain, "BLOWUP_FACTOR", 1e-6)
+    out = tmp_path / "out"
+    cfgp = write_config(tmp_path, base_config("mountain-pass", str(out), theta=0.1,
+                                              epsilon_schedule=[1e-2], q_schedule=[5.5]))
+    assert main(["mountain-pass", "--config", cfgp]) == 4
+    report = json.loads((out / "report.json").read_text())
+    assert report["error_class"] == "BlowupDetectedError"
+    assert (report["exit_code"], report["status"], report["files"]) == (4, "blowup", [])
+
+
+def test_negative_seed_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfgp = write_config(tmp_path, base_config("solve", str(out), theta=0.1))
+    assert main(["solve", "--config", cfgp, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: --seed must be a nonnegative integer\n"
+    assert not out.exists()
+
+
+# a quick run of each mode; bubble-check takes every default
+MODE_RUNS = {
+    "solve": {"theta": 0.1},
+    "branch": {"theta_schedule": [0.05, 0.1]},
+    "fold": {},
+    "mountain-pass": {"theta": 0.1, "epsilon_schedule": [1e-2], "q_schedule": [5.5, 5.75]},
+    "certificate": {},
+    "stability-test": {"theta": 0.1, "q_schedule": [5.0, 5.5]},
+    "bubble-check": {},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_RUNS))
+def test_report_config_reruns_the_run(tmp_path, mode):
+    # report.json's config, defaults filled in, is the whole run: rerun into
+    # another directory, it writes the same files and quantities
+    first, second = tmp_path / "first", tmp_path / "second"
+    cfgp = write_config(tmp_path, base_config(mode, str(first), **MODE_RUNS[mode]))
+    assert main([mode, "--config", cfgp]) == 0
+    report = json.loads((first / "report.json").read_text())
+    echo = write_config(tmp_path, report["config"], name="echo.json")
+    assert main([mode, "--config", echo, "--out", str(second)]) == 0
+    rerun = json.loads((second / "report.json").read_text())
+    assert report["files"] and rerun["files"] == report["files"]
+    assert rerun["quantities"] == report["quantities"]
+    report["config"]["output"]["directory"] = str(second)
+    assert rerun["config"] == report["config"]

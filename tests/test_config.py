@@ -1,8 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from lichtorus.config import ConfigError, parse_config
+from lichtorus.config import KEYS, MODE_KEYS, ConfigError, parse_config
 
 
 def minimal(mode="fold", **overrides):
@@ -236,3 +237,23 @@ def test_bubble_window_beyond_the_float_range():
     bad["solver"] = {"bubble_window": 1e308}
     with pytest.raises(ConfigError, match="solver.bubble_window: .* beyond the float range"):
         parse_config(json.dumps(bad))
+
+
+def test_keys_state_every_mode_key_once():
+    assert set(KEYS) == {key for blocks in MODE_KEYS.values()
+                         for keys in blocks.values() for key in keys}
+
+
+def test_readme_mode_table_lists_the_mode_keys():
+    # the README's table of each mode's keys is MODE_KEYS, * marking the
+    # required ones
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = text.index("| mode | `parameters` | `solver` |")
+    table = {}
+    for row in text[start:].split("\n\n")[0].splitlines()[2:]:
+        mode, *cells = [cell.strip() for cell in row.strip().strip("|").split("|")]
+        table[mode.strip("`")] = {
+            block: {entry.strip().rstrip("*").strip("`"): entry.strip().endswith("*")
+                    for entry in cell.split(",")}
+            for block, cell in zip(("parameters", "solver"), cells) if cell}
+    assert table == MODE_KEYS

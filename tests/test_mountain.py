@@ -382,6 +382,26 @@ class TestContinuation:
             self._two_stages(unit_coeffs8)
 
 
+    def test_limit_barrier_is_checked_before_the_continuation(self, unit_coeffs8,
+                                                              monkeypatch):
+        # a limit barrier below the minimal energy ends the run before any
+        # descent, whatever the stages would find
+        real = mountain.sphere_barrier
+
+        def low_limit(*args):
+            *etas, _ = real(*args)
+            return [*etas, -1.0]
+
+        def no_descent(*args, **kwargs):
+            raise AssertionError("minimize_in_ball ran")
+
+        monkeypatch.setattr(mountain, "sphere_barrier", low_limit)
+        monkeypatch.setattr(mountain, "minimize_in_ball", no_descent)
+        with pytest.raises(GeometryError,
+                           match=r"is not below the barrier eta=-1\.00000000$"):
+            self._two_stages(unit_coeffs8)
+
+
 @pytest.fixture(scope="module")
 def pair8():
     g = lt.build_grid(3, [8, 8, 8], [1.0, 1.0, 1.0])
