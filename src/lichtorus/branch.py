@@ -11,10 +11,10 @@ pointwise nondecreasing and stay above w > 0; F + K id need not be
 nonnegative, and K needs no headroom above B, which would only slow the
 contraction.  They converge to the smallest positive solution or grow
 without bound when none exists.  The fold theta_star is located by
-Newton on the extended system, first on the half grid (nested iteration:
-Allgower, Boehmer, Potra & Rheinboldt 1986), then refined from the
-prolonged half-grid fold and certified by one probe each side on the full
-grid.
+Newton on the extended system, bordered by its own positive start, first on
+the half grid (nested iteration: Allgower, Boehmer, Potra & Rheinboldt
+1986), then refined from the prolonged half-grid fold and certified by one
+probe each side on the full grid.
 """
 
 from __future__ import annotations
@@ -130,6 +130,7 @@ class FoldResult:
     coarse_refinement_steps: int
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _own rejects overflowed fields
 def build_subsolution(spec: ProblemSpec) -> Subsolution:
     """Strict subsolution w = t * psi_delta at spec's (theta, q).
 
@@ -174,8 +175,8 @@ def build_subsolution(spec: ProblemSpec) -> Subsolution:
     # tail is strictly negative (solution pairs narrower than the 2% scan
     # step can only hide very near the fold, where callers warm-start).
     base = (coeffs.a - delta * f_minus - delta - k0 * psi).values
-    fpow = coeffs.f.values * psi.values ** (spec.q - 1.0)
-    apow = theta * coeffs.a.values * psi.values ** (-(spec.q + 1.0))
+    fpow = ScalarField._own(grid, coeffs.f.values * psi.values ** (spec.q - 1.0)).values
+    apow = ScalarField._own(grid, theta * coeffs.a.values * psi.values ** -(spec.q + 1.0)).values
     # All three powers of t are positive, so
     #   t max(base) - t^(q-1) min(fpow) - t^(-(q+1)) min(apow)
     # bounds r(t) at every point.  Where it is negative by more than 1e-9 of
@@ -514,19 +515,21 @@ def _existence_solve(coeffs, theta, warm: ScalarField | None) -> MonotoneResult:
     return minimal_solution(critical_spec(coeffs, theta), warm)
 
 
-def _extended_newton(coeffs: Coefficients, u: ScalarField, theta: float, phi0: ScalarField
+def _extended_newton(coeffs: Coefficients, u: ScalarField, theta: float
                      ) -> tuple[ScalarField, float, ScalarField, ScalarField, float, int]:
     """Newton on the minimally extended system (Griewank & Reddien 1984) from
-    (u, theta) with border phi0, on coeffs' grid: (u*, theta*, null vector
-    v, F_theta, j22, Newton steps), or NewtonError.
+    (u, theta) on coeffs' grid: (u*, theta*, null vector v, F_theta, j22,
+    Newton steps), or NewtonError.
 
     The equations are F = 0 and g = 0, where [[F_u, phi0], [phi0^T, 0]]
-    [v; g] = [0; 1].  F_u is symmetric, so g_u = -v^2 W'(u) and g_theta =
+    [v; g] = [0; 1] and phi0 is the start u normalized: positive, so not
+    orthogonal to the null vector, which is positive at a fold of the
+    minimal branch.  F_u is symmetric, so g_u = -v^2 W'(u) and g_theta =
     -sum v^2 dW/dtheta; a step is three bordered solves (v - phi0, -F,
     -F_theta) and a 2x2 solve for (dtheta, mu) in du = z1 + dtheta z2 + mu v.
     """
     q, f, a = critical_spec(coeffs, theta).q, coeffs.f.values, coeffs.a.values
-    phi0 = phi0 * (1.0 / np.linalg.norm(phi0.values))
+    phi0 = u * (1.0 / np.linalg.norm(u.values))
     lap_phi0 = laplacian(phi0)
     for steps in range(NEWTON_MAX_STEPS + 1):
         spec = critical_spec(coeffs, theta)
@@ -556,11 +559,6 @@ def _extended_newton(coeffs: Coefficients, u: ScalarField, theta: float, phi0: S
         u, theta = u + alpha * du, float(theta + alpha * dtheta)
 
 
-def _first_vector(coeffs: Coefficients, u: ScalarField, theta: float) -> ScalarField:
-    """The first eigenvector of the linearization at u, theta."""
-    return smallest_eigenpair(linearized_potential(critical_spec(coeffs, theta), u)).vector
-
-
 def _half_grid_fold(coeffs: Coefficients, sol: ScalarField, theta: float):
     """_extended_newton on the half grid from sol and theta, restricted
     there, or None when the grid has no half grid, the restricted
@@ -573,9 +571,8 @@ def _half_grid_fold(coeffs: Coefficients, sol: ScalarField, theta: float):
     except ValueError as exc:  # e.g. a Gibbs dip of the restricted a below 0
         log.debug("no half-grid fold: %s", exc)
         return None
-    u = transfer(sol, half)
     try:
-        return _extended_newton(coarse, u, theta, _first_vector(coarse, u, theta))
+        return _extended_newton(coarse, transfer(sol, half), theta)
     except SolverFailure as exc:
         log.debug("no half-grid fold: %s", exc)
         return None
@@ -587,18 +584,16 @@ def _fold_newton(coeffs: Coefficients, sol: ScalarField, theta: float,
     NewtonError.
 
     The extended Newton first runs on the half grid, and the full-grid one
-    starts from its prolonged fold, with the prolonged null vector as the
-    border; without a half-grid fold it starts from sol, theta and the
-    first eigenvector at sol.  Both certificates are on the full grid.
+    starts from its prolonged fold, or from sol and theta without one.  Both
+    certificates are on the full grid, and the lower one's eigen solve is
+    the fold's only one.
     """
+    u, coarse_theta, coarse_steps = sol, None, 0
     coarse = _half_grid_fold(coeffs, sol, theta)
-    if coarse is None:
-        coarse_theta, coarse_steps = None, 0
-        start = (sol, theta, _first_vector(coeffs, sol, theta))
-    else:
-        u_c, coarse_theta, v_c, _, _, coarse_steps = coarse
-        start = (transfer(u_c, coeffs.grid), coarse_theta, transfer(v_c, coeffs.grid))
-    u, theta, v, f_theta, j22, steps = _extended_newton(coeffs, *start)
+    if coarse is not None:
+        u_c, coarse_theta, *_, coarse_steps = coarse
+        u, theta = transfer(u_c, coeffs.grid), coarse_theta
+    u, theta, v, f_theta, j22, steps = _extended_newton(coeffs, u, theta)
 
     # Certify from below.  At a quadratic fold the minimal solution at
     # theta* - delta is u* - s v + O(s^2), delta = s^2 j22 / (2 s2) with
@@ -630,11 +625,11 @@ def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
                     tol: float = 1e-4) -> FoldResult:
     """Locate the fold: largest theta admitting a minimal solution.
 
-    Doubling brackets the fold on the existence dichotomy; Newton on the
-    extended system then locates it on the half grid from the last
-    converged point and refines it on the full grid, certified there by one
-    solution below it and one diverging probe above it.  A failed Newton or
-    certificate raises its SolverFailure.
+    Halving from theta_hint, then doubling if theta_hint had a solution,
+    brackets the fold with no theta probed twice; Newton on the extended
+    system locates it on the half grid from the last converged point and
+    refines it on the full grid, certified there by a solution below it and
+    a diverging probe above it.  Failures raise their SolverFailure.
     """
     if theta_hint <= 0:
         raise ValueError("theta_hint must be positive")
@@ -652,15 +647,16 @@ def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
         raise NoSolutionError(f"no solution even at theta = {tol}")
     sol = out.solution
 
-    # Phase B: bracket from above by doubling.
-    for _ in range(60):
-        try:
-            out = _existence_solve(coeffs, 2.0 * theta_lo, sol)
-        except NoSolutionError:
-            break
-        theta_lo, sol = 2.0 * theta_lo, out.solution
-    else:
-        raise BracketError("no fold found within the doubling cap; is f <= 0 somewhere?")
+    # Phase B: double up to the fold, unless Phase A saw 2 theta_lo diverge.
+    if theta_lo == theta_hint:
+        for _ in range(60):
+            try:
+                out = _existence_solve(coeffs, 2.0 * theta_lo, sol)
+            except NoSolutionError:
+                break
+            theta_lo, sol = 2.0 * theta_lo, out.solution
+        else:
+            raise BracketError("no fold found within the doubling cap; is f <= 0 somewhere?")
 
     # Phase C: Newton on the extended system, from the half-grid fold.
     fold = _fold_newton(coeffs, sol, theta_lo, tol)

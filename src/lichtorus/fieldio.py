@@ -28,14 +28,16 @@ def field_to_bytes(field: ScalarField) -> bytes:
 def field_from_bytes(data: bytes) -> ScalarField:
     if data[:8] != MAGIC:
         raise ValueError("not a field dump (bad magic)")
-    off = 8
-    (dim,) = struct.unpack_from("<I", data, off)
-    off += 4
-    resolutions = struct.unpack_from(f"<{dim}I", data, off)
-    off += 4 * dim
-    periods = struct.unpack_from(f"<{dim}d", data, off)
-    off += 8 * dim
-    grid = build_grid(dim, resolutions, periods)
+    if len(data) < 12:
+        raise ValueError("field dump truncated")
+    (dim,) = struct.unpack_from("<I", data, 8)
+    if dim not in (3, 4, 5):
+        raise ValueError(f"field dump dimension out of range: {dim} (must be 3, 4 or 5)")
+    off = 12 + 12 * dim
+    if len(data) < off:
+        raise ValueError("field dump truncated")
+    head = struct.unpack_from(f"<{dim}I{dim}d", data, 12)
+    grid = build_grid(dim, head[:dim], head[dim:])
     count = grid.npoints
     if len(data) - off < 8 * count:
         raise ValueError("field dump truncated")

@@ -287,8 +287,9 @@ class TestNewtonRefine:
 
 def _fold_case(case):
     """(coefficients, theta_hint) of a fold that the half-grid tests run."""
-    if case == "unit 12^4":
-        one = lt.constant_field(lt.build_grid(4, [12] * 4, [1.0] * 4), 1.0)
+    if case in ("unit 12^4", "unit 6^5"):
+        dim, res = (4, 12) if case == "unit 12^4" else (5, 6)
+        one = lt.constant_field(lt.build_grid(dim, [res] * dim, [1.0] * dim), 1.0)
         return lt.Coefficients(one, one, one), 0.1
     res = 32 if case == "readme 32^3" else 16
     g = lt.build_grid(3, [res] * 3, [1.0] * 3)
@@ -460,6 +461,27 @@ class TestFoldLocation:
         monkeypatch.setattr(branch, "_symmetric_solver", counting)
         find_theta_star(coeffs, theta_hint=0.1, tol=1e-4)
         assert 0 < len(solves) <= 4
+
+    @pytest.mark.parametrize("case", ["readme 16^3", "unit 6^5"])
+    def test_one_eigen_solve_and_no_repeated_probe(self, case, monkeypatch):
+        # the extended Newton borders with its own start, so the lower
+        # certificate's eigen solve is a fold's only one; the 6^5 hint lies
+        # above the fold (4/5)^4/5, and doubling does not probe it again
+        coeffs, hint = _fold_case(case)
+        probes, eigen_calls = [], []
+        real_probe, real_eigen = branch._existence_solve, branch.smallest_eigenpair
+
+        def probing(c, theta, *args):
+            probes.append(theta)
+            return real_probe(c, theta, *args)
+
+        monkeypatch.setattr(branch, "_existence_solve", probing)
+        monkeypatch.setattr(branch, "smallest_eigenpair",
+                            lambda w: eigen_calls.append(1) or real_eigen(w))
+        fold = find_theta_star(coeffs, theta_hint=hint, tol=1e-4)
+        assert len(eigen_calls) == 1
+        assert len(probes) == len(set(probes)) == 3
+        assert probes[-1] == fold.bracket[1]
 
     def test_full_grid_newton_steps_at_32_cubed(self):
         fold = find_theta_star(_fold_case("readme 32^3")[0], theta_hint=0.1, tol=1e-4)

@@ -425,34 +425,46 @@ def test_readme_fold_example_prints_its_documented_output(tmp_path, capsys):
             assert float(have) == pytest.approx(float(want), rel=1e-9), key
 
 
-def _run_through_the_interpreter(cfgp, mode):
+def _run_through_the_interpreter(cfgp, mode, *options):
     env = dict(os.environ,
                PYTHONPATH=str(Path(lichtorus.__file__).resolve().parent.parent))
-    return subprocess.run([sys.executable, "-m", "lichtorus.cli", mode,
+    return subprocess.run([sys.executable, *options, "-m", "lichtorus.cli", mode,
                            "--config", cfgp], capture_output=True, text=True,
                           env=env, timeout=300)
 
 
-@pytest.mark.parametrize("mode, params", [
+OVERFLOW_RUNS = [
     ("solve", {"theta": 0.1}),
     ("fold", {}),
     ("stability-test", {"theta": 0.1, "q_schedule": [5.0, 5.5]}),
     ("mountain-pass", {"theta": 0.1}),
-])
-def test_overflow_is_a_solver_failure(tmp_path, mode, params):
+]
+
+
+def _check_overflow_run(tmp_path, mode, params, *options):
     # a = 1e300 is a finite config number, but the run's fields overflow:
-    # a solver failure whose report names it, not a traceback.  In a
-    # subprocess, so that numpy's overflow warnings do not meet -W error.
+    # a solver failure whose report names it, not a traceback
     out = tmp_path / "out"
     cfg = base_config(mode, str(out), **params)
     cfg["coefficients"]["a"] = {"constant": 1e300}
-    done = _run_through_the_interpreter(write_config(tmp_path, cfg), mode)
+    done = _run_through_the_interpreter(write_config(tmp_path, cfg), mode, *options)
     assert done.returncode == 3
     assert "solver failure: field contains non-finite values" in done.stderr
     assert "Traceback" not in done.stderr
     report = json.loads((out / "report.json").read_text())
     assert report["error_class"] == "NonFiniteFieldError"
     assert (report["exit_code"], report["status"], report["files"]) == (3, "failed", [])
+
+
+@pytest.mark.parametrize("mode, params", OVERFLOW_RUNS)
+def test_overflow_is_a_solver_failure(tmp_path, mode, params):
+    _check_overflow_run(tmp_path, mode, params)
+
+
+@pytest.mark.parametrize("mode, params", OVERFLOW_RUNS)
+def test_overflow_under_warnings_as_errors(tmp_path, mode, params):
+    # numpy does not warn of the overflow, so -W error changes nothing
+    _check_overflow_run(tmp_path, mode, params, "-W", "error")
 
 
 def test_mountain_pass_blowup_exit_code(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,18 @@ def test_bad_magic_rejected(grid8):
         field_from_bytes(b"XX" + blob[2:])
 
 
-def test_truncated_rejected(grid8):
+@pytest.mark.parametrize("cut", [8, 10, 12, 20, 24, 40, 47, 2072])
+def test_truncated_rejected(grid8, cut):
+    # cuts in the 48-byte header (magic, dim, three resolutions, three
+    # periods) and one halfway through the dump
     blob = field_to_bytes(lt.constant_field(grid8, 1.0))
     with pytest.raises(ValueError, match="truncated"):
-        field_from_bytes(blob[: len(blob) // 2])
+        field_from_bytes(blob[:cut])
+
+
+def test_header_dimension_out_of_range_rejected(grid8):
+    # checked before the per-axis entries, which this dim would put far
+    # beyond the end of the dump
+    blob = field_to_bytes(lt.constant_field(grid8, 1.0))
+    with pytest.raises(ValueError, match="dimension out of range"):
+        field_from_bytes(blob[:8] + struct.pack("<I", 2**32 - 1) + blob[12:])
