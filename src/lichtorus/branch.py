@@ -10,11 +10,13 @@ order.  Then each iterate is a subsolution above the last, so iterates are
 pointwise nondecreasing and stay above w > 0; F + K id need not be
 nonnegative, and K needs no headroom above B, which would only slow the
 contraction.  They converge to the smallest positive solution or grow
-without bound when none exists.  The fold theta_star is located by
-Newton on the extended system, bordered by its own positive start, first on
-the half grid (nested iteration: Allgower, Boehmer, Potra & Rheinboldt
-1986), then refined from the prolonged half-grid fold and certified by one
-probe each side on the full grid.
+without bound when none exists; where f > 0 an iterate whose mean exceeds
+a bound that every solution obeys ends the iteration earlier.  The fold
+theta_star is bracketed and located by Newton on the extended system,
+bordered by its own positive start, on the half grid (nested iteration:
+Allgower, Boehmer, Potra & Rheinboldt 1986), then refined from the
+prolonged half-grid fold and certified by one probe each side on the full
+grid.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from .core import (
     smallest_eigenpair,
 )
 from .errors import SolverFailure
-from .grid import ScalarField, helmholtz_operator, helmholtz_solve, laplacian, minres, transfer
+from .grid import (ScalarField, TorusGrid, helmholtz_operator, helmholtz_solve, laplacian,
+                   minres, transfer)
 
 log = logging.getLogger(__name__)
 
@@ -361,9 +364,16 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField) -> Mon
     subsolution at spec's theta (e.g. a minimal solution at a smaller theta).
     Newton is tried once a step is at most NEWTON_TRIGGER and kept when it
     dominates the iterate ("newton"); if it declines at a step of at most
-    PICARD_TOL, the iterate is returned ("converged").  Diverged when the
-    iterates blow past CAP_FACTOR x the starting sup / keep growing at the
-    iteration limit.
+    PICARD_TOL, the iterate is returned ("converged").
+
+    Diverged when an iterate's mean exceeds the bound that every positive
+    solution obeys where f > 0 everywhere and theta a is not 0: Delta has
+    zero grid sum, so a solution has sum h u = sum f u^(q-1) + theta sum
+    a u^(-(q+1)) > min f sum u^(q-1), and Jensen gives mean(u) <
+    (max h / min f)^(1/(q-2)); the iterates stay below the minimal
+    solution, so one above the bound proves there is none.  Diverged too
+    when the iterates blow past CAP_FACTOR x the starting sup, the verdict
+    where min f <= 0, or keep growing at the iteration limit.
     """
     if isinstance(start, Subsolution):
         v = start.field
@@ -382,6 +392,9 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField) -> Mon
     q = spec.q
     sup0 = v.max()
     cap = CAP_FACTOR * sup0
+    mean_bound = np.inf  # see the docstring
+    if q > 2.0 and c.f.min() > 0 and spec.theta * c.a.max() > 0:
+        mean_bound = (max(c.h.max(), 0.0) / c.f.min()) ** (1.0 / (q - 2.0))
     # the growth verdicts read only the last GROWTH_WINDOW steps
     sup_history = deque([sup0], maxlen=GROWTH_WINDOW + 1)
     max_violation = 0.0
@@ -429,6 +442,9 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField) -> Mon
         sup = v.max()
         sup_history.append(sup)
 
+        if v.values.sum() / v.values.size > mean_bound:
+            return MonotoneResult(False, None, it, max_violation, None,
+                                  "mean above the bound of every solution")
         if sup > cap:
             return MonotoneResult(False, None, it, max_violation, None, "cap exceeded")
 
@@ -559,41 +575,46 @@ def _extended_newton(coeffs: Coefficients, u: ScalarField, theta: float
         u, theta = u + alpha * du, float(theta + alpha * dtheta)
 
 
-def _half_grid_fold(coeffs: Coefficients, sol: ScalarField, theta: float):
-    """_extended_newton on the half grid from sol and theta, restricted
-    there, or None when the grid has no half grid, the restricted
-    coefficients are not admissible or that Newton fails."""
+def _half_grid_coefficients(coeffs: Coefficients) -> Coefficients | None:
+    """coeffs restricted to the half grid, or None when the grid has no half
+    grid or the restricted coefficients are not admissible."""
     half = coeffs.grid.half
     if half is None:
         return None
     try:
-        coarse = Coefficients(*(transfer(c, half) for c in (coeffs.h, coeffs.f, coeffs.a)))
+        return Coefficients(*(transfer(c, half) for c in (coeffs.h, coeffs.f, coeffs.a)))
     except ValueError as exc:  # e.g. a Gibbs dip of the restricted a below 0
-        log.debug("no half-grid fold: %s", exc)
-        return None
-    try:
-        return _extended_newton(coarse, transfer(sol, half), theta)
-    except SolverFailure as exc:
-        log.debug("no half-grid fold: %s", exc)
+        log.debug("no half-grid coefficients: %s", exc)
         return None
 
 
-def _fold_newton(coeffs: Coefficients, sol: ScalarField, theta: float,
-                 tol: float) -> FoldResult:
-    """The certified fold from the minimal solution sol at theta, or
-    NewtonError.
+def _on(u: ScalarField, grid: TorusGrid) -> ScalarField:
+    """u on grid, which is u's grid, its half grid or the grid whose half u
+    lives on."""
+    return u if u.grid == grid else transfer(u, grid)
 
-    The extended Newton first runs on the half grid, and the full-grid one
-    starts from its prolonged fold, or from sol and theta without one.  Both
-    certificates are on the full grid, and the lower one's eigen solve is
-    the fold's only one.
+
+def _fold_newton(coeffs: Coefficients, coarse: Coefficients | None,
+                 sol: ScalarField, theta: float, tol: float) -> FoldResult:
+    """The certified fold from the minimal solution sol at theta, on the
+    full grid of coeffs or on the half grid of coarse, or NewtonError.
+
+    The extended Newton first runs on the half grid when coarse is given,
+    and the full-grid one starts from its prolonged fold, or from sol and
+    theta without one.  Both certificates are on the full grid, and the
+    lower one's eigen solve is the fold's only one.
     """
-    u, coarse_theta, coarse_steps = sol, None, 0
-    coarse = _half_grid_fold(coeffs, sol, theta)
+    fine = _on(sol, coeffs.grid)  # the lower certificate lies above it
+    start, coarse_theta, coarse_steps = (fine, theta), None, 0
     if coarse is not None:
-        u_c, coarse_theta, *_, coarse_steps = coarse
-        u, theta = transfer(u_c, coeffs.grid), coarse_theta
-    u, theta, v, f_theta, j22, steps = _extended_newton(coeffs, u, theta)
+        try:
+            u_c, coarse_theta, *_, coarse_steps = _extended_newton(
+                coarse, _on(sol, coarse.grid), theta)
+        except SolverFailure as exc:
+            log.debug("no half-grid fold: %s", exc)
+        else:
+            start = (transfer(u_c, coeffs.grid), coarse_theta)
+    u, theta, v, f_theta, j22, steps = _extended_newton(coeffs, *start)
 
     # Certify from below.  At a quadratic fold the minimal solution at
     # theta* - delta is u* - s v + O(s^2), delta = s^2 j22 / (2 s2) with
@@ -606,7 +627,7 @@ def _fold_newton(coeffs: Coefficients, sol: ScalarField, theta: float,
     delta = max(min(delta, 0.5 * tol), 4.0 * np.spacing(theta))
     spec_lo = critical_spec(coeffs, theta - delta)
     u_lo = newton_refine(spec_lo, u - float(np.sqrt(2.0 * s2 * delta / j22)) * v)
-    if float((sol.values - u_lo.values).max()) > 1e-8:
+    if float((fine.values - u_lo.values).max()) > 1e-8:
         raise NewtonError("the lower fold certificate lies below the warm start")
     point = _branch_point(spec_lo, u_lo, steps)
     if not 0.0 <= point.lam <= LAMBDA_TOL:
@@ -621,19 +642,11 @@ def _fold_newton(coeffs: Coefficients, sol: ScalarField, theta: float,
     raise NewtonError(f"a minimal solution exists at {theta_hi}, past the fold")
 
 
-def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
-                    tol: float = 1e-4) -> FoldResult:
-    """Locate the fold: largest theta admitting a minimal solution.
-
-    Halving from theta_hint, then doubling if theta_hint had a solution,
-    brackets the fold with no theta probed twice; Newton on the extended
-    system locates it on the half grid from the last converged point and
-    refines it on the full grid, certified there by a solution below it and
-    a diverging probe above it.  Failures raise their SolverFailure.
-    """
-    if theta_hint <= 0:
-        raise ValueError("theta_hint must be positive")
-
+def _bracket(coeffs: Coefficients, theta_hint: float, tol: float
+             ) -> tuple[ScalarField, float]:
+    """(sol, theta_lo) on coeffs' grid: halving from theta_hint, then
+    doubling if theta_hint had a solution, with no theta probed twice, ends
+    at theta_lo, whose minimal solution is sol and whose double diverged."""
     # Phase A: a theta where a solution exists.
     theta_lo = theta_hint
     while theta_lo >= tol:
@@ -657,9 +670,34 @@ def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
             theta_lo, sol = 2.0 * theta_lo, out.solution
         else:
             raise BracketError("no fold found within the doubling cap; is f <= 0 somewhere?")
+    return sol, theta_lo
 
-    # Phase C: Newton on the extended system, from the half-grid fold.
-    fold = _fold_newton(coeffs, sol, theta_lo, tol)
+
+def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
+                    tol: float = 1e-4) -> FoldResult:
+    """Locate the fold: largest theta admitting a minimal solution.
+
+    _bracket runs on the half grid, and on the full grid only where the
+    grid has no half grid, the restricted coefficients are not admissible
+    or the half grid cannot bracket (any SolverFailure).  Newton on the
+    extended system then locates the fold on the half grid from the
+    bracket point and refines it on the full grid, which certifies it by a
+    solution below it and a diverging probe above it; every full-grid probe
+    is a certificate when the half grid brackets.  Failures raise their
+    SolverFailure.
+    """
+    if theta_hint <= 0:
+        raise ValueError("theta_hint must be positive")
+
+    coarse, bracket = _half_grid_coefficients(coeffs), None
+    if coarse is not None:
+        try:
+            bracket = _bracket(coarse, theta_hint, tol)
+        except SolverFailure as exc:
+            log.debug("no half-grid bracket: %s", exc)
+    sol, theta_lo = bracket or _bracket(coeffs, theta_hint, tol)
+
+    fold = _fold_newton(coeffs, coarse, sol, theta_lo, tol)
     log.info("fold: theta_star=%.12f bracket=(%.12f, %.12f) lambda=%.3e",
              fold.theta_star, *fold.bracket, fold.last_branch_point.lam)
     return fold

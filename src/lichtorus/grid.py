@@ -417,9 +417,12 @@ def gradient(u: ScalarField) -> list[ScalarField]:
     grid, res = u.grid, u.grid.resolutions
     values = u.values - u.values.mean()  # as in _diagonal_apply: constants map to 0
     out = []
-    for axis, d in enumerate(grid._derivatives):
+    for axis, d in enumerate(grid._derivatives[:-1]):
         block = values.reshape(int(np.prod(res[:axis])), res[axis], -1)
         out.append(ScalarField._own(grid, (d @ block).reshape(res)))
+    # the last axis is contiguous: one GEMM, not a batch of one-column products
+    last = values.reshape(-1, res[-1]) @ grid._derivatives[-1].T
+    out.append(ScalarField._own(grid, last.reshape(res)))
     return out
 
 

@@ -177,11 +177,13 @@ class TestMonotoneIterate:
 
     def test_probe_diverges_in_tens_of_iterations(self, unit_coeffs8):
         # a K no larger than monotonicity needs takes a probe past the fold
-        # to the cap in a few dozen steps
+        # to a verdict in a few steps: f > 0 and theta a > 0 bound the mean
+        # of every solution by (max h / min f)^(1/(q-2)) = 1, which an
+        # iterate passes before the cap (9 iterations)
         spec = critical_spec(unit_coeffs8, 0.2)
         out = monotone_iterate(spec, build_subsolution(spec))
-        assert out.reason == "cap exceeded"
-        assert out.iterations <= 25
+        assert out.reason == "mean above the bound of every solution"
+        assert out.iterations < 9
 
     def test_converges_in_a_few_steps_from_the_subsolution(self, unit_coeffs8):
         # the scale scan starts within a step of the solution and K = B
@@ -379,13 +381,25 @@ class TestFoldLocation:
         assert abs(fold.theta_star - 4.0 / 27.0) <= 1e-12
         assert sum(iterations) <= 100
 
-    def test_sign_changing_f(self, grid8):
-        # where f < 0 the bound takes the f term at the top of the range; the
-        # probes past the fold must keep pointwise monotonicity up to the cap
+    def test_sign_changing_f(self, grid8, monkeypatch):
+        # where f < 0 the bound takes the f term at the top of the range; no
+        # mean bound holds where min f <= 0, so the probes past the fold keep
+        # their growth verdict, which 8^3 does not resolve
+        reasons = []
+        real = branch.monotone_iterate
+
+        def recording(*args):
+            out = real(*args)
+            if not out.converged:
+                reasons.append(out.reason)
+            return out
+
+        monkeypatch.setattr(branch, "monotone_iterate", recording)
         one = lt.constant_field(grid8, 1.0)
         f = 0.6 * one + 1.3 * lt.cosine_field(grid8, 1.0, [1, 0, 0])
         a = one + 0.3 * lt.cosine_field(grid8, 1.0, [0, 1, 0])
         fold = find_theta_star(lt.Coefficients(one, f, a), 0.05, 1e-4)
+        assert reasons == ["monotonicity lost in under-resolved growth"] * 2
         lo, hi = fold.bracket
         assert 0.0 <= fold.last_branch_point.lam <= 1e-4
         assert lo < fold.theta_star <= hi
@@ -403,36 +417,38 @@ class TestFoldLocation:
 
     @pytest.mark.parametrize("case", ["readme 16^3", "unit 12^4", "item 9 16^3", "a with k = 7"])
     def test_half_grid_start_keeps_the_single_level_fold(self, case, monkeypatch):
-        # the half-grid fold only moves the full-grid Newton's start: the
-        # certified theta_star stays that of the start at the bracket point,
-        # also where a has a mode (k = 7) that the 8^3 grid truncates away
+        # the half-grid bracket and fold only move the full-grid Newton's
+        # start: the certified theta_star stays that of the single-level
+        # search, also where a has a mode (k = 7) that the 8^3 grid truncates
         coeffs, hint = _fold_case(case)
         fold = find_theta_star(coeffs, theta_hint=hint, tol=1e-4)
         assert fold.coarse_theta_star is not None and fold.coarse_refinement_steps > 0
-        monkeypatch.setattr(branch, "_half_grid_fold", lambda *args: None)
+        monkeypatch.setattr(branch, "_half_grid_coefficients", lambda *args: None)
         single = find_theta_star(coeffs, theta_hint=hint, tol=1e-4)
         assert single.coarse_theta_star is None and single.coarse_refinement_steps == 0
         assert abs(fold.theta_star - single.theta_star) <= 1e-10
         assert fold.refinement_steps < single.refinement_steps
 
     def test_failed_half_grid_fold_falls_back_to_the_bracket_point(self, monkeypatch):
+        # the full-grid Newton then starts from the half-grid bracket point,
+        # prolonged, and certifies the single-level fold
         coeffs, _ = _fold_case("readme 16^3")
-        real = branch._extended_newton
+        real, starts = branch._extended_newton, []
 
-        def failing_on_the_half_grid(c, *args):
+        def failing_on_the_half_grid(c, u, theta):
             if c.grid == coeffs.grid.half:
                 raise NewtonError("forced failure on the half grid")
-            return real(c, *args)
+            starts.append((u.grid, theta))
+            return real(c, u, theta)
 
         monkeypatch.setattr(branch, "_extended_newton", failing_on_the_half_grid)
         fold = find_theta_star(coeffs, theta_hint=0.1, tol=1e-4)
         assert fold.coarse_theta_star is None and fold.coarse_refinement_steps == 0
-        monkeypatch.setattr(branch, "_half_grid_fold", lambda *args: None)
+        assert starts == [(coeffs.grid, 0.1)]
+        monkeypatch.setattr(branch, "_half_grid_coefficients", lambda *args: None)
         single = find_theta_star(coeffs, theta_hint=0.1, tol=1e-4)
-        assert (single.theta_star, single.bracket, single.refinement_steps) == \
-            (fold.theta_star, fold.bracket, fold.refinement_steps)
-        assert np.array_equal(single.last_branch_point.solution.values,
-                              fold.last_branch_point.solution.values)
+        assert abs(single.theta_star - fold.theta_star) <= 1e-12
+        assert np.allclose(single.bracket, fold.bracket, rtol=0.0, atol=1e-12)
 
     def test_no_half_grid_fold_without_admissible_coefficients(self, grid16):
         # a single spike of a restricts to a Dirichlet kernel, negative in its
@@ -441,9 +457,49 @@ class TestFoldLocation:
         spike[0, 0, 0] = 1.0
         one = lt.constant_field(grid16, 1.0)
         coeffs = lt.Coefficients(one, one, lt.ScalarField(grid16, spike))
-        assert branch._half_grid_fold(coeffs, one, 0.1) is None
+        assert branch._half_grid_coefficients(coeffs) is None
         one = lt.constant_field(lt.build_grid(5, [6] * 5, [1.0] * 5), 1.0)
-        assert branch._half_grid_fold(lt.Coefficients(one, one, one), one, 0.1) is None
+        assert branch._half_grid_coefficients(lt.Coefficients(one, one, one)) is None
+
+    @pytest.mark.parametrize("case", ["readme 16^3", "unit 12^4"])
+    def test_one_full_grid_probe(self, case, monkeypatch):
+        # the half grid brackets the fold, so the full grid's one existence
+        # probe is the upper certificate
+        coeffs, hint = _fold_case(case)
+        full_probes = []
+        real = branch._existence_solve
+
+        def probing(c, theta, *args):
+            if c.grid == coeffs.grid:
+                full_probes.append(theta)
+            return real(c, theta, *args)
+
+        monkeypatch.setattr(branch, "_existence_solve", probing)
+        fold = find_theta_star(coeffs, theta_hint=hint, tol=1e-4)
+        assert full_probes == [fold.bracket[1]]
+
+    def test_half_grid_bracket_falls_back_to_the_full_grid(self, monkeypatch):
+        # ROADMAP item 9's coefficients: at 8^3 the doubling probe at 0.4
+        # loses monotonicity, so the bracket runs on the full grid, and the
+        # half-grid Newton starts from its restriction
+        coeffs, hint = _fold_case("item 9 16^3")
+        brackets = []
+        real = branch._bracket
+
+        def recording(c, *args):
+            try:
+                out = real(c, *args)
+            except Exception as exc:
+                brackets.append((c.grid, type(exc)))
+                raise
+            brackets.append((c.grid, None))
+            return out
+
+        monkeypatch.setattr(branch, "_bracket", recording)
+        fold = find_theta_star(coeffs, theta_hint=hint, tol=1e-4)
+        assert brackets == [(coeffs.grid.half, branch.MonotonicityError), (coeffs.grid, None)]
+        assert fold.coarse_theta_star is not None
+        assert fold.theta_star == pytest.approx(0.2256535232, abs=1e-9)
 
     def test_full_grid_work_of_the_readme_fold(self, monkeypatch):
         # one full-grid Newton step from the half-grid fold: three bordered
