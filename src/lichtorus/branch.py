@@ -41,6 +41,7 @@ from .core import (
     regularized_potential,
     residual,
     smallest_eigenpair,
+    _half_grid_coefficients,
 )
 from .errors import SolverFailure
 from .grid import (ScalarField, TorusGrid, helmholtz_operator, helmholtz_solve, laplacian,
@@ -573,19 +574,6 @@ def _extended_newton(coeffs: Coefficients, u: ScalarField, theta: float
             if alpha < 1e-8:
                 raise NewtonError("extended Newton: no positive step")
         u, theta = u + alpha * du, float(theta + alpha * dtheta)
-
-
-def _half_grid_coefficients(coeffs: Coefficients) -> Coefficients | None:
-    """coeffs restricted to the half grid, or None when the grid has no half
-    grid or the restricted coefficients are not admissible."""
-    half = coeffs.grid.half
-    if half is None:
-        return None
-    try:
-        return Coefficients(*(transfer(c, half) for c in (coeffs.h, coeffs.f, coeffs.a)))
-    except ValueError as exc:  # e.g. a Gibbs dip of the restricted a below 0
-        log.debug("no half-grid coefficients: %s", exc)
-        return None
 
 
 def _on(u: ScalarField, grid: TorusGrid) -> ScalarField:

@@ -154,6 +154,7 @@ def _run_mountain_pass(cfg: RunConfig, coeffs, writer: OutputWriter, quantities:
         "separation": pair.separation,
         "distinct": pair.separation >= 1e-3,
         "sup_differences": pair.sup_differences,
+        "family_resolutions": list(pair.family_resolutions),
     })
     writer.write_field("minimal.field", pair.minimal.solution)
     writer.write_field("second.field", pair.second)

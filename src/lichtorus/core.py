@@ -32,6 +32,7 @@ from .grid import (
     l2_inner,
     laplacian,
     lp_norm,
+    transfer,
 )
 
 log = logging.getLogger(__name__)
@@ -91,6 +92,19 @@ class Coefficients:
     @property
     def grid(self) -> TorusGrid:
         return self.h.grid
+
+
+def _half_grid_coefficients(coeffs: Coefficients) -> Coefficients | None:
+    """coeffs restricted to the half grid, or None when the grid has no half
+    grid or the restricted coefficients are not admissible."""
+    half = coeffs.grid.half
+    if half is None:
+        return None
+    try:
+        return Coefficients(*(transfer(c, half) for c in (coeffs.h, coeffs.f, coeffs.a)))
+    except ValueError as exc:  # e.g. a Gibbs dip of the restricted a below 0
+        log.debug("no half-grid coefficients: %s", exc)
+        return None
 
 
 @dataclass(frozen=True)

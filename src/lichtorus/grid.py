@@ -337,7 +337,9 @@ def _rotate(grid: TorusGrid, values: NDArray, matrices, out: NDArray | None = No
     """Contract the leading field axis of each field in the stack values
     with matrices[0] (x -> x @ m), then the next with matrices[1], and so
     on: each GEMM moves the axis it contracts to the end, so after one GEMM
-    per axis the axes are back in order, with no copy in between.
+    per axis the axes are back in order, with no copy in between.  A stack
+    may contract with rectangular matrices: its field axis i then goes from
+    matrices[i].shape[0] to matrices[i].shape[1] entries.
 
     One field ping-pongs its GEMMs through the grid's scratch pair, starting
     with the buffer that values is not, and writes the last into out, a
@@ -349,7 +351,7 @@ def _rotate(grid: TorusGrid, values: NDArray, matrices, out: NDArray | None = No
         res = values
         for m in matrices:
             res = res.reshape(*batch, len(m), -1).swapaxes(-1, -2) @ m
-        return res.reshape(values.shape)
+        return res.reshape(*batch, *(m.shape[1] for m in matrices))
     if out is None:
         out = np.empty(grid.resolutions)
     pair = grid._spectral_pair
@@ -430,8 +432,9 @@ def transfer(u: ScalarField, grid: TorusGrid) -> ScalarField:
     """u on grid, which is u's half grid or the grid whose half u lives on:
     going down, its trigonometric interpolant with the modes that the half
     grid cannot hold truncated; going up, that interpolant itself.  One
-    matrix per axis, applied as gradient applies its D_i.  The mean goes
-    around the matrices, as in _diagonal_apply: a constant stays exact."""
+    matrix per axis, applied as gradient applies its D_i: the last,
+    contiguous axis as one GEMM over all its lines.  The mean goes around
+    the matrices, as in _diagonal_apply: a constant stays exact."""
     if grid == u.grid.half:
         matrices = u.grid._transfers[0]
     elif u.grid == grid.half:
@@ -441,9 +444,9 @@ def transfer(u: ScalarField, grid: TorusGrid) -> ScalarField:
     res = grid.resolutions
     mean = u.values.sum() / u.values.size
     values = u.values - mean
-    for axis, m in enumerate(matrices):
+    for axis, m in enumerate(matrices[:-1]):
         values = m @ values.reshape(int(np.prod(res[:axis])), m.shape[1], -1)
-    values = values.reshape(res)
+    values = (values.reshape(-1, matrices[-1].shape[1]) @ matrices[-1].T).reshape(res)
     values += mean
     return ScalarField._own(grid, values)
 

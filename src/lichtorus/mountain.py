@@ -6,7 +6,10 @@ q -> 2* by Newton from stage to stage, and finally Newton-refined on the
 true critical equation.  The first stage's pass point is found by the
 classical discrete minimax scheme: steepest-descent on the highest-energy
 point of a path joining the ball minimizer to a low-energy far point, with
-arclength re-equispacing.
+arclength re-equispacing.  That family runs on the half grid when there is
+one (nested iteration), and the full grid refines only its last point.
+Every barrier comes from one draw of sphere samples, held as coefficients
+of trigonometric polynomials, so the draw serves both grids.
 
 The explicit two-solution certificate evaluates the closed-form constants
 C(n), t0, t1, Phi(t0) and a lower bound on the first multiplicity threshold
@@ -28,6 +31,7 @@ from .branch import (
     minimal_solution,
     newton_refine,
     _branch_point,
+    _on,
 )
 from .core import (
     Coefficients,
@@ -38,16 +42,20 @@ from .core import (
     energy,
     energy_gradient,
     sobolev_constant_estimate,
+    _half_grid_coefficients,
 )
 from .errors import Blowup, SolverFailure
 from .grid import (
+    NonCoerciveOperatorError,
     ScalarField,
+    TorusGrid,
+    _mode_numbers,
+    _rotate,
     constant_field,
-    cosine_values,
     h1h_norm,
     h1h_norms,
-    h1h_quadratic_forms,
     helmholtz_solve,
+    laplacian,
 )
 
 log = logging.getLogger(__name__)
@@ -102,6 +110,7 @@ class TwoSolutions:
     second_energy: float
     eta: float
     separation: float
+    family_resolutions: tuple[int, ...]  # the grid of the continuation family
     sup_differences: list[float] = field(default_factory=list)  # q-ascent pass points
     pass_history: list[float] = field(default_factory=list)
 
@@ -214,47 +223,91 @@ def minimize_in_ball(spec: ProblemSpec, center: ScalarField, radius: float,
         f"ball descent hit the iteration cap at gradient norm {gn:.3e}")
 
 
-def _sphere_samples(h: ScalarField, center: ScalarField, radius: float,
-                    rng: np.random.Generator) -> NDArray:
-    """SPHERE_SAMPLES positive-biased fields on the H1_h sphere around
-    center, stacked as the rows of one array.
+# e^(2 pi i k x / L) for k = -2..2 (row k + 2) in the real basis 1,
+# cos(2 pi x / L), sin(2 pi x / L), cos(4 pi x / L), sin(4 pi x / L) of one
+# axis: the first five modes of a grid basis, of frequencies _mode_numbers(5)
+_WAVES = np.array([[0, 0, 0, 1, -1j], [0, 1, -1j, 0, 0], [1, 0, 0, 0, 0],
+                   [0, 1, 1j, 0, 0], [0, 0, 0, 1, 1j]])
+
+
+def sphere_modes(dim: int, rng: np.random.Generator) -> NDArray:
+    """SPHERE_SAMPLES positive-biased directions, before normalization, as
+    coefficients in the tensor products of the per-axis bases of _WAVES:
+    shape (SPHERE_SAMPLES, 5, ..., 5).  They are functions on the torus,
+    not on a grid, so one draw gives the samples of every grid.
 
     A random term amp * cos(2 pi k.x / L + phase) is the real part of
-    amp e^(i phase) times the outer product of the per-axis waves
-    e^(2 pi i k_j x_j / L_j), tabulated once for k_j = -2..2, so a term
-    costs one outer product instead of a cosine per grid point.
+    amp e^(i phase) times the outer product of the rows k_j + 2 of _WAVES.
+    Each term has k != 0 with |k_j| <= 2 < N_j, so it sums to zero over any
+    grid, and a random row has grid mean at least 0.3: no row is zero, and
+    none is drawn again.
+    """
+    modes = np.zeros((SPHERE_SAMPLES, *[5] * dim))
+    constant = (0,) * dim
+    modes[(0, *constant)] = 1.0
+    modes[(1, *constant)] = -1.0
+    for axis in range(dim):
+        modes[(2 + axis, *constant)] = 1.0
+        modes[(2 + axis, *(int(j == axis) for j in range(dim)))] = 0.5
+    rows, wavevectors, amps, phases = [], [], [], []
+    for row in range(2 + dim, SPHERE_SAMPLES):
+        modes[(row, *constant)] = float(rng.uniform(0.3, 1.0))
+        for _ in range(rng.integers(1, 4)):
+            wv = rng.integers(-2, 3, size=dim)
+            if not wv.any():
+                continue
+            rows.append(row)
+            wavevectors.append(wv)
+            amps.append(float(rng.uniform(-0.5, 0.5)))
+            phases.append(float(rng.uniform(0, 2 * np.pi)))
+    terms = np.multiply(amps, np.exp(1j * np.array(phases)))
+    for axis, k in enumerate(np.transpose(wavevectors)):
+        terms = terms[..., np.newaxis] * _WAVES[k + 2].reshape(len(k), *[1] * axis, 5)
+    np.add.at(modes, rows, terms.real)
+    return modes
+
+
+def _waves(grid: TorusGrid) -> list[NDArray]:
+    """Per axis, the basis functions of _WAVES on the grid's points, 5 x N_i:
+    _rotate(grid, modes, _waves(grid)) evaluates the stack modes, whose
+    coefficients are as in sphere_modes, on grid."""
+    return [np.stack([np.ones_like(x), *(f(2.0 * np.pi * k * x / length)
+                                        for k in (1, 2) for f in (np.cos, np.sin))])
+            for x, length in zip(grid.axes, grid.periods)]
+
+
+def _sphere_samples(h: ScalarField, center: ScalarField, radius: float, modes: NDArray):
+    """The samples of modes on h's grid, scaled onto the H1_h sphere around
+    center: per chunk of BARRIER_CHUNK rows, (samples, forms), a stack of
+    fields and their H1_h quadratic forms.
+
+    A chunk evaluates its raw rows s and Delta s, with one small contraction
+    per axis; Delta is diagonal on the modes and exact on every grid (the
+    cos of k = 2 is the Nyquist mode of a 4-point axis, whose sin vanishes
+    there).  They give the forms Q(s) = <s, (Delta + h) s> without a
+    transform; the sample center + t s, t = radius / sqrt(Q(s)), then has
+    the form Q(center) + 2 t <(Delta + h) center, s> + radius^2, which is
+    radius^2 around the zero center.
     """
     grid = h.grid
-    samples = np.empty((SPHERE_SAMPLES, *grid.resolutions))
-    samples[0] = 1.0
-    samples[1] = -1.0
-    for axis in range(grid.dim):
-        wv = [0] * grid.dim
-        wv[axis] = 1
-        samples[2 + axis] = 1.0 + cosine_values(grid, 0.5, wv)
-    waves = [np.exp(2j * np.pi * np.outer(np.arange(-2, 3), x / length))
-             for x, length in zip(grid.axes, grid.periods)]
-    row = 2 + grid.dim
-    while row < SPHERE_SAMPLES:
-        raw = samples[row]
-        raw[...] = float(rng.uniform(0.3, 1.0))
-        for _ in range(rng.integers(1, 4)):
-            wv = [int(k) for k in rng.integers(-2, 3, size=grid.dim)]
-            if all(k == 0 for k in wv):
-                continue
-            amp = float(rng.uniform(-0.5, 0.5))
-            phase = float(rng.uniform(0, 2 * np.pi))
-            factors = [wave[k + 2] for wave, k in zip(waves, wv)]
-            factors[0] = amp * np.exp(1j * phase) * factors[0]
-            raw += functools.reduce(np.multiply.outer, factors).real
-        if np.abs(raw).max() > 0:  # a zero draw is drawn again
-            row += 1
-    for block in _chunks(samples):
-        block *= (radius / h1h_norms(block, h)).reshape(-1, *[1] * grid.dim)
-    samples += center.values
-    if not np.isfinite(samples).all():
-        raise ValueError("sphere samples contain non-finite values")
-    return samples
+    waves = _waves(grid)
+    eigenvalues = functools.reduce(np.add.outer, [
+        ((2.0 * np.pi / length) * _mode_numbers(5)) ** 2 for length in grid.periods])
+    pull = (laplacian(center) + h * center).values
+    center_form = float(np.vdot(center.values, pull)) * grid.cell_volume
+    for block in _chunks(modes):
+        samples, image = _rotate(grid, np.stack([block, block * eigenvalues]), waves)
+        image += h.values * samples
+        image *= samples
+        raw_forms = image.sum(axis=grid.field_axes)
+        if (raw_forms <= 0).any():
+            raise NonCoerciveOperatorError(f"H1_h quadratic form is not positive "
+                                           f"({raw_forms.min():.3e}) on a sphere sample")
+        scale = radius / np.sqrt(raw_forms * grid.cell_volume)
+        cross = samples.reshape(len(block), -1) @ pull.reshape(-1) * grid.cell_volume
+        samples *= scale.reshape(-1, *[1] * grid.dim)
+        samples += center.values
+        yield samples, center_form + 2.0 * scale * cross + radius * radius
 
 
 def _chunks(stack: NDArray) -> list[NDArray]:
@@ -264,18 +317,17 @@ def _chunks(stack: NDArray) -> list[NDArray]:
 
 
 def sphere_barrier(specs: list[ProblemSpec], center: ScalarField, radius: float,
-                   rng: np.random.Generator) -> list[float]:
+                   modes: NDArray) -> list[float]:
     """Sampled inf of the energy on the sphere, minus the safety margin, for
-    each of specs, which share their coefficients: one draw of samples
-    serves them all, and so do their H1_h forms.
+    each of specs, which share their coefficients: the samples of modes
+    (sphere_modes) serve them all, and so do their H1_h forms.
 
     For epsilon = 0 only strictly positive samples are admissible; the rest
     have infinite energy and are skipped.
     """
     h = specs[0].coefficients.h
     best = np.full(len(specs), np.inf)
-    for block in _chunks(_sphere_samples(h, center, radius, rng)):
-        forms = h1h_quadratic_forms(block, h)
+    for block, forms in _sphere_samples(h, center, radius, modes):
         admissible = block.min(axis=h.grid.field_axes) > 1e-10
         for i, spec in enumerate(specs):
             if spec.epsilon > 0 or admissible.all():
@@ -424,6 +476,40 @@ def build_far_endpoint(spec: ProblemSpec, eta: float, min_distance: float,
     raise GeometryError("far endpoint: energy did not drop below eta")
 
 
+def _pass_family(coeffs: Coefficients, theta: float, stages: list[tuple[float, float]],
+                 q_ascent: int, radius: float, modes: NDArray, start: ScalarField,
+                 sup_cap: float):
+    """The pass points of stages, (epsilon, q) pairs, on coeffs' grid:
+    ball descent from start and the pass search at the first stage, Newton
+    continuation after it, each stage's point kept only at or above its
+    barrier, drawn from modes.  Returns (v, sup_differences, pass_history):
+    the last stage's point, sup|v_k - v_(k-1)| from stage q_ascent on, and
+    every stage's pass level."""
+    grid = coeffs.grid
+    center = constant_field(grid, 0.0)
+    specs = [ProblemSpec(coeffs, q, theta=theta, epsilon=eps) for eps, q in stages]
+    etas = sphere_barrier(specs, center, radius, modes)
+    u_low = minimize_in_ball(specs[0], center, radius, start=_on(start, grid))
+    u_high, e_high = build_far_endpoint(specs[0], etas[0], radius, center)
+    pass_diffs, pass_history = [], []
+    for stage_idx, (spec, eta) in enumerate(zip(specs, etas)):
+        if stage_idx == 0:
+            v, c_level = mountain_pass_solve(spec, u_low, u_high, energy(spec, u_low),
+                                             e_high, eta)
+        else:
+            prev = v
+            v, c_level = _pass_point(spec, prev, eta)
+            if stage_idx >= q_ascent:
+                pass_diffs.append(float(np.abs(v.values - prev.values).max()))
+        pass_history.append(c_level)
+        if v.max() > sup_cap:
+            raise BlowupDetectedError(
+                f"family sup norm exploded at (eps={spec.epsilon}, q={spec.q})")
+        log.debug("stage eps=%.1e q=%.6f on %s: c=%.8f", spec.epsilon, spec.q,
+                  grid.resolutions, c_level)
+    return v, pass_diffs, pass_history
+
+
 def critical_limit(coeffs: Coefficients, theta: float,
                    eps_schedule=None, q_schedule=None, seed: int = 0,
                    ball_radius: float | None = None) -> TwoSolutions:
@@ -438,6 +524,12 @@ def critical_limit(coeffs: Coefficients, theta: float,
     monotone iteration.  seed drives the one draw of SPHERE_SAMPLES sphere
     samples per run, which gives the barrier of every stage and of the
     limit; ball_radius defaults to the certificate's t0.
+
+    The family runs on the half grid when the grid has one and the
+    restricted coefficients are admissible (nested iteration); the full
+    grid keeps the minimal solution, the limit's barrier and the final
+    Newton, from the prolonged pass point.  Any SolverFailure or Blowup of
+    that path reruns the family on the full grid, whose failures raise.
     """
     grid = coeffs.grid
     ts = critical_exponent(grid.dim)
@@ -456,46 +548,39 @@ def critical_limit(coeffs: Coefficients, theta: float,
 
     # Ball geometry from the certificate constants (zero-centered).
     radius = certificate_theta1(coeffs).t0 if ball_radius is None else ball_radius
-    center = constant_field(grid, 0.0)
-    h = coeffs.h
-    phi_norm = h1h_norm(minimal_bp.solution, h)
+    phi_norm = h1h_norm(minimal_bp.solution, coeffs.h)
     if phi_norm >= radius:
         raise GeometryError(
             f"minimal solution (H1_h norm {phi_norm:.4f}) lies outside the "
             f"ball of radius {radius:.4f}; override ball_radius"
         )
 
-    stages = [(e, q_schedule[0]) for e in eps_schedule]
-    stages += [(eps_schedule[-1], q) for q in q_schedule[1:]]
-    specs = [ProblemSpec(coeffs, q, theta=theta, epsilon=eps) for eps, q in stages]
-    *etas, eta_crit = sphere_barrier([*specs, crit], center, radius,
-                                     np.random.default_rng(seed))
+    modes = sphere_modes(grid.dim, np.random.default_rng(seed))
+    eta_crit, = sphere_barrier([crit], constant_field(grid, 0.0), radius, modes)
     if not minimal_bp.energy < eta_crit:
         raise GeometryError(f"minimal energy {minimal_bp.energy:.8f} is not below "
                             f"the barrier eta={eta_crit:.8f}")
 
-    u_low = minimize_in_ball(specs[0], center, radius, start=minimal_bp.solution)
-    u_high, e_high = build_far_endpoint(specs[0], etas[0], radius, center)
+    stages = [(e, q_schedule[0]) for e in eps_schedule]
+    stages += [(eps_schedule[-1], q) for q in q_schedule[1:]]
     sup_cap = BLOWUP_FACTOR * max(1.0, minimal_bp.solution.max())
-    pass_diffs, pass_history = [], []
-    for stage_idx, (spec, eta) in enumerate(zip(specs, etas)):
-        if stage_idx == 0:
-            v, c_level = mountain_pass_solve(spec, u_low, u_high, energy(spec, u_low),
-                                             e_high, eta)
-        else:
-            prev = v
-            v, c_level = _pass_point(spec, prev, eta)
-            if stage_idx >= len(eps_schedule):  # diffs recorded across the q ascent
-                pass_diffs.append(float(np.abs(v.values - prev.values).max()))
-        pass_history.append(c_level)
-        if v.max() > sup_cap:
-            raise BlowupDetectedError(
-                f"family sup norm exploded at (eps={spec.epsilon}, q={spec.q})")
-        log.debug("stage eps=%.1e q=%.6f: c=%.8f", spec.epsilon, spec.q, c_level)
 
-    # Final refinement of the pass point on the true critical equation.
-    v_star, e_second = _pass_point(crit, v, eta_crit)
+    def family_on(family_coeffs: Coefficients):
+        v, diffs, history = _pass_family(family_coeffs, theta, stages, len(eps_schedule),
+                                         radius, modes, minimal_bp.solution, sup_cap)
+        # Final refinement of the pass point on the true critical equation.
+        return (*_pass_point(crit, _on(v, grid), eta_crit), diffs, history,
+                family_coeffs.grid.resolutions)
+
+    coarse, result = _half_grid_coefficients(coeffs), None
+    if coarse is not None:
+        try:
+            result = family_on(coarse)
+        except (SolverFailure, Blowup) as exc:
+            log.debug("no half-grid pass family: %s", exc)
+    v_star, e_second, pass_diffs, pass_history, family_grid = result or family_on(coeffs)
     separation = float(np.abs(minimal_bp.solution.values - v_star.values).max())
     return TwoSolutions(minimal=minimal_bp, second=v_star,
                         second_energy=e_second, eta=eta_crit, separation=separation,
+                        family_resolutions=family_grid,
                         sup_differences=pass_diffs, pass_history=pass_history)

@@ -192,9 +192,9 @@ def test_mountain_pass_variable_h_minimal_field(tmp_path, monkeypatch):
     radii, pairs = [], []
     real_barrier, real_limit = mountain.sphere_barrier, mountain.critical_limit
 
-    def barrier(specs, center, radius, rng):
+    def barrier(specs, center, radius, modes):
         radii.append(radius)
-        return real_barrier(specs, center, radius, rng)
+        return real_barrier(specs, center, radius, modes)
 
     def limit(*args, **kwargs):
         pairs.append(real_limit(*args, **kwargs))
@@ -204,7 +204,10 @@ def test_mountain_pass_variable_h_minimal_field(tmp_path, monkeypatch):
     monkeypatch.setattr(mountain, "critical_limit", limit)
     assert main(["mountain-pass", "--config", cfgp]) == 0
     coeffs = parse_config(json.dumps(cfg)).coefficients()
-    assert radii == [mountain.certificate_theta1(coeffs).t0]
+    # the limit's barrier on the 8^3 grid, the stages' on its 4^3 half grid
+    assert radii == [mountain.certificate_theta1(coeffs).t0] * 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["quantities"]["family_resolutions"] == [4, 4, 4]
     written = (tmp_path / "out" / "minimal.field").read_bytes()
     assert written == field_to_bytes(pairs[0].minimal.solution)
 

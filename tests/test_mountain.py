@@ -9,6 +9,7 @@ from lichtorus.branch import NewtonError, build_subsolution, find_theta_star, ne
 from lichtorus.core import (
     ProblemSpec,
     critical_spec,
+    energies,
     energy,
     linearized_potential,
     regularized_residual,
@@ -25,6 +26,7 @@ from lichtorus.mountain import (
     minimize_in_ball,
     mountain_pass_solve,
     sphere_barrier,
+    sphere_modes,
 )
 
 from conftest import constant_roots, regularized_constant_root, smooth_random_field
@@ -89,7 +91,7 @@ class TestMountainPass:
         rng = np.random.default_rng(0)
         center = lt.constant_field(grid, 0.0)
         radius = 1.0
-        eta, = sphere_barrier([spec], center, radius, rng)
+        eta, = sphere_barrier([spec], center, radius, sphere_modes(3, rng))
         sub = build_subsolution(spec.at(epsilon=0.0))
         u_low = minimize_in_ball(spec, center, radius, start=sub.field)
         u_high, e_high = build_far_endpoint(spec, eta, radius, center)
@@ -187,7 +189,7 @@ class TestMountainPass:
         f = 0.6 * one + 1.3 * lt.cosine_field(grid8, 1.0, [1, 0, 0])
         spec = ProblemSpec(lt.Coefficients(one, f, one), 5.5, theta=0.1, epsilon=1e-2)
         center = lt.constant_field(grid8, 0.0)
-        eta, = sphere_barrier([spec], center, 1.0, np.random.default_rng(0))
+        eta, = sphere_barrier([spec], center, 1.0, sphere_modes(3, np.random.default_rng(0)))
         u_high, e_high = build_far_endpoint(spec, eta, 1.0, center)
         assert e_high == energy(spec, u_high) < eta
         assert lt.h1h_norm(u_high - center, one) > 1.0
@@ -203,7 +205,7 @@ class TestMountainPass:
         spec = ProblemSpec(coeffs, q, theta=0.0, epsilon=eps)
         rng = np.random.default_rng(1)
         center = lt.constant_field(grid8, 0.0)
-        eta, = sphere_barrier([spec], center, 1.0, rng)
+        eta, = sphere_barrier([spec], center, 1.0, sphere_modes(3, rng))
         u_low = minimize_in_ball(spec, center, 1.0,
                                  start=lt.constant_field(grid8, 0.05))
         u_high, e_high = build_far_endpoint(spec, eta, 1.0, center)
@@ -256,10 +258,10 @@ class TestStackedPath:
                                        ends)
 
 
-def cosine_samples(h, center, radius, rng):
-    """The sphere samples with one full-grid cosine per random term: the
-    reference for _sphere_samples."""
-    grid = h.grid
+def cosine_rows(grid, rng):
+    """The sphere samples before normalization, with one full-grid cosine
+    per random term, drawn in the order of sphere_modes: the reference for
+    the evaluation of the modes."""
     samples = np.empty((mountain.SPHERE_SAMPLES, *grid.resolutions))
     samples[0] = 1.0
     samples[1] = -1.0
@@ -280,8 +282,15 @@ def cosine_samples(h, center, radius, rng):
             raw += lt.cosine_field(grid, amp, wv, phase).values
         if np.abs(raw).max() > 0:
             row += 1
+    return samples
+
+
+def cosine_samples(h, center, radius, rng):
+    """cosine_rows on the H1_h sphere around center: the reference for
+    _sphere_samples."""
+    samples = cosine_rows(h.grid, rng)
     for row in samples:
-        row *= radius / lt.h1h_norm(lt.ScalarField(grid, row), h)
+        row *= radius / lt.h1h_norm(lt.ScalarField(h.grid, row), h)
     return samples + center.values
 
 
@@ -293,15 +302,24 @@ class TestSphereBarrier:
         return lt.Coefficients(one, f, a)
 
     def test_stacked_barrier_is_bit_identical_to_one_energy_per_sample(self, grid8):
+        # one energy per sample from the sample's one form, which is that of
+        # its own transform up to rounding
         coeffs = self._coeffs(grid8)
         center = lt.constant_field(grid8, 0.0)
         specs = [ProblemSpec(coeffs, 5.5, theta=0.1, epsilon=1e-2), critical_spec(coeffs, 0.1)]
-        etas = sphere_barrier(specs, center, 1.0, np.random.default_rng(4))
-        samples = mountain._sphere_samples(coeffs.h, center, 1.0, np.random.default_rng(4))
+        modes = sphere_modes(3, np.random.default_rng(4))
+        etas = sphere_barrier(specs, center, 1.0, modes)
+        blocks = list(mountain._sphere_samples(coeffs.h, center, 1.0, modes))
+        samples = np.concatenate([block for block, _ in blocks])
+        forms = np.concatenate([block_forms for _, block_forms in blocks])
         for spec, eta in zip(specs, etas):
-            best = min(energy(spec, lt.ScalarField(grid8, s)) for s in samples
-                       if spec.epsilon > 0 or s.min() > 1e-10)
+            levels = [float(energies(spec, s, form))
+                      for s, form in zip(samples, forms) if spec.epsilon > 0 or s.min() > 1e-10]
+            best = min(levels)
             assert eta == best - mountain.ETA_MARGIN * abs(best)
+            direct = min(energy(spec, lt.ScalarField(grid8, s)) for s in samples
+                         if spec.epsilon > 0 or s.min() > 1e-10)
+            assert abs(direct - best) <= 1e-14 * abs(best)
 
     @pytest.mark.parametrize("dim, n", [(3, 8), (4, 6), (5, 6)])
     def test_samples_match_one_cosine_per_term(self, dim, n):
@@ -309,32 +327,76 @@ class TestSphereBarrier:
         h = lt.constant_field(grid, 1.0) + lt.cosine_field(grid, 0.3, [1] + [0] * (dim - 1))
         center = lt.constant_field(grid, 0.5)
         rng, reference_rng = np.random.default_rng(7), np.random.default_rng(7)
-        samples = mountain._sphere_samples(h, center, 1.0, rng)
+        samples = np.concatenate([block for block, _ in mountain._sphere_samples(
+            h, center, 1.0, sphere_modes(dim, rng))])
         reference = cosine_samples(h, center, 1.0, reference_rng)
         assert rng.random() == reference_rng.random()
-        assert np.array_equal(samples[:dim + 2], reference[:dim + 2])
         assert np.abs(samples - reference).max() <= 1e-14
+        # the fixed rows evaluate to the cosines bit for bit; their forms
+        # come from Delta on the modes, not from a transform, so their
+        # normalization may differ from h1h_norm's in the last bits
+        rows = lt.grid._rotate(grid, sphere_modes(dim, np.random.default_rng(7)),
+                               mountain._waves(grid))
+        reference_rows = cosine_rows(grid, np.random.default_rng(7))
+        assert np.array_equal(rows[:dim + 2], reference_rows[:dim + 2])
+        assert np.abs(rows - reference_rows).max() <= 1e-14
 
     def test_no_admissible_sample(self, grid8):
         # at epsilon = 0 every sample around a center of -10 is negative
         spec = critical_spec(self._coeffs(grid8), 0.1)
         with pytest.raises(GeometryError, match="no admissible sphere sample"):
             sphere_barrier([spec], lt.constant_field(grid8, -10.0), 1.0,
-                           np.random.default_rng(0))
+                           sphere_modes(3, np.random.default_rng(0)))
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.5])
+    def test_one_form_per_sample(self, grid8, amplitude):
+        # the forms that come with the samples are those of their own
+        # transforms, and radius^2 exactly around the zero center
+        h = self._coeffs(grid8).f  # 1 + 0.2 cos(2 pi x2)
+        center = amplitude * (1.0 + lt.cosine_field(grid8, 1.0, [0, 0, 1]))
+        modes = sphere_modes(3, np.random.default_rng(5))
+        for samples, forms in mountain._sphere_samples(h, center, 0.7, modes):
+            direct = lt.grid.h1h_quadratic_forms(samples, h)
+            assert np.abs(forms - direct).max() <= 1e-14 * direct.max()
+            if amplitude == 0.0:
+                assert np.all(forms == 0.7 * 0.7)
+
+    def test_one_draw_gives_the_samples_of_both_grids(self):
+        # the modes are functions on the torus: on 12^3 and its 6^3 half grid
+        # they give the same fields, so the half-grid samples are the
+        # restrictions of the full-grid ones
+        grid = lt.build_grid(3, [12] * 3, [1.0] * 3)
+        modes = sphere_modes(3, np.random.default_rng(6))
+        one, half_one = lt.constant_field(grid, 1.0), lt.constant_field(grid.half, 1.0)
+        fine = mountain._sphere_samples(one, one * 0.0, 1.0, modes)
+        coarse = mountain._sphere_samples(half_one, half_one * 0.0, 1.0, modes)
+        for (fields, _), (half_fields, _) in zip(fine, coarse, strict=True):
+            for u, u_half in zip(fields, half_fields, strict=True):
+                down = lt.grid.transfer(lt.ScalarField(grid, u), grid.half)
+                assert np.abs(down.values - u_half).max() <= 1e-13
 
     def test_critical_limit_draws_the_samples_once(self, unit_coeffs8, monkeypatch):
-        draws = []
-        real = mountain._sphere_samples
+        # one draw, whose modes give the barriers of the limit on the full
+        # grid and of the stages on the half grid
+        draws, barrier_modes = [], []
+        real_draw, real_barrier = mountain.sphere_modes, mountain.sphere_barrier
 
         def counting(*args):
-            draws.append(args)
-            return real(*args)
+            draws.append(real_draw(*args))
+            return draws[-1]
 
-        monkeypatch.setattr(mountain, "_sphere_samples", counting)
+        def barrier(specs, center, radius, modes):
+            barrier_modes.append((center.grid.resolutions, modes))
+            return real_barrier(specs, center, radius, modes)
+
+        monkeypatch.setattr(mountain, "sphere_modes", counting)
+        monkeypatch.setattr(mountain, "sphere_barrier", barrier)
         pair = critical_limit(unit_coeffs8, 0.1, eps_schedule=[1e-2],
                               q_schedule=[5.5, 6.0 - 2.0 ** -4])
         assert len(pair.pass_history) == 2
         assert len(draws) == 1
+        assert [res for res, _ in barrier_modes] == [(8, 8, 8), (4, 4, 4)]
+        assert all(modes is draws[0] for _, modes in barrier_modes)
 
 
 class TestContinuation:
@@ -367,13 +429,14 @@ class TestContinuation:
         with pytest.raises(NewtonError, match=re.escape(f"({self.STAGE2}): forced failure")):
             self._two_stages(unit_coeffs8)
 
-    def test_stage_point_below_the_barrier_raises(self, unit_coeffs8, grid8, monkeypatch):
-        # Newton at stage 2 lands on the lower solution, below the barrier
+    def test_stage_point_below_the_barrier_raises(self, unit_coeffs8, monkeypatch):
+        # Newton at stage 2 lands on the lower solution, below the barrier,
+        # on the half grid and then on the full grid, which raises
         real = mountain.newton_refine
 
         def to_lower(spec, u0):
             if spec.q == 5.9375:
-                return real(spec, lt.constant_field(grid8, 0.5))
+                return real(spec, lt.constant_field(spec.grid, 0.5))
             return real(spec, u0)
 
         monkeypatch.setattr(mountain, "newton_refine", to_lower)
@@ -410,14 +473,32 @@ def pair8():
     return coeffs, critical_limit(coeffs, 0.1)
 
 
-@pytest.fixture(scope="module")
-def nonconstant_pair8():
-    g = lt.build_grid(3, [8, 8, 8], [1.0, 1.0, 1.0])
+def nonconstant_coefficients(res):
+    """f = 1 + 0.2 cos(2 pi x2) and a = 1 + 0.3 cos(2 pi x1) on res^3."""
+    g = lt.build_grid(3, [res] * 3, [1.0, 1.0, 1.0])
     one = lt.constant_field(g, 1.0)
     f = one + lt.cosine_field(g, 0.2, [0, 1, 0])
     a = one + lt.cosine_field(g, 0.3, [1, 0, 0])
-    coeffs = lt.Coefficients(one, f, a)
+    return lt.Coefficients(one, f, a)
+
+
+@pytest.fixture(scope="module")
+def nonconstant_pair8():
+    coeffs = nonconstant_coefficients(8)
     return coeffs, critical_limit(coeffs, 0.08)
+
+
+def full_grid_pair(monkeypatch, coeffs, theta, **kwargs):
+    """critical_limit with its continuation family forced onto the full grid."""
+    with monkeypatch.context() as patch:
+        patch.setattr(mountain, "_half_grid_coefficients", lambda _: None)
+        return critical_limit(coeffs, theta, **kwargs)
+
+
+def assert_same_pair(pair, reference):
+    assert np.abs(pair.second.values - reference.second.values).max() <= 1e-12
+    assert abs(pair.eta - reference.eta) <= 1e-12
+    assert abs(pair.second_energy - reference.second_energy) <= 1e-12
 
 
 class TestCriticalLimit:
@@ -451,6 +532,7 @@ class TestCriticalLimit:
         one = lt.constant_field(g, 1.0)
         coeffs = lt.Coefficients(one, one, one)
         pair = critical_limit(coeffs, 0.05)
+        assert pair.family_resolutions == (6, 6, 6, 6)  # no half grid
         c1, c2 = constant_roots(0.05, 4.0)
         assert abs(pair.minimal.solution.values - c1).max() <= 1e-6
         assert abs(pair.second.values - c2).max() <= 1e-6
@@ -500,6 +582,58 @@ class TestCriticalLimit:
             v = newton_refine(critical_spec(coeffs, theta), v)
         assert abs(v.values - pair.second.values).max() <= 1e-8
         assert abs(energy(critical_spec(coeffs, 0.08), v) - pair.second_energy) <= 1e-10
+
+
+class TestHalfGridFamily:
+    @pytest.mark.parametrize("case", ["criterion 4", "nonconstant 8^3", "mountain13"])
+    def test_same_pair_as_the_full_grid_family(self, case, monkeypatch):
+        # the family on the half grid, refined once on the full grid, gives
+        # the second solution of the family run on the full grid
+        coeffs, theta, seed = {
+            "criterion 4": (lt.Coefficients(*[lt.constant_field(
+                lt.build_grid(3, [12] * 3, [1.0] * 3), 1.0)] * 3), 0.1, 0),
+            "nonconstant 8^3": (nonconstant_coefficients(8), 0.08, 0),
+            "mountain13": (nonconstant_coefficients(12), 0.08, 2),
+        }[case]
+        pair = critical_limit(coeffs, theta, seed=seed)
+        full = full_grid_pair(monkeypatch, coeffs, theta, seed=seed)
+        assert pair.family_resolutions == coeffs.grid.half.resolutions
+        assert full.family_resolutions == coeffs.grid.resolutions
+        assert_same_pair(pair, full)
+        assert len(pair.sup_differences) == len(full.sup_differences) == 7
+
+    def test_half_grid_failure_falls_back(self, monkeypatch):
+        coeffs = nonconstant_coefficients(8)
+        real = mountain.mountain_pass_solve
+
+        def failing_on_the_half_grid(spec, *args):
+            if spec.grid == coeffs.grid.half:
+                raise DescentStallError("forced failure on the half grid")
+            return real(spec, *args)
+
+        monkeypatch.setattr(mountain, "mountain_pass_solve", failing_on_the_half_grid)
+        pair = critical_limit(coeffs, 0.08)
+        assert pair.family_resolutions == (8, 8, 8)
+        assert_same_pair(pair, full_grid_pair(monkeypatch, coeffs, 0.08))
+
+    def test_failed_full_grid_refinement_falls_back(self, monkeypatch):
+        # the Newton from the prolonged pass point fails once; the family
+        # then reruns on the full grid, whose refinement succeeds
+        coeffs = nonconstant_coefficients(8)
+        real, starts = mountain._pass_point, []
+
+        def failing_once(spec, start, eta):
+            if spec.epsilon == 0.0:
+                starts.append(start)
+                if len(starts) == 1:
+                    raise NewtonError("forced failure of the refinement")
+            return real(spec, start, eta)
+
+        monkeypatch.setattr(mountain, "_pass_point", failing_once)
+        pair = critical_limit(coeffs, 0.08)
+        assert len(starts) == 2 and all(u.grid == coeffs.grid for u in starts)
+        assert pair.family_resolutions == (8, 8, 8)
+        assert_same_pair(pair, full_grid_pair(monkeypatch, coeffs, 0.08))
 
 
 class TestCertificate:
