@@ -15,8 +15,9 @@ a bound that every solution obeys ends the iteration earlier.  The fold
 theta_star is bracketed and located by Newton on the extended system,
 bordered by its own positive start, on the half grid (nested iteration:
 Allgower, Boehmer, Potra & Rheinboldt 1986), then refined from the
-prolonged half-grid fold and certified by one probe each side on the full
-grid.
+prolonged half-grid fold and certified on the full grid: from below by a
+solution, from above by convexity (Crandall & Rabinowitz 1975) where
+f, a > 0, else by a diverging probe.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from .core import (
     Coefficients,
+    EigenResult,
     EigenSolverError,
     POSITIVITY_FLOOR,
     PositivityError,
@@ -132,6 +134,8 @@ class FoldResult:
     refinement_steps: int
     coarse_theta_star: float | None
     coarse_refinement_steps: int
+    upper_certificate: str                  # "convexity" or "probe"
+    upper_certificate_margin: float | None  # the convexity margin; None for "probe"
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _own rejects overflowed fields
@@ -358,6 +362,21 @@ def _bound_constant(spec: ProblemSpec, floor: float, sup: float) -> float:
     return max(float(bound.max()), K_MIN)
 
 
+def _mean_bound(spec: ProblemSpec) -> float:
+    """M = (max h / min f)^(1/(q-2)), above the mean of every positive
+    solution at spec where f > 0 everywhere and theta a is not 0; inf
+    elsewhere.
+
+    Delta has zero grid sum, so a solution has sum h u = sum f u^(q-1) +
+    theta sum a u^(-(q+1)) > min f sum u^(q-1), and Jensen gives mean(u) <
+    (max h / min f)^(1/(q-2)).
+    """
+    c = spec.coefficients
+    if spec.q > 2.0 and c.f.min() > 0 and spec.theta * c.a.max() > 0:
+        return (max(c.h.max(), 0.0) / c.f.min()) ** (1.0 / (spec.q - 2.0))
+    return np.inf
+
+
 def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField) -> MonotoneResult:
     """Monotone sub/supersolution iteration from a (strict) subsolution.
 
@@ -367,12 +386,9 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField) -> Mon
     dominates the iterate ("newton"); if it declines at a step of at most
     PICARD_TOL, the iterate is returned ("converged").
 
-    Diverged when an iterate's mean exceeds the bound that every positive
-    solution obeys where f > 0 everywhere and theta a is not 0: Delta has
-    zero grid sum, so a solution has sum h u = sum f u^(q-1) + theta sum
-    a u^(-(q+1)) > min f sum u^(q-1), and Jensen gives mean(u) <
-    (max h / min f)^(1/(q-2)); the iterates stay below the minimal
-    solution, so one above the bound proves there is none.  Diverged too
+    Diverged when an iterate's mean exceeds _mean_bound(spec), which every
+    positive solution obeys; the iterates stay below the minimal solution,
+    so one above the bound proves there is none.  Diverged too
     when the iterates blow past CAP_FACTOR x the starting sup, the verdict
     where min f <= 0, or keep growing at the iteration limit.
     """
@@ -393,9 +409,7 @@ def monotone_iterate(spec: ProblemSpec, start: Subsolution | ScalarField) -> Mon
     q = spec.q
     sup0 = v.max()
     cap = CAP_FACTOR * sup0
-    mean_bound = np.inf  # see the docstring
-    if q > 2.0 and c.f.min() > 0 and spec.theta * c.a.max() > 0:
-        mean_bound = (max(c.h.max(), 0.0) / c.f.min()) ** (1.0 / (q - 2.0))
+    mean_bound = _mean_bound(spec)
     # the growth verdicts read only the last GROWTH_WINDOW steps
     sup_history = deque([sup0], maxlen=GROWTH_WINDOW + 1)
     max_violation = 0.0
@@ -491,9 +505,12 @@ def minimal_solution(spec: ProblemSpec,
     return out
 
 
-def _branch_point(spec: ProblemSpec, sol: ScalarField, iterations: int) -> BranchPoint:
-    """First eigenvalue and energy of sol, a solution of spec's equation."""
-    eig = smallest_eigenpair(linearized_potential(spec, sol))
+def _branch_point(spec: ProblemSpec, sol: ScalarField, iterations: int,
+                  eig: EigenResult | None = None) -> BranchPoint:
+    """First eigenvalue and energy of sol, a solution of spec's equation;
+    eig, when given, is the first eigenpair of its linearization."""
+    if eig is None:
+        eig = smallest_eigenpair(linearized_potential(spec, sol))
     if eig.lam < -1e-8:
         raise EigenSolverError(
             f"minimal solution at theta={spec.theta} has negative first eigenvalue "
@@ -549,14 +566,21 @@ def _extended_newton(coeffs: Coefficients, u: ScalarField, theta: float
     phi0 = u * (1.0 / np.linalg.norm(u.values))
     lap_phi0 = laplacian(phi0)
     for steps in range(NEWTON_MAX_STEPS + 1):
-        spec = critical_spec(coeffs, theta)
-        w = linearized_potential(spec, u)
+        spec, uv = critical_spec(coeffs, theta), u.values
+        # u^(-(q+1)) serves F and F_theta, u^(-(q+2)) serves W and g_theta
+        power1, power2 = uv ** (-(q + 1.0)), uv ** (-(q + 2.0))
+        w = linearized_potential(spec, u, power2)
         solve = _symmetric_solver(w, phi0)
         y, g = solve(-(lap_phi0 + w * phi0))
-        v, uv, r = phi0 + y, u.values, residual(spec, u)
-        f_theta = ScalarField._own(u.grid, -a * uv ** (-(q + 1.0)))
-        g_u = v.values ** 2 * ((q - 1.0) * (q - 2.0) * f * uv ** (q - 3.0)
-                               + (q + 1.0) * (q + 2.0) * theta * a * uv ** (-(q + 3.0)))
+        v, r = phi0 + y, residual(spec, u, power1)
+        f_theta = ScalarField._own(u.grid, -a * power1)
+        # g_u = v^2 ((q-1)(q-2) f u^(q-3) + (q+1)(q+2) theta a u^(-(q+3))),
+        # built in place: a step's peak memory falls here
+        g_u, term = uv ** (q - 3.0), uv ** (-(q + 3.0))
+        g_u *= (q - 1.0) * (q - 2.0) * f
+        term *= (q + 1.0) * (q + 2.0) * theta * a
+        g_u += term
+        g_u *= v.values ** 2
         j22 = float(np.sum(g_u * v.values))
         if r.sup_norm() <= NEWTON_RES_TOL and abs(g) <= NEWTON_RES_TOL:
             return u, float(theta), v, f_theta, j22, steps
@@ -564,7 +588,7 @@ def _extended_newton(coeffs: Coefficients, u: ScalarField, theta: float
             raise NewtonError(f"extended Newton did not converge in {steps} steps")
         z1, s1 = solve(-r)
         z2, s2 = solve(-f_theta)
-        g_theta = -(q + 1.0) * float(np.sum(v.values ** 2 * a * uv ** (-(q + 2.0))))
+        g_theta = -(q + 1.0) * float(np.sum(v.values ** 2 * a * power2))
         jac = [[s2, g], [float(np.sum(g_u * z2.values)) + g_theta, j22]]
         dtheta, mu = np.linalg.solve(jac, [-s1, -g - float(np.sum(g_u * z1.values))])
         du = z1 + dtheta * z2 + mu * v
@@ -574,6 +598,56 @@ def _extended_newton(coeffs: Coefficients, u: ScalarField, theta: float
             if alpha < 1e-8:
                 raise NewtonError("extended Newton: no positive step")
         u, theta = u + alpha * du, float(theta + alpha * dtheta)
+
+
+@np.errstate(all="ignore")  # an overflowed or undefined margin is not above 1
+def _convexity_margin(spec_lo: ProblemSpec, u_lo: ScalarField, w_lo: ScalarField,
+                      eig: EigenResult, theta_hi: float) -> float | None:
+    """m = 2 (dtheta T - R) / (S lam^2), dtheta = theta_hi - theta_lo; m > 1
+    proves that no positive grid function solves the equation at theta_hi.
+    None where the hypotheses fail: f > 0 and a > 0 everywhere, q >= 3.
+
+    u_lo solves spec_lo's equation up to r_lo, |r_lo| <= NEWTON_RES_TOL,
+    (lam, phi > 0) is eig, the first eigenpair of Delta + W, W = w_lo, and
+    rho = (Delta + W) phi - lam phi.  With G(s) = f s^(q-1) + theta_lo a
+    s^(-(q+1)), W = h - G'(u_lo) and G'' >= c = min((q-1)(q-2) f
+    u_lo^(q-3), (q+1)(q+2) theta_lo a u_lo^(-(q+3))) on both sides of u_lo
+    (q >= 3).  Let u > 0 solve at theta_hi and e = u - u_lo; subtracting
+    the equations and Taylor's bound G(u) >= G(u_lo) + G'(u_lo) e + c e^2 / 2
+    give (Delta + W) e >= c e^2 / 2 + dtheta a u^(-(q+1)) - r_lo.  Pair
+    with phi, Delta being symmetric: with E = sum phi e,
+      lam E + sum rho e >= sum phi c e^2 / 2 + dtheta sum phi a u^(-(q+1))
+                           - sum phi r_lo.
+    Sum u < N M, M = _mean_bound(spec_lo), bounds |sum rho e| <= |rho|_inf
+    (N M + sum u_lo) and, with the last term, makes R.  Jensen with the
+    weights phi a gives sum phi a u^(-(q+1)) >= T = sum phi a (N M
+    max(phi a) / sum phi a)^(-(q+1)), and Cauchy-Schwarz sum phi c e^2 >=
+    E^2 / S, S = sum phi / c.  So lam E + R >= dtheta T + E^2 / (2 S), a
+    quadratic in E with no real root when m > 1: there is no such u.  No
+    comparison principle enters, and nothing requires u >= u_lo.
+    """
+    c = spec_lo.coefficients
+    q, theta_lo, lam = spec_lo.q, spec_lo.theta, eig.lam
+    if not (q >= 3.0 and c.f.min() > 0 and c.a.min() > 0):
+        return None
+    grid, f, a = u_lo.grid, c.f.values, c.a.values
+    u, phi = u_lo.values, eig.vector.values
+    apply, _ = helmholtz_operator(grid, w_lo.values)
+    one, two = (x.reshape(u.shape) for x in grid._scratch(2))
+    apply(phi, out=one)
+    one -= np.multiply(lam, phi, out=two)  # rho
+    rho_sup = np.abs(one, out=one).max()
+    np.power(u, q - 3.0, out=one)
+    one *= (q - 1.0) * (q - 2.0) * f
+    np.power(u, -(q + 3.0), out=two)
+    two *= (q + 1.0) * (q + 2.0) * theta_lo * a
+    s = np.divide(phi, np.minimum(one, two, out=one), out=one).sum()
+    phi_a = np.multiply(phi, a, out=one)
+    sum_phi_a = phi_a.sum()
+    total = grid.npoints * _mean_bound(spec_lo)  # above sum u
+    t = sum_phi_a * np.power(total * phi_a.max() / sum_phi_a, -(q + 1.0))
+    r = rho_sup * (total + u.sum()) + NEWTON_RES_TOL * phi.sum()
+    return float(2.0 * ((theta_hi - theta_lo) * t - r) / (s * lam * lam))
 
 
 def _on(u: ScalarField, grid: TorusGrid) -> ScalarField:
@@ -590,7 +664,9 @@ def _fold_newton(coeffs: Coefficients, coarse: Coefficients | None,
     The extended Newton first runs on the half grid when coarse is given,
     and the full-grid one starts from its prolonged fold, or from sol and
     theta without one.  Both certificates are on the full grid, and the
-    lower one's eigen solve is the fold's only one.
+    lower one's eigen solve is the fold's only one.  The upper one is
+    _convexity_margin's proof from the lower one's solution and eigenpair
+    where it holds, and a diverging existence probe elsewhere.
     """
     fine = _on(sol, coeffs.grid)  # the lower certificate lies above it
     start, coarse_theta, coarse_steps = (fine, theta), None, 0
@@ -617,16 +693,23 @@ def _fold_newton(coeffs: Coefficients, coarse: Coefficients | None,
     u_lo = newton_refine(spec_lo, u - float(np.sqrt(2.0 * s2 * delta / j22)) * v)
     if float((fine.values - u_lo.values).max()) > 1e-8:
         raise NewtonError("the lower fold certificate lies below the warm start")
-    point = _branch_point(spec_lo, u_lo, steps)
+    w_lo = linearized_potential(spec_lo, u_lo)
+    eig = smallest_eigenpair(w_lo)
+    point = _branch_point(spec_lo, u_lo, steps, eig)
     if not 0.0 <= point.lam <= LAMBDA_TOL:
         raise NewtonError(f"the lower fold certificate has lambda = {point.lam:.3e}")
 
-    # Certify from above: the existence oracle diverges just past the fold.
+    # Certify from above: by convexity where it proves that no solution
+    # exists just past the fold, else by an existence probe that diverges.
     theta_hi = point.theta + 0.99 * tol
+    found = (theta, (point.theta, theta_hi), point, steps, coarse_theta, coarse_steps)
+    margin = _convexity_margin(spec_lo, u_lo, w_lo, eig, theta_hi)
+    if margin is not None and margin > 1.0:
+        return FoldResult(*found, "convexity", margin)
     try:
         _existence_solve(coeffs, theta_hi, u_lo)
     except NoSolutionError:
-        return FoldResult(theta, (point.theta, theta_hi), point, steps, coarse_theta, coarse_steps)
+        return FoldResult(*found, "probe", None)
     raise NewtonError(f"a minimal solution exists at {theta_hi}, past the fold")
 
 
@@ -670,9 +753,9 @@ def find_theta_star(coeffs: Coefficients, theta_hint: float = 0.1,
     or the half grid cannot bracket (any SolverFailure).  Newton on the
     extended system then locates the fold on the half grid from the
     bracket point and refines it on the full grid, which certifies it by a
-    solution below it and a diverging probe above it; every full-grid probe
-    is a certificate when the half grid brackets.  Failures raise their
-    SolverFailure.
+    solution below it and, above it, by convexity or a diverging probe
+    (_fold_newton); every full-grid probe is a certificate when the half
+    grid brackets.  Failures raise their SolverFailure.
     """
     if theta_hint <= 0:
         raise ValueError("theta_hint must be positive")

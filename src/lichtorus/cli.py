@@ -133,6 +133,8 @@ def _run_fold(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
         "refinement_steps": fold.refinement_steps,
         "coarse_theta_star": fold.coarse_theta_star,
         "coarse_refinement_steps": fold.coarse_refinement_steps,
+        "upper_certificate": fold.upper_certificate,
+        "upper_certificate_margin": fold.upper_certificate_margin,
     })
     writer.write_csv("branch.csv", BRANCH_HEADER, _branch_rows([fold.last_branch_point]))
     writer.write_field("solution.field", fold.last_branch_point.solution)

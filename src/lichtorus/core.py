@@ -159,8 +159,9 @@ def _require_positive(u: ScalarField | NDArray, what: str = "u"):
         raise PositivityError(f"{what} must be strictly positive (min = {m:.3e})")
 
 
-def residual(spec: ProblemSpec, u: ScalarField) -> ScalarField:
-    """Delta u + h u - f u^(q-1) - theta a u^(-(q+1)); zero iff u solves."""
+def residual(spec: ProblemSpec, u: ScalarField, a_power: NDArray | None = None) -> ScalarField:
+    """Delta u + h u - f u^(q-1) - theta a u^(-(q+1)); zero iff u solves.
+    a_power, when given, is u^(-(q+1)), computed by a caller that needs it too."""
     _require_positive(u)
     c = spec.coefficients
     uv = u.values
@@ -168,7 +169,7 @@ def residual(spec: ProblemSpec, u: ScalarField) -> ScalarField:
     np.power(uv, spec.q - 1.0, out=nl)
     nl *= c.f.values
     np.multiply(spec.theta, c.a.values, out=term)
-    term *= np.power(uv, -(spec.q + 1.0), out=lhs)
+    term *= np.power(uv, -(spec.q + 1.0), out=lhs) if a_power is None else a_power
     nl += term
     np.add(laplacian(u).values, np.multiply(c.h.values, uv, out=term), out=lhs)
     return ScalarField._own(u.grid, np.subtract(lhs, nl))
@@ -221,14 +222,18 @@ def energy(spec: ProblemSpec, u: ScalarField) -> float:
     return float(energies(spec, u.values))
 
 
-def linearized_potential(spec: ProblemSpec, u: ScalarField) -> ScalarField:
-    """W = h - (q-1) f u^(q-2) + (q+1) theta a u^(-(q+2)) at a positive u."""
+def linearized_potential(spec: ProblemSpec, u: ScalarField,
+                         a_power: NDArray | None = None) -> ScalarField:
+    """W = h - (q-1) f u^(q-2) + (q+1) theta a u^(-(q+2)) at a positive u.
+    a_power, when given, is u^(-(q+2)), computed by a caller that needs it too."""
     _require_positive(u)
     c = spec.coefficients
     uv = u.values
+    if a_power is None:
+        a_power = uv ** (-(spec.q + 2.0))
     w = (c.h.values
          - (spec.q - 1.0) * c.f.values * uv ** (spec.q - 2.0)
-         + (spec.q + 1.0) * spec.theta * c.a.values * uv ** (-(spec.q + 2.0)))
+         + (spec.q + 1.0) * spec.theta * c.a.values * a_power)
     return ScalarField._own(u.grid, w)
 
 

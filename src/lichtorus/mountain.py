@@ -47,6 +47,7 @@ from .core import (
 from .errors import Blowup, SolverFailure
 from .grid import (
     NonCoerciveOperatorError,
+    NonFiniteFieldError,
     ScalarField,
     TorusGrid,
     _mode_numbers,
@@ -316,6 +317,7 @@ def _chunks(stack: NDArray) -> list[NDArray]:
     return [stack[i:i + BARRIER_CHUNK] for i in range(0, len(stack), BARRIER_CHUNK)]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite energies are a NonFiniteFieldError
 def sphere_barrier(specs: list[ProblemSpec], center: ScalarField, radius: float,
                    modes: NDArray) -> list[float]:
     """Sampled inf of the energy on the sphere, minus the safety margin, for
@@ -323,7 +325,8 @@ def sphere_barrier(specs: list[ProblemSpec], center: ScalarField, radius: float,
     (sphere_modes) serve them all, and so do their H1_h forms.
 
     For epsilon = 0 only strictly positive samples are admissible; the rest
-    have infinite energy and are skipped.
+    have infinite energy and are skipped.  An admissible sample's energy is
+    finite, so a non-finite one overflowed, as on a huge sphere.
     """
     h = specs[0].coefficients.h
     best = np.full(len(specs), np.inf)
@@ -336,7 +339,11 @@ def sphere_barrier(specs: list[ProblemSpec], center: ScalarField, radius: float,
                 rows, row_forms = block[admissible], forms[admissible]
             else:
                 continue
-            best[i] = min(best[i], energies(spec, rows, row_forms).min())
+            values = energies(spec, rows, row_forms)
+            if not np.isfinite(values).all():
+                raise NonFiniteFieldError(f"sphere sample energies overflow on the sphere "
+                                          f"of radius {radius:.3e}")
+            best[i] = min(best[i], values.min())
     if not np.isfinite(best).all():
         raise GeometryError("no admissible sphere sample; cannot estimate the barrier")
     return [float(b - ETA_MARGIN * abs(b)) for b in best]

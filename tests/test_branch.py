@@ -303,6 +303,25 @@ def _fold_case(case):
     return lt.Coefficients(one, one, one + lt.cosine_field(g, amplitude, wavevector)), 0.1
 
 
+def _random_positive_coefficients(seed):
+    """h, f and a, each 1 plus two cosines of amplitude below 0.3 with
+    random wavevectors in {-2..2}^3 and phases, on 8^3, 12^3 or 16^3."""
+    rng = np.random.default_rng(seed)
+    res = int(rng.choice([8, 12, 16]))
+    g = lt.build_grid(3, [res] * 3, [1.0] * 3)
+    one = lt.constant_field(g, 1.0)
+
+    def field():
+        out = one
+        for _ in range(2):
+            k = [int(x) for x in rng.integers(-2, 3, size=3)]
+            out = out + lt.cosine_field(g, float(rng.uniform(0, 0.3)), k,
+                                        float(rng.uniform(0, 2 * np.pi)))
+        return out
+
+    return lt.Coefficients(field(), field(), field())
+
+
 class TestFoldLocation:
     def test_unit_constants_n3(self, unit_coeffs8):
         fold = find_theta_star(unit_coeffs8, theta_hint=0.1, tol=1e-4)
@@ -353,8 +372,9 @@ class TestFoldLocation:
         assert fold.coarse_refinement_steps + fold.refinement_steps > 0
 
     def test_one_probe_past_the_fold(self, unit_coeffs8, monkeypatch):
-        # one converged and one diverged doubling probe, then the one
-        # diverging probe that certifies the fold from above
+        # one converged and one diverged doubling probe; convexity certifies
+        # the fold from above, and where it does not apply, the one
+        # diverging probe past the fold does, with the same verdict
         probes = []
         real = branch._existence_solve
 
@@ -364,8 +384,15 @@ class TestFoldLocation:
 
         monkeypatch.setattr(branch, "_existence_solve", counting)
         fold = find_theta_star(unit_coeffs8, theta_hint=0.1, tol=1e-4)
+        assert fold.upper_certificate == "convexity" and fold.bracket[1] not in probes
+        assert len(probes) <= 3
+        probes.clear()
+        monkeypatch.setattr(branch, "_convexity_margin", lambda *args: None)
+        probed = find_theta_star(unit_coeffs8, theta_hint=0.1, tol=1e-4)
+        assert (probed.upper_certificate, probed.upper_certificate_margin) == ("probe", None)
         assert len(probes) <= 4
-        assert probes[-1] == fold.bracket[1]
+        assert probes[-1] == probed.bracket[1] == fold.bracket[1]
+        assert probed.theta_star == fold.theta_star
 
     def test_picard_work_of_a_fold(self, unit_coeffs8, monkeypatch):
         iterations = []
@@ -463,8 +490,8 @@ class TestFoldLocation:
 
     @pytest.mark.parametrize("case", ["readme 16^3", "unit 12^4"])
     def test_one_full_grid_probe(self, case, monkeypatch):
-        # the half grid brackets the fold, so the full grid's one existence
-        # probe is the upper certificate
+        # the half grid brackets the fold, so the full grid's only possible
+        # existence probe is the upper certificate, which convexity replaces
         coeffs, hint = _fold_case(case)
         full_probes = []
         real = branch._existence_solve
@@ -476,7 +503,10 @@ class TestFoldLocation:
 
         monkeypatch.setattr(branch, "_existence_solve", probing)
         fold = find_theta_star(coeffs, theta_hint=hint, tol=1e-4)
-        assert full_probes == [fold.bracket[1]]
+        assert fold.upper_certificate == "convexity" and full_probes == []
+        monkeypatch.setattr(branch, "_convexity_margin", lambda *args: None)
+        fold = find_theta_star(coeffs, theta_hint=hint, tol=1e-4)
+        assert fold.upper_certificate == "probe" and full_probes == [fold.bracket[1]]
 
     def test_half_grid_bracket_falls_back_to_the_full_grid(self, monkeypatch):
         # ROADMAP item 9's coefficients: at 8^3 the doubling probe at 0.4
@@ -500,6 +530,8 @@ class TestFoldLocation:
         assert brackets == [(coeffs.grid.half, branch.MonotonicityError), (coeffs.grid, None)]
         assert fold.coarse_theta_star is not None
         assert fold.theta_star == pytest.approx(0.2256535232, abs=1e-9)
+        # f changes sign, so the convexity argument does not apply
+        assert (fold.upper_certificate, fold.upper_certificate_margin) == ("probe", None)
 
     def test_full_grid_work_of_the_readme_fold(self, monkeypatch):
         # one full-grid Newton step from the half-grid fold: three bordered
@@ -522,7 +554,8 @@ class TestFoldLocation:
     def test_one_eigen_solve_and_no_repeated_probe(self, case, monkeypatch):
         # the extended Newton borders with its own start, so the lower
         # certificate's eigen solve is a fold's only one; the 6^5 hint lies
-        # above the fold (4/5)^4/5, and doubling does not probe it again
+        # above the fold (4/5)^4/5, and doubling does not probe it again;
+        # convexity, not a probe, certifies the fold from above
         coeffs, hint = _fold_case(case)
         probes, eigen_calls = [], []
         real_probe, real_eigen = branch._existence_solve, branch.smallest_eigenpair
@@ -536,8 +569,68 @@ class TestFoldLocation:
                             lambda w: eigen_calls.append(1) or real_eigen(w))
         fold = find_theta_star(coeffs, theta_hint=hint, tol=1e-4)
         assert len(eigen_calls) == 1
-        assert len(probes) == len(set(probes)) == 3
+        assert len(probes) == len(set(probes)) == 2
+        assert fold.upper_certificate == "convexity" and fold.bracket[1] not in probes
+
+    @pytest.mark.parametrize("case", ["readme 16^3", "unit 12^4", "unit 6^5"])
+    def test_convexity_certifies_the_fold_from_above(self, case, monkeypatch):
+        # no full-grid Picard iteration after the lower certificate's eigen
+        # solve, which is the one the margin reuses
+        coeffs, hint = _fold_case(case)
+        events = []
+        real_iterate, real_eigen = branch.monotone_iterate, branch.smallest_eigenpair
+
+        def iterating(spec, start):
+            events.append(("picard", spec.grid))
+            return real_iterate(spec, start)
+
+        monkeypatch.setattr(branch, "monotone_iterate", iterating)
+        monkeypatch.setattr(branch, "smallest_eigenpair",
+                            lambda w: events.append(("eigen", w.grid)) or real_eigen(w))
+        fold = find_theta_star(coeffs, theta_hint=hint, tol=1e-4)
+        assert fold.upper_certificate == "convexity" and fold.upper_certificate_margin > 1.0
+        eigen = events.index(("eigen", coeffs.grid))
+        assert ("picard", coeffs.grid) not in events[eigen:]
+
+    def test_inaccurate_eigenvector_falls_back_to_the_probe(self, monkeypatch):
+        # 1e-3 cos 2 pi x1 added to the eigenvector makes its residual rho
+        # outweigh the margin, so the certificate refuses and the probe runs
+        coeffs, hint = _fold_case("readme 16^3")
+        grid = coeffs.grid
+        real_eigen, real_margin = branch.smallest_eigenpair, branch._convexity_margin
+        margins, probes = [], []
+
+        def perturbed(w):
+            eig = real_eigen(w)
+            if w.grid == grid:
+                eig.vector = eig.vector + lt.cosine_field(grid, 1e-3, [1, 0, 0])
+            return eig
+
+        monkeypatch.setattr(branch, "smallest_eigenpair", perturbed)
+        monkeypatch.setattr(branch, "_convexity_margin",
+                            lambda *args: margins.append(real_margin(*args)) or margins[-1])
+        real_probe = branch._existence_solve
+        monkeypatch.setattr(branch, "_existence_solve",
+                            lambda c, theta, *args: probes.append(theta)
+                            or real_probe(c, theta, *args))
+        fold = find_theta_star(coeffs, theta_hint=hint, tol=1e-4)
+        assert len(margins) == 1 and margins[0] < 1.0
+        assert (fold.upper_certificate, fold.upper_certificate_margin) == ("probe", None)
         assert probes[-1] == fold.bracket[1]
+
+    def test_convexity_never_contradicts_the_probe(self):
+        # seeded random folds with f, a > 0 at 8^3 to 16^3: wherever the
+        # certificate closes, the existence probe at bracket_hi diverges too
+        closed = 0
+        for seed in range(14):
+            coeffs = _random_positive_coefficients(seed)
+            fold = find_theta_star(coeffs, theta_hint=0.1, tol=1e-4)
+            if fold.upper_certificate == "convexity":
+                closed += 1
+                with pytest.raises(NoSolutionError):
+                    branch._existence_solve(coeffs, fold.bracket[1],
+                                            fold.last_branch_point.solution)
+        assert closed >= 9
 
     def test_full_grid_newton_steps_at_32_cubed(self):
         fold = find_theta_star(_fold_case("readme 32^3")[0], theta_hint=0.1, tol=1e-4)

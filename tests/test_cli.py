@@ -406,8 +406,9 @@ def test_field_dump_roundtrip_through_cli(tmp_path):
 
 def test_readme_fold_example_prints_its_documented_output(tmp_path, capsys):
     # the README's fold config and the block it documents as printed:
-    # integers match exactly, floats to 1e-9 relative (roundoff differs
-    # across numpy builds); the report path depends on --out
+    # integers and words match exactly, floats to 1e-9 relative (roundoff
+    # differs across numpy builds), and the convexity margin, which divides
+    # by lambda_last^2, to 1e-6; the report path depends on --out
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     start = text.index("```json\n") + len("```json\n")
     cfgp = write_config(tmp_path, json.loads(text[start:text.index("```", start)]))
@@ -422,10 +423,11 @@ def test_readme_fold_example_prints_its_documented_output(tmp_path, capsys):
     expected, got = pairs(documented), pairs(printed)
     assert [key for key, _ in got] == [key for key, _ in expected]
     for (key, want), (_, have) in zip(expected, got):
-        try:
-            assert int(have) == int(want), key
-        except ValueError:
-            assert float(have) == pytest.approx(float(want), rel=1e-9), key
+        if want.lstrip("-").isdigit() or want.isalpha():
+            assert have == want, key
+        else:
+            rel = 1e-6 if key == "upper_certificate_margin" else 1e-9
+            assert float(have) == pytest.approx(float(want), rel=rel), key
 
 
 def _run_through_the_interpreter(cfgp, mode, *options):
@@ -468,6 +470,47 @@ def test_overflow_is_a_solver_failure(tmp_path, mode, params):
 def test_overflow_under_warnings_as_errors(tmp_path, mode, params):
     # numpy does not warn of the overflow, so -W error changes nothing
     _check_overflow_run(tmp_path, mode, params, "-W", "error")
+
+
+def _check_huge_ball_run(tmp_path, *options):
+    # a sphere of radius 1e200 overflows the samples' energies: a solver
+    # failure that names the overflow, not "no admissible sphere sample"
+    out = tmp_path / "out"
+    cfg = base_config("mountain-pass", str(out), theta=0.1, epsilon_schedule=[1e-2],
+                      q_schedule=[5.5])
+    cfg["solver"] = {"ball_radius": 1e200}
+    done = _run_through_the_interpreter(write_config(tmp_path, cfg), "mountain-pass", *options)
+    assert done.returncode == 3
+    assert "solver failure: sphere sample energies overflow" in done.stderr
+    assert "Traceback" not in done.stderr and "RuntimeWarning" not in done.stderr
+    report = json.loads((out / "report.json").read_text())
+    assert report["error_class"] == "NonFiniteFieldError"
+    assert (report["exit_code"], report["status"], report["files"]) == (3, "failed", [])
+
+
+def test_huge_ball_radius_is_a_solver_failure(tmp_path):
+    _check_huge_ball_run(tmp_path)
+
+
+def test_huge_ball_radius_under_warnings_as_errors(tmp_path):
+    _check_huge_ball_run(tmp_path, "-W", "error")
+
+
+def test_fold_report_names_its_upper_certificate(tmp_path):
+    # unit coefficients: f, a > 0, so convexity certifies above the fold;
+    # a sign-changing f leaves it to the probe, and the margin is null
+    for f, want in ((1.0, "convexity"), (None, "probe")):
+        out = tmp_path / want
+        cfg = base_config("fold", str(out), theta_hint=0.1)
+        if f is None:
+            cfg["coefficients"]["f"] = {"constant": 0.6, "cosines": [
+                {"amplitude": 1.3, "wavevector": [1, 0, 0], "phase": 0.0}]}
+            cfg["parameters"]["theta_hint"] = 0.05
+        assert main(["fold", "--config", write_config(tmp_path, cfg, f"{want}.json")]) == 0
+        qn = json.loads((out / "report.json").read_text())["quantities"]
+        assert qn["upper_certificate"] == want
+        margin = qn["upper_certificate_margin"]
+        assert margin > 1.0 if want == "convexity" else margin is None
 
 
 def test_mountain_pass_blowup_exit_code(tmp_path, monkeypatch):
