@@ -46,7 +46,7 @@ from .core import (
     _half_grid_coefficients,
 )
 from .errors import SolverFailure
-from .grid import (ScalarField, TorusGrid, helmholtz_operator, helmholtz_solve, laplacian,
+from .grid import (ScalarField, helmholtz_operator, helmholtz_solve, laplacian,
                    minres, transfer)
 
 log = logging.getLogger(__name__)
@@ -280,12 +280,6 @@ def _symmetric_solver(w: ScalarField, border: ScalarField | None = None):
     return solve
 
 
-def _solve_symmetric(w: ScalarField, rhs: ScalarField,
-                     border: ScalarField | None = None) -> tuple[ScalarField, float]:
-    """One solve of _symmetric_solver(w, border): (x, s)."""
-    return _symmetric_solver(w, border)(rhs)
-
-
 def newton_refine(spec: ProblemSpec, u0: ScalarField) -> ScalarField:
     """Damped Newton on the residual, Jacobian = Delta + W(u).
 
@@ -311,7 +305,7 @@ def _newton(spec: ProblemSpec, u0: ScalarField) -> tuple[ScalarField, float]:
         if rn <= NEWTON_RES_TOL:
             return u, rn
         w = pot_fn(spec, u)
-        step, _ = _solve_symmetric(w, -r)
+        step, _ = _symmetric_solver(w)(-r)
         alpha = 1.0
         while alpha >= 1e-8:
             cand = u + alpha * step
@@ -650,12 +644,6 @@ def _convexity_margin(spec_lo: ProblemSpec, u_lo: ScalarField, w_lo: ScalarField
     return float(2.0 * ((theta_hi - theta_lo) * t - r) / (s * lam * lam))
 
 
-def _on(u: ScalarField, grid: TorusGrid) -> ScalarField:
-    """u on grid, which is u's grid, its half grid or the grid whose half u
-    lives on."""
-    return u if u.grid == grid else transfer(u, grid)
-
-
 def _fold_newton(coeffs: Coefficients, coarse: Coefficients | None,
                  sol: ScalarField, theta: float, tol: float) -> FoldResult:
     """The certified fold from the minimal solution sol at theta, on the
@@ -668,12 +656,12 @@ def _fold_newton(coeffs: Coefficients, coarse: Coefficients | None,
     _convexity_margin's proof from the lower one's solution and eigenpair
     where it holds, and a diverging existence probe elsewhere.
     """
-    fine = _on(sol, coeffs.grid)  # the lower certificate lies above it
+    fine = transfer(sol, coeffs.grid)  # the lower certificate lies above it
     start, coarse_theta, coarse_steps = (fine, theta), None, 0
     if coarse is not None:
         try:
             u_c, coarse_theta, *_, coarse_steps = _extended_newton(
-                coarse, _on(sol, coarse.grid), theta)
+                coarse, transfer(sol, coarse.grid), theta)
         except SolverFailure as exc:
             log.debug("no half-grid fold: %s", exc)
         else:

@@ -33,8 +33,7 @@ MODE_KEYS = {
     "certificate": {},
     "stability-test": {"parameters": {"theta": True, "q_schedule": True,
                                       "a_perturbations": False}},
-    "bubble-check": {"solver": {"bubble_f0": False, "bubble_window": False,
-                                "bubble_spacing_denominator": False}},
+    "bubble-check": {},
 }
 MODES = tuple(MODE_KEYS)
 # Each parameters and solver key's kind and default.  A kind is a number
@@ -49,11 +48,8 @@ KEYS = {
     "a_perturbations": ("unordered", None),
     "fold_tol": (float, 1e-4),
     "ball_radius": (float, None),            # None: the certificate's t0
-    "bubble_f0": (float, None),              # parse_config fills in n(n-2)
-    "bubble_window": (float, 0.5),
-    "bubble_spacing_denominator": (int, 64),
 }
-MAX_POINTS = 2**22   # points of a solver grid, and of the finer bubble-check lattice
+MAX_POINTS = 2**22   # points of a solver grid
 
 
 class ConfigError(LichtorusError):
@@ -295,33 +291,6 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("solver.fold_tol: tolerance must be positive")
     if ball_radius is not None and ball_radius <= 0:
         raise ConfigError("solver.ball_radius: must be positive")
-    if mode == "bubble-check":
-        if sol["bubble_f0"] is None:
-            sol["bubble_f0"] = float(dim * (dim - 2))
-        bubble_f0 = sol["bubble_f0"]
-        bubble_window = sol["bubble_window"]
-        bubble_den = sol["bubble_spacing_denominator"]
-        if bubble_f0 <= 0:
-            raise ConfigError("solver.bubble_f0: must be positive")
-        if bubble_window <= 0:
-            raise ConfigError("solver.bubble_window: must be positive")
-        if bubble_den < 8:
-            raise ConfigError("solver.bubble_spacing_denominator: must be >= 8")
-        # the coarser bubble grid, spacing r0 / denominator, needs 3 points a side
-        r0 = math.sqrt(dim * (dim - 2) / bubble_f0)
-        spacing = r0 / bubble_den
-        if not (spacing > 0 and math.isfinite(2 * bubble_window / spacing)):
-            raise ConfigError(f"solver.bubble_window: {bubble_window:g} over the grid "
-                              f"spacing {spacing:.3e} is beyond the float range")
-        if round(bubble_window / spacing) < 3:
-            raise ConfigError("solver.bubble_window: too small for the 4th-order "
-                              f"stencil (needs >= 3 grid spacings of {spacing:.3e})")
-        # bubble-check also samples at half that spacing, (2m + 1)^n points
-        side = 2 * round(2 * bubble_window / spacing) + 1
-        if side**dim > MAX_POINTS:
-            raise ConfigError(f"solver.bubble_spacing_denominator: the half-spacing "
-                              f"bubble lattice has {side}^{dim} points, more than "
-                              f"{MAX_POINTS}; lower it or bubble_window")
 
     out = raw.get("output") or {}
     if not isinstance(out, dict):

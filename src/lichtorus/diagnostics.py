@@ -120,15 +120,23 @@ def bubble_profile(spec: BubbleSpec, radii_sq: np.ndarray) -> np.ndarray:
     return (1.0 + radii_sq / spec.r0**2) ** (-(spec.n - 2) / 2.0)
 
 
+# bubble-check's window half-width (r0 = 1 there) and standard_bubble's
+# default spacing r0 / BUBBLE_DIVISIONS[n]: at half that spacing the window
+# holds 129^3, 33^4 and 17^5 points, all within config.MAX_POINTS
+BUBBLE_WINDOW = 0.5
+BUBBLE_DIVISIONS = {3: 64, 4: 16, 5: 8}
+
+
 def standard_bubble(spec: BubbleSpec, window_half_width: float,
                     spacing: float | None = None) -> tuple[LocalField, BubbleResidualReport]:
     """Sample the bubble on a local fine grid and report its PDE residual.
 
     The residual max |Delta_fd U - f0 U^(2*-1)| / max U^(2*-1) over interior
     points uses 4th-order central differences, so it measures pure
-    discretization error, O(h^4) under refinement.
+    discretization error, O(h^4) under refinement.  The spacing defaults to
+    r0 / BUBBLE_DIVISIONS[n].
     """
-    h = spacing if spacing is not None else spec.r0 / 64.0
+    h = spacing if spacing is not None else spec.r0 / BUBBLE_DIVISIONS[spec.n]
     m = int(round(window_half_width / h))
     if m < 3:
         raise ValueError("window too small relative to the 4th-order stencil")

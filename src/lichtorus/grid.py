@@ -307,9 +307,8 @@ def constant_field(grid: TorusGrid, value: float) -> ScalarField:
     return ScalarField._own(grid, np.full(grid.resolutions, float(value)))
 
 
-def cosine_values(grid: TorusGrid, amplitude: float, wavevector,
-                  phase: float = 0.0) -> NDArray:
-    """The values of cosine_field, as a raw array of the grid's shape."""
+def cosine_field(grid: TorusGrid, amplitude: float, wavevector, phase: float = 0.0) -> ScalarField:
+    """amplitude * cos(2 pi sum_i k_i x_i / L_i + phase) with integer k."""
     if len(wavevector) != grid.dim:
         raise ValueError("wavevector length must equal grid dim")
     arg = np.zeros(grid.resolutions)
@@ -317,12 +316,7 @@ def cosine_values(grid: TorusGrid, amplitude: float, wavevector,
         shape = [1] * grid.dim
         shape[axis] = x.size
         arg += (2.0 * np.pi * int(k) * x / length).reshape(shape)
-    return amplitude * np.cos(arg + phase)
-
-
-def cosine_field(grid: TorusGrid, amplitude: float, wavevector, phase: float = 0.0) -> ScalarField:
-    """amplitude * cos(2 pi sum_i k_i x_i / L_i + phase) with integer k."""
-    return ScalarField._own(grid, cosine_values(grid, amplitude, wavevector, phase))
+    return ScalarField._own(grid, amplitude * np.cos(arg + phase))
 
 
 def _check_same_grid(*fields: ScalarField) -> TorusGrid:
@@ -429,12 +423,15 @@ def gradient(u: ScalarField) -> list[ScalarField]:
 
 
 def transfer(u: ScalarField, grid: TorusGrid) -> ScalarField:
-    """u on grid, which is u's half grid or the grid whose half u lives on:
-    going down, its trigonometric interpolant with the modes that the half
-    grid cannot hold truncated; going up, that interpolant itself.  One
-    matrix per axis, applied as gradient applies its D_i: the last,
-    contiguous axis as one GEMM over all its lines.  The mean goes around
-    the matrices, as in _diagonal_apply: a constant stays exact."""
+    """u on grid, which is u's grid, its half grid or the grid whose half u
+    lives on: on its own grid, u itself; going down, its trigonometric
+    interpolant with the modes that the half grid cannot hold truncated;
+    going up, that interpolant itself.  One matrix per axis, applied as
+    gradient applies its D_i: the last, contiguous axis as one GEMM over all
+    its lines.  The mean goes around the matrices, as in _diagonal_apply: a
+    constant stays exact."""
+    if grid == u.grid:
+        return u
     if grid == u.grid.half:
         matrices = u.grid._transfers[0]
     elif u.grid == grid.half:

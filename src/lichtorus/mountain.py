@@ -31,7 +31,6 @@ from .branch import (
     minimal_solution,
     newton_refine,
     _branch_point,
-    _on,
 )
 from .core import (
     Coefficients,
@@ -57,6 +56,7 @@ from .grid import (
     h1h_norms,
     helmholtz_solve,
     laplacian,
+    transfer,
 )
 
 log = logging.getLogger(__name__)
@@ -496,7 +496,7 @@ def _pass_family(coeffs: Coefficients, theta: float, stages: list[tuple[float, f
     center = constant_field(grid, 0.0)
     specs = [ProblemSpec(coeffs, q, theta=theta, epsilon=eps) for eps, q in stages]
     etas = sphere_barrier(specs, center, radius, modes)
-    u_low = minimize_in_ball(specs[0], center, radius, start=_on(start, grid))
+    u_low = minimize_in_ball(specs[0], center, radius, start=transfer(start, grid))
     u_high, e_high = build_far_endpoint(specs[0], etas[0], radius, center)
     pass_diffs, pass_history = [], []
     for stage_idx, (spec, eta) in enumerate(zip(specs, etas)):
@@ -576,7 +576,7 @@ def critical_limit(coeffs: Coefficients, theta: float,
         v, diffs, history = _pass_family(family_coeffs, theta, stages, len(eps_schedule),
                                          radius, modes, minimal_bp.solution, sup_cap)
         # Final refinement of the pass point on the true critical equation.
-        return (*_pass_point(crit, _on(v, grid), eta_crit), diffs, history,
+        return (*_pass_point(crit, transfer(v, grid), eta_crit), diffs, history,
                 family_coeffs.grid.resolutions)
 
     coarse, result = _half_grid_coefficients(coeffs), None

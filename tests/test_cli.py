@@ -153,14 +153,24 @@ def test_stability_member_without_solution_exit_code(tmp_path):
 
 
 def test_bubble_mode(tmp_path):
-    out = str(tmp_path / "out")
-    cfg = base_config("bubble-check", out)
-    cfg["solver"] = {"bubble_f0": 3.0, "bubble_window": 0.5}
-    cfgp = write_config(tmp_path, cfg)
-    assert main(["bubble-check", "--config", cfgp]) == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["quantities"]["residual"] <= 1e-4
-    assert 12.0 <= report["quantities"]["refinement_ratio"] <= 20.0
+    # every default at each dimension, with f0 = n(n-2) so that r0 = 1; at
+    # n = 3 the spacing is r0/64
+    for dim in (3, 4, 5):
+        out = tmp_path / f"out{dim}"
+        cfg = base_config("bubble-check", str(out))
+        cfg["grid"] = {"dim": dim, "resolutions": [8] * dim, "periods": [1.0] * dim}
+        cfgp = write_config(tmp_path, cfg)
+        assert main(["bubble-check", "--config", cfgp]) == 0
+        q = json.loads((out / "report.json").read_text())["quantities"]
+        assert (q["f0"], q["r0"], q["spacing"]) == (dim * (dim - 2), 1.0,
+                                                    1.0 / {3: 64, 4: 16, 5: 8}[dim])
+        assert q["residual"] <= {3: 1e-6, 4: 1e-4, 5: 2e-3}[dim]
+        assert 12.0 <= q["refinement_ratio"] <= 20.0
+    assert json.loads((tmp_path / "out3" / "report.json").read_text())["quantities"] == \
+        pytest.approx({"f0": 3.0, "r0": 1.0, "spacing": 1.0 / 64,
+                       "residual": 1.4885298090424234e-07,
+                       "residual_half_spacing": 9.310345679599171e-09,
+                       "refinement_ratio": 15.987911300695202}, rel=1e-9)
 
 
 def test_mountain_pass_mode(tmp_path):
@@ -258,7 +268,7 @@ def test_key_the_mode_does_not_read_exit_code(tmp_path, capsys):
     # q = 2*, so the config's q would be echoed but not solved for
     out = str(tmp_path / "out")
     cfg = base_config("fold", out, q=4.0, theta=0.3, epsilon_schedule=[0.5])
-    cfg["solver"] = {"ball_radius": 2.0, "bubble_window": 0.7}
+    cfg["solver"] = {"ball_radius": 2.0}
     cfgp = write_config(tmp_path, cfg)
     assert main(["fold", "--config", cfgp]) == 2
     assert capsys.readouterr().err == \
@@ -299,26 +309,20 @@ CONFIG_GAPS = {
                                 None, "parameters.q_schedule"),
     "mountain-pass q at 2*": ("mountain-pass", dict(q_schedule=[5.5, 6.0]),
                               None, "parameters.q_schedule"),
-    "bubble window below the stencil": ("bubble-check", {},
-                                        {"bubble_f0": 3.0, "bubble_window": 0.01},
-                                        "solver.bubble_window"),
+    # bubble-check works out its lattice from the dimension and reads no key
+    "bubble key is unknown": ("bubble-check", {}, {"bubble_window": 0.01},
+                              "solver.bubble_window: unknown key"),
     "mountain-pass ball radius not positive": ("mountain-pass", {},
                                                {"ball_radius": -1.0},
                                                "solver.ball_radius"),
     "branch theta below zero": ("branch", dict(theta_schedule=[-0.1, 0.05]),
                                 None, "parameters.theta_schedule"),
-    "boolean for an integer": ("bubble-check", {}, {"bubble_spacing_denominator": True},
-                               "solver.bubble_spacing_denominator"),
+    "boolean for an integer": ("solve", {}, None, "grid.dim: expected int, got bool",
+                               {"dim": True}),
     # the cap is a constant of the solver, not a key; a cap of -1 would end
     # the solve in a wrong "no solution" (exit 3)
     "negative Picard cap": ("solve", {}, {"cap": -1}, "solver.cap"),
-    "bubble window beyond the float range": ("bubble-check", {},
-                                             {"bubble_window": 1e308},
-                                             "solver.bubble_window"),
     "NaN for a parameter": ("solve", dict(q=float("nan")), None, "config number NaN"),
-    # parse-time only: the lattice this asks for is never allocated
-    "bubble lattice beyond the point bound": ("bubble-check", {}, {"bubble_f0": 1e12},
-                                              "solver.bubble_spacing_denominator"),
     "grid beyond the point bound": ("solve", {}, None, "grid.resolutions",
                                     {"resolutions": [1_000_000] * 3}),
     "periods overflow the volume": ("solve", {}, None, "grid.periods",

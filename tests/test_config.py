@@ -1,9 +1,11 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from lichtorus.config import KEYS, MODE_KEYS, ConfigError, parse_config
+from lichtorus.config import KEYS, MAX_POINTS, MODE_KEYS, ConfigError, parse_config
+from lichtorus.diagnostics import BUBBLE_DIVISIONS, BUBBLE_WINDOW
 
 
 def minimal(mode="fold", **overrides):
@@ -35,8 +37,7 @@ SAMPLES = {
     "parameters": {"theta": 0.1, "theta_hint": 0.1, "theta_schedule": [0.05, 0.1],
                    "q": 4.0, "q_schedule": [5.0, 5.5], "epsilon_schedule": [0.5],
                    "a_perturbations": [0.0, 0.1]},
-    "solver": {"fold_tol": 1e-4, "ball_radius": 2.0, "bubble_f0": 3.0,
-               "bubble_window": 0.5, "bubble_spacing_denominator": 64},
+    "solver": {"fold_tol": 1e-4, "ball_radius": 2.0},
 }
 # the keys each mode reads, as (parameters, solver)
 READS = {
@@ -46,7 +47,7 @@ READS = {
     "mountain-pass": ({"theta", "q_schedule", "epsilon_schedule"}, {"ball_radius"}),
     "certificate": (set(), set()),
     "stability-test": ({"theta", "q_schedule", "a_perturbations"}, set()),
-    "bubble-check": (set(), {"bubble_f0", "bubble_window", "bubble_spacing_denominator"}),
+    "bubble-check": (set(), set()),
 }
 # the parameters each mode requires
 REQUIRED = {"solve": {"theta"}, "branch": {"theta_schedule"},
@@ -91,10 +92,12 @@ def test_unknown_nested_key():
         parse_config(json.dumps(bad))
 
 
-@pytest.mark.parametrize("key", ["tol", "max_iters", "cap", "lambda_tol", "path_size"])
+@pytest.mark.parametrize("key", ["tol", "max_iters", "cap", "lambda_tol", "path_size",
+                                 "bubble_f0", "bubble_window", "bubble_spacing_denominator"])
 def test_fixed_solver_settings_are_not_keys(key):
     # the Picard tolerance, iteration limit and cap, the fold certificate's
-    # eigenvalue bound and the path size are constants of the solvers
+    # eigenvalue bound, the path size and bubble-check's f0, window and
+    # spacing are constants of the solvers
     bad = json.loads(minimal())
     bad["solver"] = {key: 1}
     with pytest.raises(ConfigError, match=f"solver.{key}: unknown key"):
@@ -200,18 +203,18 @@ def test_periods_beyond_the_float_range(periods):
         parse_config(json.dumps(cfg))
 
 
-@pytest.mark.parametrize("dim", [4, 5])
+@pytest.mark.parametrize("dim", [3, 4, 5])
 def test_bubble_lattice_bound(dim):
-    # the default half-spacing lattice has 129^n points: 129^3 passes, while
-    # 129^4 and 129^5 exceed 2**22 and are refused before anything is built
+    # bubble-check reads no keys: its config parses at every dimension, and
+    # its lattice at half the spacing r0 / BUBBLE_DIVISIONS[n], r0 = 1, has
+    # (2 round(2 window / spacing) + 1)^n points, 129^3, 33^4 and 17^5, within
+    # the solver grids' point bound
     cfg = json.loads(minimal(mode="bubble-check"))
-    assert parse_config(json.dumps(cfg)).mode == "bubble-check"
     cfg["grid"] = {"dim": dim, "resolutions": [8] * dim, "periods": [1.0] * dim}
-    with pytest.raises(ConfigError, match="solver.bubble_spacing_denominator"):
-        parse_config(json.dumps(cfg))
-    # the bound is bubble-check's own: no other mode reads the bubble keys
-    cfg["mode"] = "fold"
     assert parse_config(json.dumps(cfg)).dim == dim
+    side = 2 * round(2 * BUBBLE_WINDOW * BUBBLE_DIVISIONS[dim]) + 1
+    assert side == {3: 129, 4: 33, 5: 17}[dim]
+    assert side**dim <= MAX_POINTS
 
 
 def test_non_finite_numbers_are_refused():
@@ -231,12 +234,86 @@ def test_numbers_beyond_the_float_range_are_refused(literal):
         parse_config(text)
 
 
-def test_bubble_window_beyond_the_float_range():
-    # bubble_window / spacing overflows: a config error, not an OverflowError
-    bad = json.loads(minimal(mode="bubble-check"))
-    bad["solver"] = {"bubble_window": 1e308}
-    with pytest.raises(ConfigError, match="solver.bubble_window: .* beyond the float range"):
-        parse_config(json.dumps(bad))
+GONE = object()  # a REFUSALS value that leaves the key out
+
+# a config that parse_config refuses for each of its checks that the tests
+# above leave unreached: the mode, the key path to change in the minimal
+# config holding the mode's required parameters, the value put there (the
+# whole config for the empty path), and the message the refusal starts with
+REFUSALS = {
+    "top level not an object": ("fold", (), [1], "top level: expected an object"),
+    "parameters not an object": ("fold", ("parameters",), [0.1],
+                                 "parameters: expected an object"),
+    "output not an object": ("fold", ("output",), "out", "output: expected an object"),
+    "coefficient not an object": ("fold", ("coefficients", "h"), 1.0,
+                                  "coefficients.h: expected an object"),
+    "cosine term not an object": ("fold", ("coefficients", "a", "cosines"), [0.3],
+                                  "coefficients.a.cosines[0]: expected an object"),
+    "no grid": ("fold", ("grid",), GONE, "grid: required block missing"),
+    "no coefficients": ("fold", ("coefficients",), GONE,
+                        "coefficients: required block missing"),
+    "no h": ("fold", ("coefficients", "h"), GONE, "coefficients.h: required key missing"),
+    "no f": ("fold", ("coefficients", "f"), GONE, "coefficients.f: required key missing"),
+    "no a": ("fold", ("coefficients", "a"), GONE, "coefficients.a: required key missing"),
+    "coefficient without constant": ("fold", ("coefficients", "f"), {"cosines": []},
+                                      "coefficients.f.constant: required key missing"),
+    "dimension 6": ("fold", ("grid", "dim"), 6, "grid.dim: dimension out of range: 6"),
+    "two resolutions": ("fold", ("grid", "resolutions"), [8, 8],
+                        "grid.resolutions: expected 3 entries"),
+    "odd resolution": ("fold", ("grid", "resolutions"), [8, 9, 8],
+                       "grid.resolutions[1]: must be an even integer >= 4"),
+    "two periods": ("fold", ("grid", "periods"), [1.0, 1.0],
+                    "grid.periods: expected 3 entries"),
+    "zero period": ("fold", ("grid", "periods"), [1.0, 0.0, 1.0],
+                    "grid.periods[1]: must be a positive number"),
+    "empty schedule": ("branch", ("parameters", "theta_schedule"), [],
+                       "parameters.theta_schedule: expected a nonempty list"),
+    "schedule entry not a number": ("branch", ("parameters", "theta_schedule"),
+                                    [0.05, "0.1"],
+                                    "parameters.theta_schedule[1]: expected a number"),
+    "negative theta": ("solve", ("parameters", "theta"), -0.1,
+                       "parameters.theta: must be >= 0"),
+    "zero theta_hint": ("fold", ("parameters", "theta_hint"), 0.0,
+                        "parameters.theta_hint: must be positive"),
+    "q below 2": ("solve", ("parameters", "q"), 1.5, "parameters.q: must lie in [2, 6.0]"),
+    "q above 2*": ("solve", ("parameters", "q"), 6.5, "parameters.q: must lie in [2, 6.0]"),
+    "epsilon not positive": ("mountain-pass", ("parameters", "epsilon_schedule"), [0.1, 0.0],
+                             "parameters.epsilon_schedule: entries must be positive"),
+    "a bump of -1": ("stability-test", ("parameters", "a_perturbations"), [0.0, -1.0],
+                     "parameters.a_perturbations[1]: relative bump must be > -1"),
+    "one bump for two q": ("stability-test", ("parameters", "a_perturbations"), [0.1],
+                           "parameters.a_perturbations: length must match q_schedule"),
+    "unknown format": ("fold", ("output",), {"formats": ["csv", "png"]},
+                       "output.formats: entries must be 'csv' or 'field'"),
+    "negative seed": ("fold", ("seed",), -1, "seed: must be a nonnegative integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_parse_refusal(case):
+    mode, path, value, message = REFUSALS[case]
+    cfg = json.loads(minimal(mode, parameters=required_parameters(mode)))
+    if not path:
+        cfg = value
+    else:
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        if value is GONE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        parse_config(json.dumps(cfg))
+
+
+def test_coefficients_the_problem_refuses():
+    # f = -1 parses, and the problem built from it refuses it as a config error
+    bad = json.loads(minimal())
+    bad["coefficients"]["f"] = {"constant": -1.0}
+    cfg = parse_config(json.dumps(bad))
+    with pytest.raises(ConfigError, match=r"^coefficients: max f must be positive"):
+        cfg.coefficients()
 
 
 def test_keys_state_every_mode_key_once():

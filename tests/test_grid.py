@@ -358,8 +358,11 @@ class TestHalfGrid:
         assert np.all(grid_module.transfer(lt.constant_field(grid16, 0.7), grid16.half).values == 0.7)
 
     def test_transfer_goes_only_between_a_grid_and_its_half(self, grid16):
+        # on its own grid a field is itself; it goes nowhere but the half
+        # grid or the grid whose half it lives on
         u = lt.constant_field(grid16, 1.0)
-        for target in (grid16, grid16.half.half, lt.build_grid(3, [8] * 3, [2.0] * 3)):
+        assert grid_module.transfer(u, grid16) is u
+        for target in (grid16.half.half, lt.build_grid(3, [8] * 3, [2.0] * 3)):
             with pytest.raises(GridMismatchError):
                 grid_module.transfer(u, target)
 
@@ -521,7 +524,7 @@ def test_bordered_solve_allocates_no_vector_per_iteration(grid12_4, monkeypatch)
 
         def solve():
             try:
-                branch._solve_symmetric(w, rhs, one)
+                branch._symmetric_solver(w, one)(rhs)
             except NewtonError:  # the cap ended the solve before convergence
                 pass
         peaks[maxiter] = _peak_fields(grid12_4, solve)
@@ -550,7 +553,7 @@ class TestKrylov:
         assert counts["own"] == counts["ref"] > 5
         assert np.array_equal(x, ref)
         # the solver's own bordered maps, in the grid's scratch, give the same bits
-        field, border_value = branch._solve_symmetric(w, rhs_field, border)
+        field, border_value = branch._symmetric_solver(w, border)(rhs_field)
         assert np.array_equal(field.values.ravel(), ref[:grid.npoints])
         assert border_value == ref[grid.npoints:].sum()
 
@@ -627,7 +630,7 @@ class TestKrylov:
         w = -30.0 * one + 5.0 * lt.cosine_field(grid8, 1.0, [1, 0, 0])
         rhs = smooth_random_field(grid8, np.random.default_rng(13))
         round_trips.clear()
-        branch._solve_symmetric(w, rhs, one if bordered else None)
+        branch._symmetric_solver(w, one if bordered else None)(rhs)
         k = len(iterations)
         assert k > 5
         assert len(round_trips) <= k + 3
