@@ -91,9 +91,9 @@ STABILITY_HEADER = ["q", "sup_u", "min_u", "mu", "deviation", "sup_diff",
                     "grad_diff", "verdict"]
 
 
-def _run_solve(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
+def _run_solve(cfg: RunConfig, writer: OutputWriter, quantities: dict):
     par = cfg.parameters
-    spec = critical_spec(coeffs, par["theta"]).at(q=par["q"])
+    spec = critical_spec(cfg.coefficients(), par["theta"]).at(q=par["q"])
     out = branch_mod.minimal_solution(spec)
     point = branch_mod._branch_point(spec, out.solution, out.iterations)
     sol = point.solution
@@ -108,8 +108,8 @@ def _run_solve(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
     return EXIT_OK
 
 
-def _run_branch(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
-    record = branch_mod.trace_branch(coeffs, cfg.parameters["theta_schedule"],
+def _run_branch(cfg: RunConfig, writer: OutputWriter, quantities: dict):
+    record = branch_mod.trace_branch(cfg.coefficients(), cfg.parameters["theta_schedule"],
                                      q=cfg.parameters["q"])
     quantities.update({
         "n_points": len(record.points),
@@ -123,8 +123,9 @@ def _run_branch(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
     return EXIT_OK
 
 
-def _run_fold(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
-    fold = branch_mod.find_theta_star(coeffs, theta_hint=cfg.parameters["theta_hint"],
+def _run_fold(cfg: RunConfig, writer: OutputWriter, quantities: dict):
+    fold = branch_mod.find_theta_star(cfg.coefficients(),
+                                      theta_hint=cfg.parameters["theta_hint"],
                                       tol=cfg.solver["fold_tol"])
     quantities.update({
         "theta_star": fold.theta_star,
@@ -141,9 +142,9 @@ def _run_fold(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
     return EXIT_OK
 
 
-def _run_mountain_pass(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
+def _run_mountain_pass(cfg: RunConfig, writer: OutputWriter, quantities: dict):
     par = cfg.parameters
-    pair = mountain_mod.critical_limit(coeffs, par["theta"],
+    pair = mountain_mod.critical_limit(cfg.coefficients(), par["theta"],
                                        eps_schedule=par["epsilon_schedule"],
                                        q_schedule=par["q_schedule"], seed=cfg.seed,
                                        ball_radius=cfg.solver["ball_radius"])
@@ -165,8 +166,8 @@ def _run_mountain_pass(cfg: RunConfig, coeffs, writer: OutputWriter, quantities:
     return EXIT_OK
 
 
-def _run_certificate(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
-    cert = mountain_mod.certificate_theta1(coeffs)
+def _run_certificate(cfg: RunConfig, writer: OutputWriter, quantities: dict):
+    cert = mountain_mod.certificate_theta1(cfg.coefficients())
     quantities.update({
         "n": cert.n, "C_n": cert.c_n,
         "S_h_estimate": cert.s_h_estimate, "heuristic": cert.heuristic,
@@ -177,8 +178,8 @@ def _run_certificate(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: d
     return EXIT_OK
 
 
-def _run_stability(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
-    par = cfg.parameters
+def _run_stability(cfg: RunConfig, writer: OutputWriter, quantities: dict):
+    par, coeffs = cfg.parameters, cfg.coefficients()
     bumps = par["a_perturbations"]
     perturbations = None if bumps is None else [coeffs.a * amp for amp in bumps]
     result = diag_mod.stability_experiment(coeffs, par["theta"], par["q_schedule"],
@@ -198,7 +199,7 @@ def _run_stability(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dic
     return EXIT_BLOWUP if result.verdict == "BLOWUP" else EXIT_OK
 
 
-def _run_bubble(cfg: RunConfig, coeffs, writer: OutputWriter, quantities: dict):
+def _run_bubble(cfg: RunConfig, writer: OutputWriter, quantities: dict):
     # f0 = n(n-2), so r0 = 1, at standard_bubble's spacing for n and at half of it
     spec = BubbleSpec(n=cfg.dim, f0=float(cfg.dim * (cfg.dim - 2)))
     _, rep1 = diag_mod.standard_bubble(spec, diag_mod.BUBBLE_WINDOW)
@@ -266,7 +267,7 @@ def run(cfg: RunConfig, out_dir: str | None = None,
     writer = OutputWriter(cfg.out_dir, cfg.formats)
     t0 = time.perf_counter()
     try:
-        code = RUNNERS[cfg.mode](cfg, cfg.coefficients(), writer, report["quantities"])
+        code = RUNNERS[cfg.mode](cfg, writer, report["quantities"])
         report["files"] = writer.manifest
     except LichtorusError as exc:
         code = exc.exit_code

@@ -190,15 +190,24 @@ def regularized_residual(spec: ProblemSpec, u: ScalarField) -> ScalarField:
 energy_gradient = regularized_residual
 
 
-def energies(spec: ProblemSpec, values: NDArray, forms: NDArray | None = None) -> NDArray:
+def f_terms(spec: ProblemSpec, power: NDArray) -> NDArray:
+    """1/q int f (u+)^q of each field u of a stack, from power = (u+)^q."""
+    total = np.sum(spec.coefficients.f.values * power, axis=spec.grid.field_axes)
+    return total * spec.grid.cell_volume / spec.q
+
+
+def energies(spec: ProblemSpec, values: NDArray, forms: NDArray | None = None,
+             fterms: NDArray | None = None) -> NDArray:
     """The energy functional, regularized or not depending on spec.epsilon,
     of each field u in the stack values, whose trailing axes are the grid.
 
     I(u) = 1/2 int(|grad u|^2 + h u^2) - 1/q int f (u+)^q
            + theta/q int a * [ (u+)^(-q)  or  (eps + (u+)^2)^(-q/2) ].
 
-    forms, when given, are h1h_quadratic_forms(values, h): they depend on
-    h alone, so specs that share h can share them.
+    forms, when given, are h1h_quadratic_forms(values, h), and fterms the
+    f_terms of values: they depend on h, and on f and q, alone, so specs
+    that share those can share them.  At epsilon = 0 one power u^q gives
+    both nonlinear terms.
     """
     c = spec.coefficients
     axes = spec.grid.field_axes
@@ -208,12 +217,15 @@ def energies(spec: ProblemSpec, values: NDArray, forms: NDArray | None = None) -
         up = np.maximum(values, 0.0)
         aterm = np.sum(c.a.values * (spec.epsilon + up**2) ** (-spec.q / 2.0), axis=axes)
         aterm = aterm * cellv * (spec.theta / spec.q)
+        if fterms is None:
+            fterms = f_terms(spec, up ** spec.q)
     else:
         _require_positive(values)
-        up = values
-        aterm = spec.theta / spec.q * np.sum(c.a.values * up ** (-spec.q), axis=axes) * cellv
-    fterm = np.sum(c.f.values * up ** spec.q, axis=axes) * cellv / spec.q
-    return quad - fterm + aterm
+        power = values ** spec.q
+        aterm = spec.theta / spec.q * np.sum(c.a.values / power, axis=axes) * cellv
+        if fterms is None:
+            fterms = f_terms(spec, power)
+    return quad - fterms + aterm
 
 
 def energy(spec: ProblemSpec, u: ScalarField) -> float:

@@ -40,6 +40,7 @@ from .core import (
     energies,
     energy,
     energy_gradient,
+    f_terms,
     sobolev_constant_estimate,
     _half_grid_coefficients,
 )
@@ -239,9 +240,11 @@ def sphere_modes(dim: int, rng: np.random.Generator) -> NDArray:
 
     A random term amp * cos(2 pi k.x / L + phase) is the real part of
     amp e^(i phase) times the outer product of the rows k_j + 2 of _WAVES.
-    Each term has k != 0 with |k_j| <= 2 < N_j, so it sums to zero over any
-    grid, and a random row has grid mean at least 0.3: no row is zero, and
-    none is drawn again.
+    The random rows' constants, their term counts (1 to 3), and the terms'
+    wavevectors, amplitudes and phases are one generator call each; terms
+    drawn with k = 0 are dropped.  Each kept term has k != 0 with
+    |k_j| <= 2 < N_j, so it sums to zero over any grid, and a random row has
+    grid mean at least 0.3: no row is zero, and none is drawn again.
     """
     modes = np.zeros((SPHERE_SAMPLES, *[5] * dim))
     constant = (0,) * dim
@@ -250,21 +253,19 @@ def sphere_modes(dim: int, rng: np.random.Generator) -> NDArray:
     for axis in range(dim):
         modes[(2 + axis, *constant)] = 1.0
         modes[(2 + axis, *(int(j == axis) for j in range(dim)))] = 0.5
-    rows, wavevectors, amps, phases = [], [], [], []
-    for row in range(2 + dim, SPHERE_SAMPLES):
-        modes[(row, *constant)] = float(rng.uniform(0.3, 1.0))
-        for _ in range(rng.integers(1, 4)):
-            wv = rng.integers(-2, 3, size=dim)
-            if not wv.any():
-                continue
-            rows.append(row)
-            wavevectors.append(wv)
-            amps.append(float(rng.uniform(-0.5, 0.5)))
-            phases.append(float(rng.uniform(0, 2 * np.pi)))
-    terms = np.multiply(amps, np.exp(1j * np.array(phases)))
-    for axis, k in enumerate(np.transpose(wavevectors)):
+    first = 2 + dim
+    modes[(slice(first, None), *constant)] = rng.uniform(0.3, 1.0, SPHERE_SAMPLES - first)
+    counts = rng.integers(1, 4, SPHERE_SAMPLES - first)
+    wavevectors = rng.integers(-2, 3, size=(counts.sum(), dim))
+    amps = rng.uniform(-0.5, 0.5, len(wavevectors))
+    phases = rng.uniform(0, 2 * np.pi, len(wavevectors))
+    kept = wavevectors.any(axis=1)
+    rows = np.repeat(np.arange(first, SPHERE_SAMPLES), counts)[kept]
+    terms = amps[kept] * np.exp(1j * phases[kept])
+    for axis, k in enumerate(wavevectors[kept].T):
         terms = terms[..., np.newaxis] * _WAVES[k + 2].reshape(len(k), *[1] * axis, 5)
-    np.add.at(modes, rows, terms.real)
+    filled, starts = np.unique(rows, return_index=True)
+    modes[filled] += np.add.reduceat(terms.real, starts)
     return modes
 
 
@@ -322,7 +323,8 @@ def sphere_barrier(specs: list[ProblemSpec], center: ScalarField, radius: float,
                    modes: NDArray) -> list[float]:
     """Sampled inf of the energy on the sphere, minus the safety margin, for
     each of specs, which share their coefficients: the samples of modes
-    (sphere_modes) serve them all, and so do their H1_h forms.
+    (sphere_modes) serve them all, and so do their H1_h forms; the f-term
+    of the samples is computed once per distinct q of the regularized specs.
 
     For epsilon = 0 only strictly positive samples are admissible; the rest
     have infinite energy and are skipped.  An admissible sample's energy is
@@ -332,14 +334,18 @@ def sphere_barrier(specs: list[ProblemSpec], center: ScalarField, radius: float,
     best = np.full(len(specs), np.inf)
     for block, forms in _sphere_samples(h, center, radius, modes):
         admissible = block.min(axis=h.grid.field_axes) > 1e-10
+        fterms = {}
         for i, spec in enumerate(specs):
-            if spec.epsilon > 0 or admissible.all():
-                rows, row_forms = block, forms
+            if spec.epsilon > 0:
+                if spec.q not in fterms:
+                    fterms[spec.q] = f_terms(spec, np.maximum(block, 0.0) ** spec.q)
+                values = energies(spec, block, forms, fterms[spec.q])
+            elif admissible.all():
+                values = energies(spec, block, forms)
             elif admissible.any():
-                rows, row_forms = block[admissible], forms[admissible]
+                values = energies(spec, block[admissible], forms[admissible])
             else:
                 continue
-            values = energies(spec, rows, row_forms)
             if not np.isfinite(values).all():
                 raise NonFiniteFieldError(f"sphere sample energies overflow on the sphere "
                                           f"of radius {radius:.3e}")

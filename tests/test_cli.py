@@ -173,6 +173,21 @@ def test_bubble_mode(tmp_path):
                        "refinement_ratio": 15.987911300695202}, rel=1e-9)
 
 
+def test_bubble_check_builds_no_coefficients(tmp_path):
+    # the check never reads the coefficients, so an f no other mode admits
+    # changes nothing: at n = 3 its report and bubble.csv are those of f = 1
+    outputs = {}
+    for dim, f in ((4, -1.0), (3, -1.0), (3, 1.0)):
+        out = tmp_path / f"out{dim}{f}"
+        cfg = base_config("bubble-check", str(out))
+        cfg["grid"] = {"dim": dim, "resolutions": [8] * dim, "periods": [1.0] * dim}
+        cfg["coefficients"]["f"] = {"constant": f}
+        assert main(["bubble-check", "--config", write_config(tmp_path, cfg)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        outputs[dim, f] = report["quantities"], (out / "bubble.csv").read_bytes()
+    assert outputs[3, -1.0] == outputs[3, 1.0]
+
+
 def test_mountain_pass_mode(tmp_path):
     out = str(tmp_path / "out")
     cfgp = write_config(tmp_path, base_config(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,27 @@ class TestEnergy:
         vals = [energy(spec0.at(epsilon=eps), u) for eps in (1e-1, 1e-3, 1e-6)]
         limit = energy(spec0, u)
         assert vals[0] < vals[1] < vals[2] <= limit + 1e-12
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_one_power_matches_two_powers(self, dim):
+        # at epsilon = 0 the a-term is a / u^q, from the f-term's power
+        grid = lt.build_grid(dim, [4] * dim, [1.0] * dim)
+        rng = np.random.default_rng(dim)
+        h, f, a = (smooth_random_field(grid, rng, mean=m, amplitude=0.2)
+                   for m in (2.0, 1.0, 1.0))
+        spec = critical_spec(lt.Coefficients(h, f, a), 0.3)
+        values = 10.0 ** rng.uniform(-6.0, 3.0, size=(8, *grid.resolutions))
+        q, axes, cellv = spec.q, grid.field_axes, grid.cell_volume
+        two_powers = (0.5 * lt.grid.h1h_quadratic_forms(values, h)
+                      - np.sum(f.values * values**q, axis=axes) * cellv / q
+                      + spec.theta / q * np.sum(a.values * values ** (-q), axis=axes) * cellv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one_power = core.energies(spec, values)
+        assert np.all(np.abs(one_power - two_powers) <= 1e-14 * np.abs(two_powers))
+        values[5].flat[7] = 0.0
+        with pytest.raises(PositivityError):
+            core.energies(spec, values)
 
 
 class TestEnergyGradient:

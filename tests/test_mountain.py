@@ -1,10 +1,11 @@
+import itertools
 import re
 
 import numpy as np
 import pytest
 
 import lichtorus as lt
-from lichtorus import mountain
+from lichtorus import core, mountain
 from lichtorus.branch import NewtonError, build_subsolution, find_theta_star, newton_refine
 from lichtorus.core import (
     ProblemSpec,
@@ -269,20 +270,35 @@ def cosine_rows(grid, rng):
         wv = [0] * grid.dim
         wv[axis] = 1
         samples[2 + axis] = 1.0 + lt.cosine_field(grid, 0.5, wv).values
-    row = 2 + grid.dim
-    while row < mountain.SPHERE_SAMPLES:
-        raw = samples[row]
-        raw[...] = float(rng.uniform(0.3, 1.0))
-        for _ in range(rng.integers(1, 4)):
-            wv = [int(k) for k in rng.integers(-2, 3, size=grid.dim)]
-            if all(k == 0 for k in wv):
-                continue
-            amp = float(rng.uniform(-0.5, 0.5))
-            phase = float(rng.uniform(0, 2 * np.pi))
-            raw += lt.cosine_field(grid, amp, wv, phase).values
-        if np.abs(raw).max() > 0:
-            row += 1
+    random_rows = samples[2 + grid.dim:]
+    constants = rng.uniform(0.3, 1.0, len(random_rows))
+    counts = rng.integers(1, 4, len(random_rows))
+    wavevectors = rng.integers(-2, 3, size=(counts.sum(), grid.dim))
+    amps = rng.uniform(-0.5, 0.5, len(wavevectors))
+    phases = rng.uniform(0, 2 * np.pi, len(wavevectors))
+    terms = iter(zip(wavevectors, amps, phases))
+    for raw, constant, count in zip(random_rows, constants, counts):
+        raw[...] = constant
+        for wv, amp, phase in itertools.islice(terms, count):
+            if wv.any():
+                raw += lt.cosine_field(grid, float(amp), [int(k) for k in wv],
+                                       float(phase)).values
     return samples
+
+
+class RecordingGenerator:
+    """A numpy Generator that records each call as (name, result)."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def recorded(*args, **kwargs):
+            self.calls.append((name, method(*args, **kwargs)))
+            return self.calls[-1][1]
+        return recorded
 
 
 def cosine_samples(h, center, radius, rng):
@@ -340,6 +356,76 @@ class TestSphereBarrier:
         reference_rows = cosine_rows(grid, np.random.default_rng(7))
         assert np.array_equal(rows[:dim + 2], reference_rows[:dim + 2])
         assert np.abs(rows - reference_rows).max() <= 1e-14
+
+    def test_the_draw_is_five_generator_calls(self):
+        for dim in (3, 4, 5):
+            rng = RecordingGenerator(dim)
+            modes = sphere_modes(dim, rng)
+            assert len(rng.calls) <= 5
+            assert np.array_equal(modes, sphere_modes(dim, np.random.default_rng(dim)))
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_the_draw_keeps_its_distribution(self, dim):
+        # the modes in the complex basis e^(2 pi i k.x / L), k in [-2, 2]^dim:
+        # per axis, the real basis coefficients times the inverse of _WAVES
+        to_complex = np.linalg.inv(mountain._WAVES)
+        fixed = np.zeros((dim + 2, *[5] * dim))
+        constant = (0,) * dim
+        fixed[(0, *constant)], fixed[(1, *constant)] = 1.0, -1.0
+        for axis in range(dim):
+            fixed[(2 + axis, *constant)] = 1.0
+            fixed[(2 + axis, *(int(j == axis) for j in range(dim)))] = 0.5
+        for seed in range(10):
+            rng = RecordingGenerator(seed)
+            modes = sphere_modes(dim, rng)
+            constants, counts, wavevectors = (result for _, result in rng.calls[:3])
+            assert np.array_equal(modes[:dim + 2], fixed)
+            # a term of zero wavevector would add to its row's grid mean
+            assert np.array_equal(modes[(slice(dim + 2, None), *constant)], constants)
+            assert np.all((0.3 <= constants) & (constants < 1.0))
+            assert np.all((1 <= counts) & (counts <= 3))
+            assert len(counts) == mountain.SPHERE_SAMPLES - dim - 2
+            assert np.abs(wavevectors).max() <= 2
+            starts = np.cumsum(counts)[:-1]
+            for row, drawn in zip(modes[dim + 2:], np.split(wavevectors, starts)):
+                z = row.astype(complex)
+                for axis in range(dim):
+                    z = np.moveaxis(np.tensordot(z, to_complex, axes=([axis], [0])), -1, axis)
+                support = {tuple(int(k) for k in np.array(i) - 2)
+                           for i in zip(*np.nonzero(np.abs(z) > 1e-12))}
+                kept = {tuple(int(j) for j in sign * k) for k in drawn if k.any()
+                        for sign in (1, -1)}
+                assert support - {constant} == kept
+            # no row is zero: each has a nonzero grid mean
+            assert np.all(modes[(slice(None), *constant)] != 0)
+
+    def test_stage_barriers_compute_one_f_term_per_q(self, grid8, monkeypatch):
+        # the default schedule's 13 stages have 8 distinct q, as its six
+        # epsilon stages share the first; their barriers are those of one
+        # energies call per spec
+        coeffs = self._coeffs(grid8)
+        eps_schedule, q_schedule = mountain._default_schedules(6.0)
+        stages = [(e, q_schedule[0]) for e in eps_schedule]
+        stages += [(eps_schedule[-1], q) for q in q_schedule[1:]]
+        specs = [ProblemSpec(coeffs, q, theta=0.1, epsilon=e) for e, q in stages]
+        center = lt.constant_field(grid8, 0.0)
+        modes = sphere_modes(3, np.random.default_rng(3))
+        computed, real = [], core.f_terms
+
+        def counting(spec, power):
+            computed.append(spec.q)
+            return real(spec, power)
+
+        monkeypatch.setattr(core, "f_terms", counting)
+        monkeypatch.setattr(mountain, "f_terms", counting)
+        etas = sphere_barrier(specs, center, 1.0, modes)
+        chunks = mountain.SPHERE_SAMPLES // mountain.BARRIER_CHUNK
+        assert (len(specs), len(computed)) == (13, 8 * chunks)
+        monkeypatch.undo()
+        blocks = list(mountain._sphere_samples(coeffs.h, center, 1.0, modes))
+        for spec, eta in zip(specs, etas):
+            best = min(energies(spec, block, forms).min() for block, forms in blocks)
+            assert abs(eta - (best - mountain.ETA_MARGIN * abs(best))) <= 1e-14 * abs(eta)
 
     def test_no_admissible_sample(self, grid8):
         # at epsilon = 0 every sample around a center of -10 is negative
