@@ -202,9 +202,8 @@ def _run_stability(cfg: RunConfig, writer: OutputWriter, quantities: dict):
 def _run_bubble(cfg: RunConfig, writer: OutputWriter, quantities: dict):
     # f0 = n(n-2), so r0 = 1, at standard_bubble's spacing for n and at half of it
     spec = BubbleSpec(n=cfg.dim, f0=float(cfg.dim * (cfg.dim - 2)))
-    _, rep1 = diag_mod.standard_bubble(spec, diag_mod.BUBBLE_WINDOW)
-    _, rep2 = diag_mod.standard_bubble(spec, diag_mod.BUBBLE_WINDOW,
-                                       spacing=rep1.spacing / 2)
+    rep1 = diag_mod.standard_bubble(spec, diag_mod.BUBBLE_WINDOW)
+    rep2 = diag_mod.standard_bubble(spec, diag_mod.BUBBLE_WINDOW, spacing=rep1.spacing / 2)
     ratio = rep1.max_rel_residual / rep2.max_rel_residual
     quantities.update({
         "f0": spec.f0, "r0": spec.r0, "spacing": rep1.spacing,

@@ -62,14 +62,6 @@ class BubbleSpec:
 
 
 @dataclass
-class LocalField:
-    """A field sampled on a uniform window of R^n centered at the origin."""
-
-    values: np.ndarray
-    spacing: float
-
-
-@dataclass
 class BubbleResidualReport:
     max_rel_residual: float
     spacing: float
@@ -128,7 +120,7 @@ BUBBLE_DIVISIONS = {3: 64, 4: 16, 5: 8}
 
 
 def standard_bubble(spec: BubbleSpec, window_half_width: float,
-                    spacing: float | None = None) -> tuple[LocalField, BubbleResidualReport]:
+                    spacing: float | None = None) -> BubbleResidualReport:
     """Sample the bubble on a local fine grid and report its PDE residual.
 
     The residual max |Delta_fd U - f0 U^(2*-1)| / max U^(2*-1) over interior
@@ -158,8 +150,7 @@ def standard_bubble(spec: BubbleSpec, window_half_width: float,
     interior = tuple(slice(2, -2) for _ in range(spec.n))
     resid = np.abs(lap[interior] - rhs[interior])
     rel = float(resid.max() / rhs.max())
-    report = BubbleResidualReport(max_rel_residual=rel, spacing=h)
-    return LocalField(values=u, spacing=h), report
+    return BubbleResidualReport(max_rel_residual=rel, spacing=h)
 
 
 def locate_peak(u: ScalarField, f: ScalarField, q: float) -> Peak:

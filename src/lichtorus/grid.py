@@ -203,9 +203,6 @@ class TorusGrid:
             pool.append(np.empty(size + 1))
         return [v[:size + border] for v in pool[:count]]
 
-    def meshgrid(self) -> tuple[NDArray, ...]:
-        return np.meshgrid(*self.axes, indexing="ij")
-
 
 def _mode_numbers(n: int) -> NDArray:
     """The frequency of each row of an n-point axis basis: 0, 1, 1, 2, 2,

@@ -6,10 +6,13 @@ q -> 2* by Newton from stage to stage, and finally Newton-refined on the
 true critical equation.  The first stage's pass point is found by the
 classical discrete minimax scheme: steepest-descent on the highest-energy
 point of a path joining the ball minimizer to a low-energy far point, with
-arclength re-equispacing.  That family runs on the half grid when there is
+arclength re-equispacing.  The ball, its sphere and the far point's
+distance are taken around 0 in H1_h, with the radius ball_radius (default:
+the certificate's t0).  That family runs on the half grid when there is
 one (nested iteration), and the full grid refines only its last point.
 Every barrier comes from one draw of sphere samples, held as coefficients
-of trigonometric polynomials, so the draw serves both grids.
+of trigonometric polynomials, so the draw serves both grids; each sample's
+H1_h form is radius^2 exactly, so the barrier takes no transform.
 
 The explicit two-solution certificate evaluates the closed-form constants
 C(n), t0, t1, Phi(t0) and a lower bound on the first multiplicity threshold
@@ -56,7 +59,6 @@ from .grid import (
     h1h_norm,
     h1h_norms,
     helmholtz_solve,
-    laplacian,
     transfer,
 )
 
@@ -166,32 +168,28 @@ def certificate_theta1(coeffs: Coefficients) -> Certificate:
                        theta1_lower_bound=theta1_lb, test_function=phi)
 
 
-def minimize_in_ball(spec: ProblemSpec, center: ScalarField, radius: float,
-                     start: ScalarField | None = None) -> ScalarField:
-    """Minimize the regularized energy on the closed H1_h-ball around center.
+def minimize_in_ball(spec: ProblemSpec, radius: float, start: ScalarField) -> ScalarField:
+    """Minimize the regularized energy on the closed H1_h-ball of radius
+    around 0.
 
-    Descent along the Riesz direction -(Delta + h)^(-1) grad I from start
-    (default center), which must lie in the ball.  A trial point outside the
-    ball is rejected like one failing the Armijo test, unevaluated.  No
-    projection is needed: accepted iterates have I <= I(start), and when
-    I(start) < inf I on the sphere (the mountain-pass geometry) the Armijo
-    test rejects every sphere point anyway.  Positive iterates go to Newton
-    on the regularized Euler-Lagrange equation, whose result must lie inside
-    the ball.  A minimizer on the sphere means the geometry failed: the
-    descent stalls and raises DescentStallError.
+    Descent along the Riesz direction -(Delta + h)^(-1) grad I from start,
+    which must lie in the ball.  A trial point outside the ball is rejected
+    like one failing the Armijo test, unevaluated.  No projection is needed:
+    accepted iterates have I <= I(start), and when I(start) < inf I on the
+    sphere (the mountain-pass geometry) the Armijo test rejects every sphere
+    point anyway.  Positive iterates go to Newton on the regularized
+    Euler-Lagrange equation, whose result must lie inside the ball.  A
+    minimizer on the sphere means the geometry failed: the descent stalls
+    and raises DescentStallError.
     """
     if spec.epsilon <= 0 or spec.q >= spec.two_star:
         raise ValueError("ball minimization requires epsilon > 0 and q < 2*")
     h = spec.coefficients.h
-
-    def distance(u: ScalarField) -> float:
-        return h1h_norm(u - center, h)
-
-    u = center if start is None else start
-    if distance(u) > radius:
-        raise GeometryError(f"ball descent start at H1_h distance {distance(u):.4e} "
+    start_norm = h1h_norm(start, h)
+    if start_norm > radius:
+        raise GeometryError(f"ball descent start of H1_h norm {start_norm:.4e} "
                             f"lies outside the ball of radius {radius:.4e}")
-    e_u = energy(spec, u)
+    u, e_u = start, energy(spec, start)
     step = 1.0
     # moves are capped at a small fraction of the ball so descent cannot
     # leap a ridge to lower ground outside the minimizer's basin
@@ -205,14 +203,14 @@ def minimize_in_ball(spec: ProblemSpec, center: ScalarField, radius: float,
             except NewtonError:
                 pass
             else:
-                if distance(cand) < radius * (1.0 - 1e-10):
+                if h1h_norm(cand, h) < radius * (1.0 - 1e-10):
                     return cand
         if gn <= DESCENT_GRAD_TOL:
             return u
         s = min(step, max_move / gn)
         for _ in range(50):
             cand = u + s * d
-            if distance(cand) <= radius:
+            if h1h_norm(cand, h) <= radius:
                 e_cand = energy(spec, cand)
                 if e_cand < e_u - 1e-4 * s * gn**2:
                     u, e_u = cand, e_cand
@@ -278,25 +276,21 @@ def _waves(grid: TorusGrid) -> list[NDArray]:
             for x, length in zip(grid.axes, grid.periods)]
 
 
-def _sphere_samples(h: ScalarField, center: ScalarField, radius: float, modes: NDArray):
-    """The samples of modes on h's grid, scaled onto the H1_h sphere around
-    center: per chunk of BARRIER_CHUNK rows, (samples, forms), a stack of
-    fields and their H1_h quadratic forms.
+def _sphere_samples(h: ScalarField, radius: float, modes: NDArray):
+    """The samples of modes on h's grid, scaled onto the H1_h sphere of
+    radius around 0: per chunk of BARRIER_CHUNK rows, a stack of fields.
 
     A chunk evaluates its raw rows s and Delta s, with one small contraction
     per axis; Delta is diagonal on the modes and exact on every grid (the
     cos of k = 2 is the Nyquist mode of a 4-point axis, whose sin vanishes
     there).  They give the forms Q(s) = <s, (Delta + h) s> without a
-    transform; the sample center + t s, t = radius / sqrt(Q(s)), then has
-    the form Q(center) + 2 t <(Delta + h) center, s> + radius^2, which is
-    radius^2 around the zero center.
+    transform, and the sample t s, t = radius / sqrt(Q(s)), has the form
+    radius^2.
     """
     grid = h.grid
     waves = _waves(grid)
     eigenvalues = functools.reduce(np.add.outer, [
         ((2.0 * np.pi / length) * _mode_numbers(5)) ** 2 for length in grid.periods])
-    pull = (laplacian(center) + h * center).values
-    center_form = float(np.vdot(center.values, pull)) * grid.cell_volume
     for block in _chunks(modes):
         samples, image = _rotate(grid, np.stack([block, block * eigenvalues]), waves)
         image += h.values * samples
@@ -306,10 +300,8 @@ def _sphere_samples(h: ScalarField, center: ScalarField, radius: float, modes: N
             raise NonCoerciveOperatorError(f"H1_h quadratic form is not positive "
                                            f"({raw_forms.min():.3e}) on a sphere sample")
         scale = radius / np.sqrt(raw_forms * grid.cell_volume)
-        cross = samples.reshape(len(block), -1) @ pull.reshape(-1) * grid.cell_volume
         samples *= scale.reshape(-1, *[1] * grid.dim)
-        samples += center.values
-        yield samples, center_form + 2.0 * scale * cross + radius * radius
+        yield samples
 
 
 def _chunks(stack: NDArray) -> list[NDArray]:
@@ -319,31 +311,32 @@ def _chunks(stack: NDArray) -> list[NDArray]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite energies are a NonFiniteFieldError
-def sphere_barrier(specs: list[ProblemSpec], center: ScalarField, radius: float,
-                   modes: NDArray) -> list[float]:
-    """Sampled inf of the energy on the sphere, minus the safety margin, for
-    each of specs, which share their coefficients: the samples of modes
-    (sphere_modes) serve them all, and so do their H1_h forms; the f-term
-    of the samples is computed once per distinct q of the regularized specs.
+def sphere_barrier(specs: list[ProblemSpec], radius: float, modes: NDArray) -> list[float]:
+    """Sampled inf of the energy on the H1_h sphere of radius around 0,
+    minus the safety margin, for each of specs, which share their
+    coefficients: the samples of modes (sphere_modes) serve them all, and
+    each sample's H1_h form is radius^2; the f-term of the samples is
+    computed once per distinct q of the regularized specs.
 
     For epsilon = 0 only strictly positive samples are admissible; the rest
     have infinite energy and are skipped.  An admissible sample's energy is
     finite, so a non-finite one overflowed, as on a huge sphere.
     """
     h = specs[0].coefficients.h
+    form = radius * radius
     best = np.full(len(specs), np.inf)
-    for block, forms in _sphere_samples(h, center, radius, modes):
+    for block in _sphere_samples(h, radius, modes):
         admissible = block.min(axis=h.grid.field_axes) > 1e-10
         fterms = {}
         for i, spec in enumerate(specs):
             if spec.epsilon > 0:
                 if spec.q not in fterms:
                     fterms[spec.q] = f_terms(spec, np.maximum(block, 0.0) ** spec.q)
-                values = energies(spec, block, forms, fterms[spec.q])
+                values = energies(spec, block, form, fterms[spec.q])
             elif admissible.all():
-                values = energies(spec, block, forms)
+                values = energies(spec, block, form)
             elif admissible.any():
-                values = energies(spec, block[admissible], forms[admissible])
+                values = energies(spec, block[admissible], form)
             else:
                 continue
             if not np.isfinite(values).all():
@@ -462,10 +455,11 @@ def _default_schedules(two_star: float):
     return eps, qs
 
 
-def build_far_endpoint(spec: ProblemSpec, eta: float, min_distance: float,
-                       center: ScalarField) -> tuple[ScalarField, float]:
+def build_far_endpoint(spec: ProblemSpec, eta: float,
+                       radius: float) -> tuple[ScalarField, float]:
     """T * psi with int f psi^(2*) > 0, T doubled until the energy drops
-    below eta and the point leaves the ball; returns it with its energy."""
+    below eta and the point leaves the ball of radius around 0; returns it
+    with its energy."""
     coeffs = spec.coefficients
     grid = spec.grid
     ts = spec.two_star
@@ -483,7 +477,7 @@ def build_far_endpoint(spec: ProblemSpec, eta: float, min_distance: float,
     for _ in range(80):
         cand = t * psi
         e_cand = energy(spec, cand)
-        if e_cand < eta and h1h_norm(cand - center, h) > min_distance:
+        if e_cand < eta and h1h_norm(cand, h) > radius:
             return cand, e_cand
         t *= 2.0
     raise GeometryError("far endpoint: energy did not drop below eta")
@@ -493,17 +487,17 @@ def _pass_family(coeffs: Coefficients, theta: float, stages: list[tuple[float, f
                  q_ascent: int, radius: float, modes: NDArray, start: ScalarField,
                  sup_cap: float):
     """The pass points of stages, (epsilon, q) pairs, on coeffs' grid:
-    ball descent from start and the pass search at the first stage, Newton
-    continuation after it, each stage's point kept only at or above its
-    barrier, drawn from modes.  Returns (v, sup_differences, pass_history):
+    descent in the H1_h ball of radius around 0 from start and the pass
+    search at the first stage, Newton continuation after it, each stage's
+    point kept only at or above its barrier on the ball's sphere, drawn
+    from modes.  Returns (v, sup_differences, pass_history):
     the last stage's point, sup|v_k - v_(k-1)| from stage q_ascent on, and
     every stage's pass level."""
     grid = coeffs.grid
-    center = constant_field(grid, 0.0)
     specs = [ProblemSpec(coeffs, q, theta=theta, epsilon=eps) for eps, q in stages]
-    etas = sphere_barrier(specs, center, radius, modes)
-    u_low = minimize_in_ball(specs[0], center, radius, start=transfer(start, grid))
-    u_high, e_high = build_far_endpoint(specs[0], etas[0], radius, center)
+    etas = sphere_barrier(specs, radius, modes)
+    u_low = minimize_in_ball(specs[0], radius, transfer(start, grid))
+    u_high, e_high = build_far_endpoint(specs[0], etas[0], radius)
     pass_diffs, pass_history = [], []
     for stage_idx, (spec, eta) in enumerate(zip(specs, etas)):
         if stage_idx == 0:
@@ -536,7 +530,10 @@ def critical_limit(coeffs: Coefficients, theta: float,
     and the pair reports, the minimal solution of the critical equation by
     monotone iteration.  seed drives the one draw of SPHERE_SAMPLES sphere
     samples per run, which gives the barrier of every stage and of the
-    limit; ball_radius defaults to the certificate's t0.
+    limit.  The ball, its sphere and the far endpoint's distance are taken
+    around 0 in H1_h, with radius ball_radius, by default the certificate's
+    t0; every sample's H1_h form is radius^2 exactly, so the barriers take
+    no transform.
 
     The family runs on the half grid when the grid has one and the
     restricted coefficients are admissible (nested iteration); the full
@@ -559,7 +556,7 @@ def critical_limit(coeffs: Coefficients, theta: float,
     out = minimal_solution(crit)
     minimal_bp = _branch_point(crit, out.solution, out.iterations)
 
-    # Ball geometry from the certificate constants (zero-centered).
+    # Ball geometry from the certificate constants.
     radius = certificate_theta1(coeffs).t0 if ball_radius is None else ball_radius
     phi_norm = h1h_norm(minimal_bp.solution, coeffs.h)
     if phi_norm >= radius:
@@ -569,7 +566,7 @@ def critical_limit(coeffs: Coefficients, theta: float,
         )
 
     modes = sphere_modes(grid.dim, np.random.default_rng(seed))
-    eta_crit, = sphere_barrier([crit], constant_field(grid, 0.0), radius, modes)
+    eta_crit, = sphere_barrier([crit], radius, modes)
     if not minimal_bp.energy < eta_crit:
         raise GeometryError(f"minimal energy {minimal_bp.energy:.8f} is not below "
                             f"the barrier eta={eta_crit:.8f}")

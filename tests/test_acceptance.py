@@ -162,8 +162,8 @@ def test_criterion_08_stability_experiment():
 
 def test_criterion_09_bubble_residual():
     spec = BubbleSpec(n=3, f0=3.0)
-    _, rep = standard_bubble(spec, 0.5, spacing=spec.r0 / 64)
-    _, rep_half = standard_bubble(spec, 0.5, spacing=spec.r0 / 128)
+    rep = standard_bubble(spec, 0.5, spacing=spec.r0 / 64)
+    rep_half = standard_bubble(spec, 0.5, spacing=spec.r0 / 128)
     ratio = rep.max_rel_residual / rep_half.max_rel_residual
     assert rep.max_rel_residual <= 1e-4
     assert 12.0 <= ratio <= 20.0

@@ -217,9 +217,9 @@ def test_mountain_pass_variable_h_minimal_field(tmp_path, monkeypatch):
     radii, pairs = [], []
     real_barrier, real_limit = mountain.sphere_barrier, mountain.critical_limit
 
-    def barrier(specs, center, radius, modes):
+    def barrier(specs, radius, modes):
         radii.append(radius)
-        return real_barrier(specs, center, radius, modes)
+        return real_barrier(specs, radius, modes)
 
     def limit(*args, **kwargs):
         pairs.append(real_limit(*args, **kwargs))

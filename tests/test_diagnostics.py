@@ -12,6 +12,7 @@ from lichtorus import diagnostics
 from lichtorus.diagnostics import (
     BubbleSpec,
     StructuralViolationError,
+    bubble_profile,
     member_profile,
     rescaled_profile_compare,
     stability_experiment,
@@ -38,18 +39,15 @@ class TestBubbleSpec:
 class TestStandardBubble:
     def test_center_and_r0_values(self):
         spec = BubbleSpec(n=3, f0=3.0)  # R0 = 1
-        fld, _ = standard_bubble(spec, 1.0, spacing=1.0 / 16)
-        mid = tuple(s // 2 for s in fld.values.shape)
-        assert fld.values[mid] == pytest.approx(1.0)
-        # value at |x| = R0 along an axis
-        idx = list(mid)
-        idx[0] += 16  # one R0 away at spacing R0/16
-        assert fld.values[tuple(idx)] == pytest.approx(2.0 ** (-0.5), abs=1e-14)
+        # the center, and |x| = R0 (squared distances 0 and 1)
+        center, at_r0 = bubble_profile(spec, np.array([0.0, 1.0]))
+        assert center == pytest.approx(1.0)
+        assert at_r0 == pytest.approx(2.0 ** (-0.5), abs=1e-14)
 
     def test_residual_and_refinement_order(self):
         spec = BubbleSpec(n=3, f0=3.0)
-        _, rep1 = standard_bubble(spec, 0.5, spacing=spec.r0 / 64)
-        _, rep2 = standard_bubble(spec, 0.5, spacing=spec.r0 / 128)
+        rep1 = standard_bubble(spec, 0.5, spacing=spec.r0 / 64)
+        rep2 = standard_bubble(spec, 0.5, spacing=spec.r0 / 128)
         assert rep1.max_rel_residual <= 1e-4
         ratio = rep1.max_rel_residual / rep2.max_rel_residual
         assert 12.0 <= ratio <= 20.0
@@ -62,7 +60,7 @@ class TestStandardBubble:
 def transplanted_bubble(mu: float):
     """(u, f): a bubble of scale mu at f0 = 3 (R0 = 1) on the unit 96^3 torus."""
     g = lt.build_grid(3, [96, 96, 96], [1.0, 1.0, 1.0])
-    mesh = g.meshgrid()
+    mesh = np.meshgrid(*g.axes, indexing="ij")
     r2 = sum(((x - 0.5 + 0.5) % 1.0 - 0.5) ** 2 for x in mesh)
     profile = (1.0 + (r2 / mu**2)) ** (-0.5)
     return lt.ScalarField(g, mu ** (-0.5) * profile), lt.constant_field(g, 3.0)

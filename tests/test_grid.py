@@ -307,7 +307,7 @@ def test_cosine_field_is_bit_identical_to_the_meshgrid_form():
     g = lt.build_grid(4, [6, 8, 4, 10], [1.0, 2.5, 0.7, 3.0])
     wavevector, phase = [1, -2, 0, 3], 0.4
     arg = np.zeros(g.resolutions)
-    for k, x, length in zip(wavevector, g.meshgrid(), g.periods):
+    for k, x, length in zip(wavevector, np.meshgrid(*g.axes, indexing="ij"), g.periods):
         arg += 2.0 * np.pi * k * x / length
     field = lt.cosine_field(g, 1.7, wavevector, phase)
     assert np.array_equal(field.values, 1.7 * np.cos(arg + phase))

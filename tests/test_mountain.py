@@ -38,16 +38,16 @@ class TestMinimizeInBall:
         eps, q, theta = 1e-2, 5.0, 0.1
         spec = ProblemSpec(unit_coeffs8, q, theta=theta, epsilon=eps)
         sub = build_subsolution(spec.at(epsilon=0.0))
-        u = minimize_in_ball(spec, center=sub.field, radius=5.0, start=sub.field)
+        u = minimize_in_ball(spec, 5.0, sub.field)
         oracle = regularized_constant_root(theta, q, eps, branch="stable")
         assert abs(u.values - oracle).max() <= 1e-8
 
     def test_descent_property(self, unit_coeffs8, grid8):
         eps, q, theta = 1e-2, 5.0, 0.1
         spec = ProblemSpec(unit_coeffs8, q, theta=theta, epsilon=eps)
-        center = lt.constant_field(grid8, 0.5)
-        u = minimize_in_ball(spec, center=center, radius=5.0)
-        assert energy(spec, u) <= energy(spec, center)
+        start = lt.constant_field(grid8, 0.5)
+        u = minimize_in_ball(spec, 5.0, start)
+        assert energy(spec, u) <= energy(spec, start)
 
     def test_two_start_agreement_for_mostly_nonpositive_f(self, grid8):
         # f <= 0 except a small positive bump: the functional is convex-like
@@ -56,12 +56,12 @@ class TestMinimizeInBall:
         f = lt.cosine_field(grid8, 1.0, [1, 0, 0]) - 0.999
         coeffs = lt.Coefficients(one, f, one)
         spec = ProblemSpec(coeffs, 5.0, theta=0.3, epsilon=1e-2)
-        center = lt.constant_field(grid8, 0.6)
+        base = lt.constant_field(grid8, 0.6)
         rng = np.random.default_rng(21)
-        s1 = center + 0.2 * smooth_random_field(grid8, rng, amplitude=0.2)
-        s2 = center + 0.2 * smooth_random_field(grid8, rng, amplitude=0.2)
-        u1 = minimize_in_ball(spec, center=center, radius=5.0, start=s1)
-        u2 = minimize_in_ball(spec, center=center, radius=5.0, start=s2)
+        s1 = base + 0.2 * smooth_random_field(grid8, rng, amplitude=0.2)
+        s2 = base + 0.2 * smooth_random_field(grid8, rng, amplitude=0.2)
+        u1 = minimize_in_ball(spec, 5.0, s1)
+        u2 = minimize_in_ball(spec, 5.0, s2)
         assert (u1 - u2).sup_norm() <= 1e-6
 
     def test_minimizer_on_the_sphere_raises(self, unit_coeffs8, grid8):
@@ -69,33 +69,31 @@ class TestMinimizeInBall:
         # over the ball sits on its sphere, where no critical point is
         spec = ProblemSpec(unit_coeffs8, 5.0, theta=0.1, epsilon=1e-2)
         with pytest.raises(DescentStallError):
-            minimize_in_ball(spec, lt.constant_field(grid8, 0.5), 0.05)
+            minimize_in_ball(spec, 0.5, lt.constant_field(grid8, 0.45))
 
     def test_start_outside_the_ball_is_rejected(self, unit_coeffs8, grid8):
         spec = ProblemSpec(unit_coeffs8, 5.0, theta=0.1, epsilon=1e-2)
         with pytest.raises(GeometryError, match="outside the ball"):
-            minimize_in_ball(spec, lt.constant_field(grid8, 0.5), 0.05,
-                             start=lt.constant_field(grid8, 0.7))
+            minimize_in_ball(spec, 0.5, lt.constant_field(grid8, 0.7))
 
     def test_rejects_critical_or_unregularized(self, unit_coeffs8, grid8):
         with pytest.raises(ValueError):
             minimize_in_ball(ProblemSpec(unit_coeffs8, 6.0, theta=0.1, epsilon=1e-2),
-                             lt.constant_field(grid8, 0.5), 1.0)
+                             1.0, lt.constant_field(grid8, 0.5))
         with pytest.raises(ValueError):
             minimize_in_ball(ProblemSpec(unit_coeffs8, 5.0, theta=0.1, epsilon=0.0),
-                             lt.constant_field(grid8, 0.5), 1.0)
+                             1.0, lt.constant_field(grid8, 0.5))
 
 
 class TestMountainPass:
     def _stage(self, coeffs, grid, eps=1e-2, q=5.5, theta=0.1):
         spec = ProblemSpec(coeffs, q, theta=theta, epsilon=eps)
         rng = np.random.default_rng(0)
-        center = lt.constant_field(grid, 0.0)
         radius = 1.0
-        eta, = sphere_barrier([spec], center, radius, sphere_modes(3, rng))
+        eta, = sphere_barrier([spec], radius, sphere_modes(3, rng))
         sub = build_subsolution(spec.at(epsilon=0.0))
-        u_low = minimize_in_ball(spec, center, radius, start=sub.field)
-        u_high, e_high = build_far_endpoint(spec, eta, radius, center)
+        u_low = minimize_in_ball(spec, radius, sub.field)
+        u_high, e_high = build_far_endpoint(spec, eta, radius)
         return spec, eta, u_low, u_high, (energy(spec, u_low), e_high)
 
     def test_constant_saddle(self, unit_coeffs8, grid8):
@@ -189,11 +187,10 @@ class TestMountainPass:
         one = lt.constant_field(grid8, 1.0)
         f = 0.6 * one + 1.3 * lt.cosine_field(grid8, 1.0, [1, 0, 0])
         spec = ProblemSpec(lt.Coefficients(one, f, one), 5.5, theta=0.1, epsilon=1e-2)
-        center = lt.constant_field(grid8, 0.0)
-        eta, = sphere_barrier([spec], center, 1.0, sphere_modes(3, np.random.default_rng(0)))
-        u_high, e_high = build_far_endpoint(spec, eta, 1.0, center)
+        eta, = sphere_barrier([spec], 1.0, sphere_modes(3, np.random.default_rng(0)))
+        u_high, e_high = build_far_endpoint(spec, eta, 1.0)
         assert e_high == energy(spec, u_high) < eta
-        assert lt.h1h_norm(u_high - center, one) > 1.0
+        assert lt.h1h_norm(u_high, one) > 1.0
         assert 0.0 < u_high.min() < u_high.max()
         assert np.argmax(u_high.values) == np.argmax(f.values)
 
@@ -205,11 +202,9 @@ class TestMountainPass:
         eps, q = 1e-4, 5.0
         spec = ProblemSpec(coeffs, q, theta=0.0, epsilon=eps)
         rng = np.random.default_rng(1)
-        center = lt.constant_field(grid8, 0.0)
-        eta, = sphere_barrier([spec], center, 1.0, sphere_modes(3, rng))
-        u_low = minimize_in_ball(spec, center, 1.0,
-                                 start=lt.constant_field(grid8, 0.05))
-        u_high, e_high = build_far_endpoint(spec, eta, 1.0, center)
+        eta, = sphere_barrier([spec], 1.0, sphere_modes(3, rng))
+        u_low = minimize_in_ball(spec, 1.0, lt.constant_field(grid8, 0.05))
+        u_high, e_high = build_far_endpoint(spec, eta, 1.0)
         e_low = energy(spec, u_low)
         v, c_level = mountain_pass_solve(spec, u_low, u_high, e_low, e_high, eta=eta)
         assert regularized_residual(spec, v).sup_norm() <= 1e-10
@@ -301,13 +296,13 @@ class RecordingGenerator:
         return recorded
 
 
-def cosine_samples(h, center, radius, rng):
-    """cosine_rows on the H1_h sphere around center: the reference for
+def cosine_samples(h, radius, rng):
+    """cosine_rows on the H1_h sphere of radius around 0: the reference for
     _sphere_samples."""
     samples = cosine_rows(h.grid, rng)
     for row in samples:
         row *= radius / lt.h1h_norm(lt.ScalarField(h.grid, row), h)
-    return samples + center.values
+    return samples
 
 
 class TestSphereBarrier:
@@ -318,19 +313,16 @@ class TestSphereBarrier:
         return lt.Coefficients(one, f, a)
 
     def test_stacked_barrier_is_bit_identical_to_one_energy_per_sample(self, grid8):
-        # one energy per sample from the sample's one form, which is that of
-        # its own transform up to rounding
+        # one energy per sample from the sphere's form, radius^2, which is
+        # that of the sample's own transform up to rounding
         coeffs = self._coeffs(grid8)
-        center = lt.constant_field(grid8, 0.0)
         specs = [ProblemSpec(coeffs, 5.5, theta=0.1, epsilon=1e-2), critical_spec(coeffs, 0.1)]
         modes = sphere_modes(3, np.random.default_rng(4))
-        etas = sphere_barrier(specs, center, 1.0, modes)
-        blocks = list(mountain._sphere_samples(coeffs.h, center, 1.0, modes))
-        samples = np.concatenate([block for block, _ in blocks])
-        forms = np.concatenate([block_forms for _, block_forms in blocks])
+        etas = sphere_barrier(specs, 1.0, modes)
+        samples = np.concatenate(list(mountain._sphere_samples(coeffs.h, 1.0, modes)))
         for spec, eta in zip(specs, etas):
-            levels = [float(energies(spec, s, form))
-                      for s, form in zip(samples, forms) if spec.epsilon > 0 or s.min() > 1e-10]
+            levels = [float(energies(spec, s, 1.0))
+                      for s in samples if spec.epsilon > 0 or s.min() > 1e-10]
             best = min(levels)
             assert eta == best - mountain.ETA_MARGIN * abs(best)
             direct = min(energy(spec, lt.ScalarField(grid8, s)) for s in samples
@@ -341,11 +333,10 @@ class TestSphereBarrier:
     def test_samples_match_one_cosine_per_term(self, dim, n):
         grid = lt.build_grid(dim, [n] * dim, [1.0] * dim)
         h = lt.constant_field(grid, 1.0) + lt.cosine_field(grid, 0.3, [1] + [0] * (dim - 1))
-        center = lt.constant_field(grid, 0.5)
         rng, reference_rng = np.random.default_rng(7), np.random.default_rng(7)
-        samples = np.concatenate([block for block, _ in mountain._sphere_samples(
-            h, center, 1.0, sphere_modes(dim, rng))])
-        reference = cosine_samples(h, center, 1.0, reference_rng)
+        samples = np.concatenate(list(mountain._sphere_samples(
+            h, 1.0, sphere_modes(dim, rng))))
+        reference = cosine_samples(h, 1.0, reference_rng)
         assert rng.random() == reference_rng.random()
         assert np.abs(samples - reference).max() <= 1e-14
         # the fixed rows evaluate to the cosines bit for bit; their forms
@@ -408,7 +399,6 @@ class TestSphereBarrier:
         stages = [(e, q_schedule[0]) for e in eps_schedule]
         stages += [(eps_schedule[-1], q) for q in q_schedule[1:]]
         specs = [ProblemSpec(coeffs, q, theta=0.1, epsilon=e) for e, q in stages]
-        center = lt.constant_field(grid8, 0.0)
         modes = sphere_modes(3, np.random.default_rng(3))
         computed, real = [], core.f_terms
 
@@ -418,34 +408,48 @@ class TestSphereBarrier:
 
         monkeypatch.setattr(core, "f_terms", counting)
         monkeypatch.setattr(mountain, "f_terms", counting)
-        etas = sphere_barrier(specs, center, 1.0, modes)
+        etas = sphere_barrier(specs, 1.0, modes)
         chunks = mountain.SPHERE_SAMPLES // mountain.BARRIER_CHUNK
         assert (len(specs), len(computed)) == (13, 8 * chunks)
         monkeypatch.undo()
-        blocks = list(mountain._sphere_samples(coeffs.h, center, 1.0, modes))
+        blocks = list(mountain._sphere_samples(coeffs.h, 1.0, modes))
         for spec, eta in zip(specs, etas):
-            best = min(energies(spec, block, forms).min() for block, forms in blocks)
+            best = min(energies(spec, block, 1.0).min() for block in blocks)
             assert abs(eta - (best - mountain.ETA_MARGIN * abs(best))) <= 1e-14 * abs(eta)
 
     def test_no_admissible_sample(self, grid8):
-        # at epsilon = 0 every sample around a center of -10 is negative
+        # at epsilon = 0, on a sphere this small every sample's minimum,
+        # that of the positive constant included, is at most 1e-10
         spec = critical_spec(self._coeffs(grid8), 0.1)
+        modes = sphere_modes(3, np.random.default_rng(0))
+        for block in mountain._sphere_samples(spec.coefficients.h, 1e-11, modes):
+            assert np.all(block.min(axis=grid8.field_axes) <= 1e-10)
         with pytest.raises(GeometryError, match="no admissible sphere sample"):
-            sphere_barrier([spec], lt.constant_field(grid8, -10.0), 1.0,
-                           sphere_modes(3, np.random.default_rng(0)))
+            sphere_barrier([spec], 1e-11, modes)
 
-    @pytest.mark.parametrize("amplitude", [0.0, 0.5])
-    def test_one_form_per_sample(self, grid8, amplitude):
-        # the forms that come with the samples are those of their own
-        # transforms, and radius^2 exactly around the zero center
+    def test_one_form_per_sample(self, grid8):
+        # the samples' forms by their own transforms are the sphere's,
+        # radius^2, which the barrier gives their energies
         h = self._coeffs(grid8).f  # 1 + 0.2 cos(2 pi x2)
-        center = amplitude * (1.0 + lt.cosine_field(grid8, 1.0, [0, 0, 1]))
         modes = sphere_modes(3, np.random.default_rng(5))
-        for samples, forms in mountain._sphere_samples(h, center, 0.7, modes):
+        for samples in mountain._sphere_samples(h, 0.7, modes):
             direct = lt.grid.h1h_quadratic_forms(samples, h)
-            assert np.abs(forms - direct).max() <= 1e-14 * direct.max()
-            if amplitude == 0.0:
-                assert np.all(forms == 0.7 * 0.7)
+            assert np.abs(direct - 0.7 ** 2).max() <= 1e-14 * 0.7 ** 2
+
+    def test_the_barrier_takes_no_transform(self, grid8, monkeypatch):
+        # the samples' forms are radius^2: no Laplacian of a centre, and no
+        # form of a sample, goes through the spectral transform
+        coeffs = self._coeffs(grid8)
+        specs = [ProblemSpec(coeffs, 5.5, theta=0.1, epsilon=1e-2), critical_spec(coeffs, 0.1)]
+        calls, real = [], lt.grid._to_fourier
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lt.grid, "_to_fourier", counting)
+        sphere_barrier(specs, 1.0, sphere_modes(3, np.random.default_rng(4)))
+        assert calls == []
 
     def test_one_draw_gives_the_samples_of_both_grids(self):
         # the modes are functions on the torus: on 12^3 and its 6^3 half grid
@@ -454,9 +458,9 @@ class TestSphereBarrier:
         grid = lt.build_grid(3, [12] * 3, [1.0] * 3)
         modes = sphere_modes(3, np.random.default_rng(6))
         one, half_one = lt.constant_field(grid, 1.0), lt.constant_field(grid.half, 1.0)
-        fine = mountain._sphere_samples(one, one * 0.0, 1.0, modes)
-        coarse = mountain._sphere_samples(half_one, half_one * 0.0, 1.0, modes)
-        for (fields, _), (half_fields, _) in zip(fine, coarse, strict=True):
+        fine = mountain._sphere_samples(one, 1.0, modes)
+        coarse = mountain._sphere_samples(half_one, 1.0, modes)
+        for fields, half_fields in zip(fine, coarse, strict=True):
             for u, u_half in zip(fields, half_fields, strict=True):
                 down = lt.grid.transfer(lt.ScalarField(grid, u), grid.half)
                 assert np.abs(down.values - u_half).max() <= 1e-13
@@ -471,9 +475,9 @@ class TestSphereBarrier:
             draws.append(real_draw(*args))
             return draws[-1]
 
-        def barrier(specs, center, radius, modes):
-            barrier_modes.append((center.grid.resolutions, modes))
-            return real_barrier(specs, center, radius, modes)
+        def barrier(specs, radius, modes):
+            barrier_modes.append((specs[0].grid.resolutions, modes))
+            return real_barrier(specs, radius, modes)
 
         monkeypatch.setattr(mountain, "sphere_modes", counting)
         monkeypatch.setattr(mountain, "sphere_barrier", barrier)
