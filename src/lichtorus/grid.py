@@ -483,21 +483,12 @@ def h1h_quadratic_form(u: ScalarField, h: ScalarField) -> float:
     return float(h1h_quadratic_forms(u.values, h))
 
 
-def h1h_norms(values: NDArray, h: ScalarField) -> NDArray:
-    """sqrt of the quadratic form of each field in the stack values; errors
-    if the form is negative on any of them."""
-    q = h1h_quadratic_forms(values, h)
-    if (q < 0).any():
-        raise NonCoerciveOperatorError(
-            f"H1_h quadratic form is negative ({q.min():.3e}) on this input"
-        )
-    return np.sqrt(q)
-
-
 def h1h_norm(u: ScalarField, h: ScalarField) -> float:
     """sqrt of the quadratic form; errors if the form is negative on this input."""
-    _check_same_grid(u, h)
-    return float(h1h_norms(u.values, h))
+    q = h1h_quadratic_form(u, h)
+    if q < 0:
+        raise NonCoerciveOperatorError(f"H1_h quadratic form is negative ({q:.3e}) on this input")
+    return float(np.sqrt(q))
 
 
 def _pcg(rest, apply_m, b: NDArray, tol: float, max_iter: int,

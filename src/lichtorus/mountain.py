@@ -3,13 +3,13 @@
 The second solution is produced at subcritical exponent q < 2* on the
 regularized functional (epsilon > 0), then continued along epsilon -> 0 and
 q -> 2* by Newton from stage to stage, and finally Newton-refined on the
-true critical equation.  The first stage's pass point is found by the
-classical discrete minimax scheme: steepest-descent on the highest-energy
-point of a path joining the ball minimizer to a low-energy far point, with
-arclength re-equispacing.  The ball, its sphere and the far point's
-distance are taken around 0 in H1_h, with the radius ball_radius (default:
-the certificate's t0).  That family runs on the half grid when there is
-one (nested iteration), and the full grid refines only its last point.
+true critical equation.  The first stage's pass point is Newton from the
+highest of PATH_SIZE equispaced points of the segment joining the ball
+minimizer to a low-energy far point, accepted only at or above the sphere
+barrier eta.  The ball, its sphere and the far point's distance are taken
+around 0 in H1_h, with the radius ball_radius (default: the certificate's
+t0).  That family runs on the half grid when there is one (nested
+iteration), and the full grid refines only its last point.
 Every barrier comes from one draw of sphere samples, held as coefficients
 of trigonometric polynomials, so the draw serves both grids; each sample's
 H1_h form is radius^2 exactly, so the barrier takes no transform.
@@ -57,31 +57,24 @@ from .grid import (
     _rotate,
     constant_field,
     h1h_norm,
-    h1h_norms,
     helmholtz_solve,
     transfer,
 )
 
 log = logging.getLogger(__name__)
 
-PASS_GRAD_TOL = 1e-6        # H1_h Riesz-gradient norm that ends the pass search
-MAX_SWEEPS = 20_000
 DESCENT_GRAD_TOL = 1e-8     # ball descent: Riesz gradient norm that ends it
 DESCENT_MAX_ITERS = 5000
 NEWTON_TRIGGER = 1e-3       # ball descent hands over to Newton below this norm
-PATH_SIZE = 33              # points of the discrete mountain-pass path
+PATH_SIZE = 33              # equispaced points of the segment the pass search samples
 SPHERE_SAMPLES = 64
-BARRIER_CHUNK = 16          # fields per stacked transform: sphere samples, path points
+BARRIER_CHUNK = 16          # fields per stacked transform: sphere samples, segment points
 ETA_MARGIN = 0.01           # relative safety margin of the sampled barrier
 BLOWUP_FACTOR = 100.0       # family sup over max(1, minimal sup) read as blow-up
 
 
 class GeometryError(SolverFailure):
     """Mountain-pass geometry violated (endpoints not below the barrier)."""
-
-
-class PathCollapseError(SolverFailure):
-    """The path's maximum-energy point reached an endpoint."""
 
 
 class DescentStallError(SolverFailure):
@@ -94,17 +87,12 @@ class BlowupDetectedError(Blowup):
 
 @dataclass
 class PathState:
-    """Ordered fields from u_low to u_high, the rows of one stack, with their
-    energies; spacing is the H1_h arclength per segment of the path they
-    were re-equispaced from."""
+    """The PATH_SIZE points of a segment, the rows of one stack, with their
+    energies; the benchmark's tracer (bench/tracing.py) reads the energies
+    of each _interpolate_path result."""
 
     points: NDArray
     energies: NDArray
-    spacing: float
-
-    @property
-    def max_index(self) -> int:
-        return int(np.argmax(self.energies))
 
 
 @dataclass
@@ -348,90 +336,41 @@ def sphere_barrier(specs: list[ProblemSpec], radius: float, modes: NDArray) -> l
     return [float(b - ETA_MARGIN * abs(b)) for b in best]
 
 
-def _interpolate_path(spec: ProblemSpec, points: NDArray,
+def _interpolate_path(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarField,
                       end_energies: tuple[float, float]) -> PathState:
-    """Re-equispace the polygonal path through the rows of the stack points
-    in H1_h arclength into PATH_SIZE points; the endpoints stay fixed and
-    keep their energies end_energies.  Segment norms and interior energies
-    are stacked calls over BARRIER_CHUNK rows at a time."""
-    h = spec.coefficients.h
-    seg = np.concatenate([h1h_norms(np.diff(points[i:i + BARRIER_CHUNK + 1], axis=0), h)
-                          for i in range(0, len(points) - 1, BARRIER_CHUNK)])
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cum[-1]
-    if total == 0:
-        raise PathCollapseError("path endpoints coincide")
-    targets = np.linspace(0.0, total, PATH_SIZE)
-    out = np.empty((PATH_SIZE, *points.shape[1:]))
-    out[0], out[-1] = points[0], points[-1]
-    j = 0
-    for row, t in enumerate(targets[1:-1], start=1):
-        while j < len(seg) - 1 and cum[j + 1] < t:
-            j += 1
-        frac = (t - cum[j]) / seg[j] if seg[j] > 0 else 0.0
-        out[row] = points[j] + (points[j + 1] - points[j]) * frac
-    interior = [energies(spec, block) for block in _chunks(out[1:-1])]
-    return PathState(points=out,
-                     energies=np.concatenate([[end_energies[0]], *interior, [end_energies[1]]]),
-                     spacing=total / (PATH_SIZE - 1))
+    """The PATH_SIZE equispaced points u_low + t (u_high - u_low),
+    t = linspace(0, 1, PATH_SIZE), of the segment from u_low to u_high; the
+    ends are u_low and u_high themselves and keep their energies
+    end_energies.  The interior energies are stacked calls over BARRIER_CHUNK
+    rows at a time."""
+    t = np.linspace(0.0, 1.0, PATH_SIZE).reshape(-1, *[1] * spec.grid.dim)
+    points = u_low.values + t * (u_high.values - u_low.values)
+    points[-1] = u_high.values
+    interior = [energies(spec, block) for block in _chunks(points[1:-1])]
+    return PathState(points=points,
+                     energies=np.concatenate([[end_energies[0]], *interior, [end_energies[1]]]))
 
 
 def mountain_pass_solve(spec: ProblemSpec, u_low: ScalarField, u_high: ScalarField,
                         e_low: float, e_high: float, eta: float):
-    """Discrete mountain-pass between u_low and u_high, whose energies are
-    e_low and e_high, on a path of PATH_SIZE points.
+    """Mountain pass between u_low and u_high, whose energies are e_low and
+    e_high: Newton from the highest of the PATH_SIZE equispaced points of
+    the segment joining them (Ambrosetti-Rabinowitz geometry).
 
-    Returns (v, c_level): the Newton-refined pass point and its energy.
-    Requires both endpoint energies below the sphere barrier eta.
+    Returns (v, c_level): the Newton-refined pass point and its energy,
+    accepted only when c_level >= eta.  Requires both endpoint energies
+    below the sphere barrier eta.  The highest point needs no check of its
+    own: an endpoint lies below eta, and _pass_point raises GeometryError
+    for any critical point Newton reaches below it.
     """
-    h = spec.coefficients.h
-
     if not (e_low < eta and e_high < eta):
         raise GeometryError(
             f"endpoints not below the barrier: I(low)={e_low:.6f}, "
             f"I(high)={e_high:.6f}, eta={eta:.6f}"
         )
-
-    ends = (e_low, e_high)
-    path = _interpolate_path(spec, np.stack([u_low.values, u_high.values]), ends)
-
-    # The max point's move is capped at one segment arclength per sweep so
-    # the polygon never tears; re-equispacing keeps the discretization
-    # uniform, pinning the maximum at the ridge.  The first sweep that does
-    # not lower the path maximum marks the lattice-resolution plateau, and
-    # Newton takes that maximum to the saddle.
-    best_max = path.energies.max()
-    for _ in range(MAX_SWEEPS):
-        i = path.max_index
-        if i == 0 or i == PATH_SIZE - 1:
-            raise PathCollapseError("maximum-energy point reached an endpoint")
-        u = ScalarField(spec.grid, path.points[i])
-        g = energy_gradient(spec, u)
-        d = -1.0 * helmholtz_solve(h, g)
-        gn = h1h_norm(d, h)
-        if gn <= PASS_GRAD_TOL:
-            break
-        e_u = path.energies[i]
-        s = path.spacing / gn
-        for _ in range(60):
-            cand = u + s * d
-            e_cand = energy(spec, cand)
-            if e_cand < e_u - 1e-4 * s * gn**2:
-                path.points[i], path.energies[i] = cand.values, e_cand
-                break
-            s *= 0.5
-        else:
-            raise DescentStallError(
-                f"pass-point descent stalled at gradient norm {gn:.3e}")
-        path = _interpolate_path(spec, path.points, ends)
-        cur_max = path.energies.max()
-        if cur_max >= best_max - 1e-12 * max(1.0, abs(best_max)):
-            break
-        best_max = cur_max
-    else:
-        raise DescentStallError(f"no pass point within {MAX_SWEEPS} sweeps")
-
-    return _pass_point(spec, ScalarField(spec.grid, path.points[path.max_index]), eta)
+    path = _interpolate_path(spec, u_low, u_high, (e_low, e_high))
+    top = path.points[int(np.argmax(path.energies))]
+    return _pass_point(spec, ScalarField(spec.grid, top), eta)
 
 
 def _pass_point(spec: ProblemSpec, start: ScalarField, eta: float):

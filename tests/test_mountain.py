@@ -111,41 +111,29 @@ class TestMountainPass:
         v2, c2 = mountain_pass_solve(spec, u_low, u_high, *ends, eta=eta)
         assert c2 <= c1 + 1e-8
 
-    def test_search_stops_at_first_sweep_without_lowering(self, unit_coeffs8, grid8,
-                                                          monkeypatch):
-        # a path through a seed far above the pass lowers its maximum for
-        # many sweeps; the search hands that maximum to Newton at the first
-        # sweep that does not lower it
-        spec, eta, u_low, u_high, ends = self._stage(unit_coeffs8, grid8)
-        seed = lt.constant_field(grid8, 0.9) + lt.cosine_field(grid8, 0.3, [1, 0, 0])
-        maxima = []
-        real = mountain._interpolate_path
+    def test_newton_starts_from_the_segment_maximum(self, grid8, monkeypatch):
+        # h = 1 + 0.3 cos(2 pi x3): Newton starts from the highest of the
+        # PATH_SIZE equispaced points of the segment, whose energies are
+        # taken one field at a time here
+        spec, eta, u_low, u_high, ends = self._stage(variable_h_coefficients(grid8), grid8)
+        starts = []
+        real = mountain._pass_point
 
-        def recording(spec, points, end_energies):
-            if not maxima:  # the first path runs through the seed
-                points = np.stack([points[0], seed.values, points[-1]])
-            path = real(spec, points, end_energies)
-            maxima.append(max(path.energies))  # the first path, then one per sweep
-            return path
+        def recording(spec, start, eta):
+            starts.append(start)
+            return real(spec, start, eta)
 
-        monkeypatch.setattr(mountain, "_interpolate_path", recording)
-        v, _ = mountain_pass_solve(spec, u_low, u_high, *ends, eta=eta)
+        monkeypatch.setattr(mountain, "_pass_point", recording)
+        mountain_pass_solve(spec, u_low, u_high, *ends, eta=eta)
+        points, energies = per_field_segment(spec, u_low, u_high, ends)
+        assert len(starts) == 1
+        assert np.array_equal(starts[0].values, points[int(np.argmax(energies))].values)
 
-        def lowers(best, level):
-            return level < best - 1e-12 * max(1.0, abs(best))
-
-        assert len(maxima) > 2
-        assert all(lowers(a, b) for a, b in zip(maxima[:-2], maxima[1:-1]))
-        assert not lowers(maxima[-2], maxima[-1])
-        oracle = regularized_constant_root(0.1, 5.5, 1e-2, branch="unstable")
-        assert abs(v.values - oracle).max() <= 1e-8
-
-    def test_re_equispacing_makes_stacked_calls_only(self, unit_coeffs8, grid8,
-                                                      monkeypatch):
-        # segment norms and interior energies come from stacked calls of at
-        # most BARRIER_CHUNK rows: no per-field norm or energy
-        spec, eta, u_low, u_high, ends = self._stage(unit_coeffs8, grid8)
-        made = []  # the names each re-equispacing called
+    def test_segment_makes_stacked_calls_only(self, grid8, monkeypatch):
+        # one segment per search, whose interior energies come from stacked
+        # calls of at most BARRIER_CHUNK rows: no per-field norm or energy
+        spec, eta, u_low, u_high, ends = self._stage(variable_h_coefficients(grid8), grid8)
+        made = []  # the names each segment called
         inside = [False]
 
         def counting(name, real):
@@ -169,10 +157,17 @@ class TestMountainPass:
 
         monkeypatch.setattr(mountain, "_interpolate_path", recording)
         mountain_pass_solve(spec, u_low, u_high, *ends, eta=eta)
-        assert len(made) >= 2
-        for names in made:
-            assert "energy" not in names and "h1h_norm" not in names
-            assert names.count("energies") <= 2
+        assert len(made) == 1
+        names, = made
+        assert "energy" not in names and "h1h_norm" not in names
+        assert names.count("energies") <= 2
+
+    def test_coincident_endpoints_fall_below_the_barrier(self, unit_coeffs8, grid8):
+        # every point of the segment is the ball minimizer, so Newton ends
+        # there, below the barrier
+        spec, eta, u_low, _, (e_low, _) = self._stage(unit_coeffs8, grid8)
+        with pytest.raises(GeometryError, match="fell below the barrier"):
+            mountain_pass_solve(spec, u_low, u_low, e_low, e_low, eta=eta)
 
     def test_endpoints_must_be_below_barrier(self, unit_coeffs8, grid8):
         spec, eta, u_low, u_high, ends = self._stage(unit_coeffs8, grid8)
@@ -211,47 +206,32 @@ class TestMountainPass:
         assert c_level > e_low
 
 
-def per_field_path(spec, points, end_energies):
-    """The path re-equispaced one ScalarField at a time: the reference for
-    the stacked _interpolate_path."""
-    h = spec.coefficients.h
-    seg = [lt.h1h_norm(b - a, h) for a, b in zip(points, points[1:])]
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.linspace(0.0, cum[-1], mountain.PATH_SIZE)
-    out = [points[0]]
-    j = 0
-    for t in targets[1:-1]:
-        while j < len(seg) - 1 and cum[j + 1] < t:
-            j += 1
-        frac = (t - cum[j]) / seg[j] if seg[j] > 0 else 0.0
-        out.append(points[j] + frac * (points[j + 1] - points[j]))
-    out.append(points[-1])
-    energies = [end_energies[0], *(energy(spec, p) for p in out[1:-1]), end_energies[1]]
-    return out, energies, cum[-1] / (mountain.PATH_SIZE - 1)
+def variable_h_coefficients(grid):
+    """h = 1 + 0.3 cos(2 pi x3) and f = a = 1 on grid."""
+    one = lt.constant_field(grid, 1.0)
+    return lt.Coefficients(one + lt.cosine_field(grid, 0.3, [0, 0, 1]), one, one)
+
+
+def per_field_segment(spec, u_low, u_high, end_energies):
+    """The segment's points and energies one ScalarField at a time: the
+    reference for the stacked _interpolate_path."""
+    ts = np.linspace(0.0, 1.0, mountain.PATH_SIZE)
+    points = [u_low, *(u_low + t * (u_high - u_low) for t in ts[1:-1]), u_high]
+    energies = [end_energies[0], *(energy(spec, p) for p in points[1:-1]), end_energies[1]]
+    return points, energies
 
 
 class TestStackedPath:
-    def _assert_matches_per_field(self, spec, fields, ends):
-        path = mountain._interpolate_path(spec, np.stack([p.values for p in fields]), ends)
-        points, energies, spacing = per_field_path(spec, fields, ends)
+    def test_bit_identical_to_one_field_at_a_time(self, grid8):
+        # 31 interior points: a chunk of 16 rows and one of 15
+        spec = ProblemSpec(variable_h_coefficients(grid8), 5.5, theta=0.1, epsilon=1e-2)
+        u_low = lt.constant_field(grid8, 0.3) + lt.cosine_field(grid8, 0.05, [0, 1, 1])
+        u_high = lt.constant_field(grid8, 3.0) + lt.cosine_field(grid8, 0.3, [1, 0, 0])
+        ends = (energy(spec, u_low), energy(spec, u_high))
+        path = mountain._interpolate_path(spec, u_low, u_high, ends)
+        points, energies = per_field_segment(spec, u_low, u_high, ends)
         assert np.array_equal(path.points, np.stack([p.values for p in points]))
         assert np.array_equal(path.energies, energies)
-        assert path.spacing == spacing
-        return path
-
-    def test_bit_identical_to_one_field_at_a_time(self, grid8):
-        one = lt.constant_field(grid8, 1.0)
-        h = one + lt.cosine_field(grid8, 0.3, [0, 0, 1])
-        spec = ProblemSpec(lt.Coefficients(h, one, one), 5.5, theta=0.1, epsilon=1e-2)
-        u_low, u_high = lt.constant_field(grid8, 0.3), lt.constant_field(grid8, 3.0)
-        seed = lt.constant_field(grid8, 0.9) + lt.cosine_field(grid8, 0.3, [1, 0, 0])
-        ends = (energy(spec, u_low), energy(spec, u_high))
-        path = self._assert_matches_per_field(spec, [u_low, seed, u_high], ends)
-        # a 33-point path with a moved vertex past the first chunk of 16 rows
-        moved = path.points.copy()
-        moved[20] += lt.cosine_field(grid8, 0.2, [0, 1, 1]).values
-        self._assert_matches_per_field(spec, [lt.ScalarField(grid8, p) for p in moved],
-                                       ends)
 
 
 def cosine_rows(grid, rng):
@@ -672,6 +652,22 @@ class TestCriticalLimit:
             v = newton_refine(critical_spec(coeffs, theta), v)
         assert abs(v.values - pair.second.values).max() <= 1e-8
         assert abs(energy(critical_spec(coeffs, 0.08), v) - pair.second_energy) <= 1e-10
+
+
+    @pytest.mark.parametrize("case", ["mountain13", "variable h"])
+    def test_second_solution_is_pinned(self, case):
+        # the second solution, pinned within 1e-12; with variable h the pass
+        # point lies off the segment that the pass search samples
+        coeffs, theta, seed, pinned = {
+            "mountain13": (nonconstant_coefficients(12), 0.08, 2,
+                           (0.3474402482825246, 0.9792201560155398, 0.9680966068191276)),
+            "variable h": (variable_h_coefficients(lt.build_grid(3, [8] * 3, [1.0] * 3)),
+                           0.05, 0,
+                           (0.34141524945755236, 0.9933659585056762, 0.977019832064164)),
+        }[case]
+        pair = critical_limit(coeffs, theta, seed=seed)
+        read = (pair.second_energy, pair.second.max(), pair.second.min())
+        assert read == pytest.approx(pinned, rel=0, abs=1e-12)
 
 
 class TestHalfGridFamily:
