@@ -3,7 +3,8 @@
 The second solution is produced at subcritical exponent q < 2* on the
 regularized functional (epsilon > 0), then continued along epsilon -> 0 and
 q -> 2* by Newton from stage to stage, and finally Newton-refined on the
-true critical equation.  The first stage's pass point is Newton from the
+true critical equation.  The ball minimizer is Newton from the minimal
+solution inside the ball.  The first stage's pass point is Newton from the
 highest of PATH_SIZE equispaced points of the segment joining the ball
 minimizer to a low-energy far point, accepted only at or above the sphere
 barrier eta.  The ball, its sphere and the far point's distance are taken
@@ -42,7 +43,6 @@ from .core import (
     critical_spec,
     energies,
     energy,
-    energy_gradient,
     f_terms,
     sobolev_constant_estimate,
     _half_grid_coefficients,
@@ -57,15 +57,11 @@ from .grid import (
     _rotate,
     constant_field,
     h1h_norm,
-    helmholtz_solve,
     transfer,
 )
 
 log = logging.getLogger(__name__)
 
-DESCENT_GRAD_TOL = 1e-8     # ball descent: Riesz gradient norm that ends it
-DESCENT_MAX_ITERS = 5000
-NEWTON_TRIGGER = 1e-3       # ball descent hands over to Newton below this norm
 PATH_SIZE = 33              # equispaced points of the segment the pass search samples
 SPHERE_SAMPLES = 64
 BARRIER_CHUNK = 16          # fields per stacked transform: sphere samples, segment points
@@ -75,10 +71,6 @@ BLOWUP_FACTOR = 100.0       # family sup over max(1, minimal sup) read as blow-u
 
 class GeometryError(SolverFailure):
     """Mountain-pass geometry violated (endpoints not below the barrier)."""
-
-
-class DescentStallError(SolverFailure):
-    """Descent stalled above the gradient tolerance."""
 
 
 class BlowupDetectedError(Blowup):
@@ -157,58 +149,28 @@ def certificate_theta1(coeffs: Coefficients) -> Certificate:
 
 
 def minimize_in_ball(spec: ProblemSpec, radius: float, start: ScalarField) -> ScalarField:
-    """Minimize the regularized energy on the closed H1_h-ball of radius
-    around 0.
+    """The critical point of the regularized energy that Newton reaches from
+    start (in critical_limit, the minimal solution), which must lie in the
+    closed H1_h-ball of radius around 0; the point must lie strictly inside
+    the ball, or GeometryError is raised.
 
-    Descent along the Riesz direction -(Delta + h)^(-1) grad I from start,
-    which must lie in the ball.  A trial point outside the ball is rejected
-    like one failing the Armijo test, unevaluated.  No projection is needed:
-    accepted iterates have I <= I(start), and when I(start) < inf I on the
-    sphere (the mountain-pass geometry) the Armijo test rejects every sphere
-    point anyway.  Positive iterates go to Newton on the regularized
-    Euler-Lagrange equation, whose result must lie inside the ball.  A
-    minimizer on the sphere means the geometry failed: the descent stalls
-    and raises DescentStallError.
+    That is enough for the certificate: the pass geometry needs only a
+    point of the ball below the sphere barrier, which mountain_pass_solve
+    checks, and I(minimal) < eta <= I(second) is checked on the full grid.
     """
     if spec.epsilon <= 0 or spec.q >= spec.two_star:
         raise ValueError("ball minimization requires epsilon > 0 and q < 2*")
     h = spec.coefficients.h
     start_norm = h1h_norm(start, h)
     if start_norm > radius:
-        raise GeometryError(f"ball descent start of H1_h norm {start_norm:.4e} "
+        raise GeometryError(f"ball minimizer start of H1_h norm {start_norm:.4e} "
                             f"lies outside the ball of radius {radius:.4e}")
-    u, e_u = start, energy(spec, start)
-    step = 1.0
-    # moves are capped at a small fraction of the ball so descent cannot
-    # leap a ridge to lower ground outside the minimizer's basin
-    max_move = 0.05 * radius
-    for _ in range(DESCENT_MAX_ITERS):
-        d = -1.0 * helmholtz_solve(h, energy_gradient(spec, u))
-        gn = h1h_norm(d, h)
-        if gn <= NEWTON_TRIGGER and u.min() > 0:
-            try:
-                cand = newton_refine(spec, u)
-            except NewtonError:
-                pass
-            else:
-                if h1h_norm(cand, h) < radius * (1.0 - 1e-10):
-                    return cand
-        if gn <= DESCENT_GRAD_TOL:
-            return u
-        s = min(step, max_move / gn)
-        for _ in range(50):
-            cand = u + s * d
-            if h1h_norm(cand, h) <= radius:
-                e_cand = energy(spec, cand)
-                if e_cand < e_u - 1e-4 * s * gn**2:
-                    u, e_u = cand, e_cand
-                    step = min(s * 2.0, 1e3)
-                    break
-            s *= 0.5
-        else:
-            raise DescentStallError(f"ball descent stalled at gradient norm {gn:.3e}")
-    raise DescentStallError(
-        f"ball descent hit the iteration cap at gradient norm {gn:.3e}")
+    u = newton_refine(spec, start)
+    u_norm = h1h_norm(u, h)
+    if not u_norm < radius * (1.0 - 1e-10):
+        raise GeometryError(f"Newton from the start reached H1_h norm {u_norm:.4e}, "
+                            f"not inside the ball of radius {radius:.4e}")
+    return u
 
 
 # e^(2 pi i k x / L) for k = -2..2 (row k + 2) in the real basis 1,
@@ -426,10 +388,10 @@ def _pass_family(coeffs: Coefficients, theta: float, stages: list[tuple[float, f
                  q_ascent: int, radius: float, modes: NDArray, start: ScalarField,
                  sup_cap: float):
     """The pass points of stages, (epsilon, q) pairs, on coeffs' grid:
-    descent in the H1_h ball of radius around 0 from start and the pass
-    search at the first stage, Newton continuation after it, each stage's
-    point kept only at or above its barrier on the ball's sphere, drawn
-    from modes.  Returns (v, sup_differences, pass_history):
+    Newton from start, the minimal solution, inside the H1_h ball of radius
+    around 0 and the pass search at the first stage, Newton continuation
+    after it, each stage's point kept only at or above its barrier on the
+    ball's sphere, drawn from modes.  Returns (v, sup_differences, pass_history):
     the last stage's point, sup|v_k - v_(k-1)| from stage q_ascent on, and
     every stage's pass level."""
     grid = coeffs.grid
@@ -461,18 +423,18 @@ def critical_limit(coeffs: Coefficients, theta: float,
                    ball_radius: float | None = None) -> TwoSolutions:
     """Two solutions of the critical equation at the given theta.
 
-    Runs ball minimization + mountain pass at the first stage, continues
-    the pass point by Newton through the epsilon schedule at the first
-    subcritical q and up the q schedule at the final epsilon, keeping each
-    stage's point only at or above its barrier, and Newton-refines it on the
-    true critical equation (epsilon = 0, q = 2*).  The family starts from,
-    and the pair reports, the minimal solution of the critical equation by
-    monotone iteration.  seed drives the one draw of SPHERE_SAMPLES sphere
-    samples per run, which gives the barrier of every stage and of the
-    limit.  The ball, its sphere and the far endpoint's distance are taken
-    around 0 in H1_h, with radius ball_radius, by default the certificate's
-    t0; every sample's H1_h form is radius^2 exactly, so the barriers take
-    no transform.
+    Runs Newton from the minimal solution inside the ball and the mountain
+    pass at the first stage, continues the pass point by Newton through the
+    epsilon schedule at the first subcritical q and up the q schedule at the
+    final epsilon, keeping each stage's point only at or above its barrier,
+    and Newton-refines it on the true critical equation (epsilon = 0,
+    q = 2*).  The family starts from, and the pair reports, the minimal
+    solution of the critical equation by monotone iteration.  seed drives
+    the one draw of SPHERE_SAMPLES sphere samples per run, which gives the
+    barrier of every stage and of the limit.  The ball, its sphere and the
+    far endpoint's distance are taken around 0 in H1_h, with radius
+    ball_radius, by default the certificate's t0; every sample's H1_h form
+    is radius^2 exactly, so the barriers take no transform.
 
     The family runs on the half grid when the grid has one and the
     restricted coefficients are admissible (nested iteration); the full

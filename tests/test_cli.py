@@ -317,6 +317,24 @@ def test_mountain_pass_above_fold_is_solver_failure(tmp_path):
     assert report["error_class"] == "NoSolutionError"
 
 
+def test_mountain_pass_below_the_barrier_on_both_grids(tmp_path, caplog):
+    # h = 1 + 0.9 cos(2 pi x3): Newton from the segment's highest point
+    # lands below the barrier at the first stage, on the 4^3 half grid and
+    # then on the 8^3 grid; nothing but the report is written
+    caplog.set_level("DEBUG", logger="lichtorus.mountain")
+    out = tmp_path / "out"
+    cfg = base_config("mountain-pass", str(out), theta=0.05)
+    cfg["coefficients"]["h"]["cosines"] = [
+        {"amplitude": 0.9, "wavevector": [0, 0, 1], "phase": 0.0}]
+    assert main(["mountain-pass", "--config", write_config(tmp_path, cfg)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["error_class"] == "GeometryError"
+    assert report["exit_code"] == 3 and report["files"] == []
+    assert "at (eps=0.1, q=5.5) fell below the barrier" in report["error"]
+    assert "no half-grid pass family: pass level" in caplog.text
+    assert sorted(os.listdir(out)) == ["report.json"]
+
+
 CONFIG_GAPS = {
     "stability q below 2": ("stability-test", dict(q_schedule=[1.5, 3.0, 5.0]),
                             None, "parameters.q_schedule"),

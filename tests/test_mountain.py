@@ -1,12 +1,19 @@
 import itertools
 import re
+import sys
 
 import numpy as np
 import pytest
 
 import lichtorus as lt
 from lichtorus import core, mountain
-from lichtorus.branch import NewtonError, build_subsolution, find_theta_star, newton_refine
+from lichtorus.branch import (
+    NewtonError,
+    build_subsolution,
+    find_theta_star,
+    minimal_solution,
+    newton_refine,
+)
 from lichtorus.core import (
     ProblemSpec,
     critical_spec,
@@ -18,7 +25,6 @@ from lichtorus.core import (
     smallest_eigenpair,
 )
 from lichtorus.mountain import (
-    DescentStallError,
     GeometryError,
     build_far_endpoint,
     certificate_constant,
@@ -65,16 +71,41 @@ class TestMinimizeInBall:
         assert (u1 - u2).sup_norm() <= 1e-6
 
     def test_minimizer_on_the_sphere_raises(self, unit_coeffs8, grid8):
-        # the regularized root, 0.55, lies outside this ball, so the infimum
-        # over the ball sits on its sphere, where no critical point is
+        # Newton from 0.45 lands on the regularized root, 0.784, outside this
+        # ball, so the infimum over the ball sits on its sphere, where no
+        # critical point is
         spec = ProblemSpec(unit_coeffs8, 5.0, theta=0.1, epsilon=1e-2)
-        with pytest.raises(DescentStallError):
+        with pytest.raises(GeometryError, match="H1_h norm 7.8437e-01, not inside the ball"):
             minimize_in_ball(spec, 0.5, lt.constant_field(grid8, 0.45))
 
     def test_start_outside_the_ball_is_rejected(self, unit_coeffs8, grid8):
         spec = ProblemSpec(unit_coeffs8, 5.0, theta=0.1, epsilon=1e-2)
         with pytest.raises(GeometryError, match="outside the ball"):
             minimize_in_ball(spec, 0.5, lt.constant_field(grid8, 0.7))
+
+    def test_ball_minimizer_is_one_newton(self, grid8, monkeypatch):
+        # from the critical minimal solution: one Newton, and no Helmholtz
+        # solve of a gradient descent
+        coeffs = variable_h_coefficients(grid8)
+        spec = ProblemSpec(coeffs, 5.5, theta=0.1, epsilon=1e-2)
+        start = minimal_solution(critical_spec(coeffs, 0.1)).solution
+        radius = certificate_theta1(coeffs).t0
+        newtons, solves = [], []
+
+        def counting(calls, real):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(mountain, "newton_refine", counting(newtons, newton_refine))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("lichtorus") and hasattr(module, "helmholtz_solve"):
+                monkeypatch.setattr(module, "helmholtz_solve",
+                                    counting(solves, module.helmholtz_solve))
+        u = minimize_in_ball(spec, radius, start)
+        assert (len(newtons), len(solves)) == (1, 0)
+        assert regularized_residual(spec, u).sup_norm() <= 1e-10
 
     def test_rejects_critical_or_unregularized(self, unit_coeffs8, grid8):
         with pytest.raises(ValueError):
@@ -669,6 +700,31 @@ class TestCriticalLimit:
         read = (pair.second_energy, pair.second.max(), pair.second.min())
         assert read == pytest.approx(pinned, rel=0, abs=1e-12)
 
+    def test_n4_second_solution_and_ball_minimizer_are_pinned(self, monkeypatch):
+        # n = 4 on 8^4, f = 1 + 0.2 cos(2 pi x2), a = 1 + 0.3 cos(2 pi x1),
+        # theta = 0.05, seed 0: the second solution within 1e-12, and the
+        # ball minimizer of the 4^4 half grid within 1e-10
+        g = lt.build_grid(4, [8] * 4, [1.0] * 4)
+        one = lt.constant_field(g, 1.0)
+        coeffs = lt.Coefficients(one, one + lt.cosine_field(g, 0.2, [0, 1, 0, 0]),
+                                 one + lt.cosine_field(g, 0.3, [1, 0, 0, 0]))
+        balls, real = [], mountain.minimize_in_ball
+
+        def recording(*args):
+            balls.append(real(*args))
+            return balls[-1]
+
+        monkeypatch.setattr(mountain, "minimize_in_ball", recording)
+        pair = critical_limit(coeffs, 0.05, seed=0)
+        assert pair.family_resolutions == (4, 4, 4, 4)
+        read = (pair.second_energy, pair.second.max(), pair.second.min())
+        assert read == pytest.approx(
+            (0.2630266423629381, 0.973760868944578, 0.9632616789284826), rel=0, abs=1e-12)
+        ball, = balls
+        assert ball.grid == g.half
+        assert (ball.max(), ball.min()) == pytest.approx(
+            (0.558724086265849, 0.5517607382671582), rel=0, abs=1e-10)
+
 
 class TestHalfGridFamily:
     @pytest.mark.parametrize("case", ["criterion 4", "nonconstant 8^3", "mountain13"])
@@ -694,7 +750,7 @@ class TestHalfGridFamily:
 
         def failing_on_the_half_grid(spec, *args):
             if spec.grid == coeffs.grid.half:
-                raise DescentStallError("forced failure on the half grid")
+                raise GeometryError("forced failure on the half grid")
             return real(spec, *args)
 
         monkeypatch.setattr(mountain, "mountain_pass_solve", failing_on_the_half_grid)
