@@ -655,8 +655,13 @@ def _fold_newton(coeffs: Coefficients, coarse: Coefficients | None,
     lower one's eigen solve is the fold's only one.  The upper one is
     _convexity_margin's proof from the lower one's solution and eigenpair
     where it holds, and a diverging existence probe elsewhere.
+
+    sol only starts the Newton, and may come from the half grid, whose fold
+    can lie past the full grid's.  The thetas with a solution form an
+    interval (a solution at theta is a supersolution at every smaller
+    theta), so the two certificates pin theta* on their own.
     """
-    fine = transfer(sol, coeffs.grid)  # the lower certificate lies above it
+    fine = transfer(sol, coeffs.grid)  # the full-grid start without a half-grid fold
     start, coarse_theta, coarse_steps = (fine, theta), None, 0
     if coarse is not None:
         try:
@@ -679,8 +684,6 @@ def _fold_newton(coeffs: Coefficients, coarse: Coefficients | None,
     delta = max(min(delta, 0.5 * tol), 4.0 * np.spacing(theta))
     spec_lo = critical_spec(coeffs, theta - delta)
     u_lo = newton_refine(spec_lo, u - float(np.sqrt(2.0 * s2 * delta / j22)) * v)
-    if float((fine.values - u_lo.values).max()) > 1e-8:
-        raise NewtonError("the lower fold certificate lies below the warm start")
     w_lo = linearized_potential(spec_lo, u_lo)
     eig = smallest_eigenpair(w_lo)
     point = _branch_point(spec_lo, u_lo, steps, eig)

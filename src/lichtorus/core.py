@@ -41,11 +41,11 @@ log = logging.getLogger(__name__)
 # below this floor we refuse rather than clamp.
 POSITIVITY_FLOOR = 1e-12
 
-# The Sobolev ascent stops at a point where the tangential part of the
-# gradient has at most this share of its H1_h form: no line search there
-# can raise the estimate beyond roundoff.
+# The Sobolev iteration stops at a point where the tangential part of the
+# gradient has at most this share of its H1_h form: no step there can
+# raise the estimate beyond roundoff.
 STATIONARY_RATIO = 1e-24
-SOBOLEV_MAX_STEPS = 200     # ascent steps; the stationary test ends it sooner
+SOBOLEV_MAX_STEPS = 200     # iteration steps; the stationary test ends it sooner
 
 EIGEN_TOL = 1e-10           # relative Rayleigh-quotient change that ends the inverse
 EIGEN_MAX_ITERS = 5000      # iteration, and its step limit
@@ -325,11 +325,13 @@ def sobolev_constant_estimate(h: ScalarField, q: float) -> float:
     """Lower estimate of the embedding constant S_{h,q} defined by
     ||u||_Lq <= S^(1/q) ||u||_{H1_h}.
 
-    Projected gradient ascent of int |u|^q on the unit H1_h sphere from the
-    constant start; the estimate sequence is nondecreasing by backtracking.
-    The ascent ends where the gradient is normal to the sphere, as it is at
-    the constant start for constant h.  The result is a heuristic lower
-    bound (ascent may stop short of the sup).
+    From the constant start on the unit H1_h sphere, u <- d / ||d||_{H1_h},
+    d = (Delta + h)^-1 (q |u|^(q-2) u) being the Riesz gradient of the convex
+    J(u) = int |u|^q; J of the last iterate is returned.  Each step is an
+    ascent: J(u+) >= J(u) + J'(u)(u+ - u) = J(u) + ||d|| - <d, u>_H1h >= J(u)
+    by Cauchy-Schwarz, so no line search is needed.  The iteration ends where
+    d is normal to the sphere, as at the constant start for constant h.  The
+    result is a heuristic lower bound (it may stop short of the sup).
     """
     grid = h.grid
     ts = critical_exponent(grid.dim)
@@ -339,34 +341,15 @@ def sobolev_constant_estimate(h: ScalarField, q: float) -> float:
     if not coercive:
         raise NonCoerciveOperatorError(f"Delta + h not coercive (lambda_min = {lam:.3e})")
 
-    hm = integrate(h)
-    u = constant_field(grid, 1.0 / np.sqrt(hm))  # unit H1_h norm for constant h-mean
-
-    def functional(x: ScalarField) -> float:
-        return float(np.sum(np.abs(x.values) ** q)) * grid.cell_volume
-
-    def project(x: ScalarField) -> ScalarField:
-        return x * (1.0 / np.sqrt(h1h_quadratic_form(x, h)))
-
-    u = project(u)
-    estimate = functional(u)
-    step = 1.0
+    u = constant_field(grid, 1.0 / np.sqrt(integrate(h)))  # unit H1_h norm for constant h-mean
+    u = u * (1.0 / np.sqrt(h1h_quadratic_form(u, h)))
     for _ in range(SOBOLEV_MAX_STEPS):
         g = ScalarField._own(grid, q * np.abs(u.values) ** (q - 1.0) * np.sign(u.values))
         d = helmholtz_solve(h, g)  # H1_h Riesz representative of the L2 gradient
         # on the unit sphere the normal part of d is <d, u>_H1h u = (int g u) u
         tangent = d - l2_inner(g, u) * u
-        if h1h_quadratic_form(tangent, h) <= STATIONARY_RATIO * h1h_quadratic_form(d, h):
+        d_form = h1h_quadratic_form(d, h)
+        if h1h_quadratic_form(tangent, h) <= STATIONARY_RATIO * d_form:
             break
-        s = step
-        for _ in range(40):
-            cand = project(u + s * d)
-            val = functional(cand)
-            if val > estimate:
-                u, estimate = cand, val
-                step = min(s * 1.5, 1e3)
-                break
-            s *= 0.5
-        else:
-            break
-    return estimate
+        u = d * (1.0 / np.sqrt(d_form))
+    return float(np.sum(np.abs(u.values) ** q)) * grid.cell_volume

@@ -632,6 +632,24 @@ class TestFoldLocation:
                                             fold.last_branch_point.solution)
         assert closed >= 9
 
+    def test_half_grid_bracket_past_the_full_grid_fold(self):
+        # hint 0.1's 4^3 bracket ends at theta_lo = 1.6, past the 8^3 fold
+        # at 1.402; the certificates alone pin it, as for the other hints
+        g = lt.build_grid(3, [8] * 3, [1.0] * 3)
+        one = lt.constant_field(g, 1.0)
+        h = (one - lt.cosine_field(g, 0.201509, [2, 0, 0], 5.113338)
+             + lt.cosine_field(g, 0.100101, [1, 0, 0], 4.57536))
+        f = (0.3 * one - lt.cosine_field(g, 0.800736, [2, 0, 0], 1.726808)
+             + lt.cosine_field(g, 0.112078, [0, 1, 0], 0.942391))
+        a = (one + lt.cosine_field(g, 0.169297, [0, 2, 0], 2.655088)
+             + lt.cosine_field(g, 0.467436, [0, 1, 0], 4.289647))
+        folds = [find_theta_star(lt.Coefficients(h, f, a), theta_hint=hint, tol=1e-4)
+                 for hint in (0.01, 0.1, 1.0)]
+        assert all(fold.upper_certificate == "probe" for fold in folds)
+        stars = [fold.theta_star for fold in folds]
+        assert max(stars) - min(stars) <= 1e-12
+        assert stars[0] == pytest.approx(1.40200952020945, abs=1e-10)
+
     def test_full_grid_newton_steps_at_32_cubed(self):
         fold = find_theta_star(_fold_case("readme 32^3")[0], theta_hint=0.1, tol=1e-4)
         assert fold.refinement_steps <= 1

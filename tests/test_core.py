@@ -269,6 +269,31 @@ class TestSobolevEstimate:
         assert all(b >= a for a, b in zip(estimates, estimates[1:]))
         assert estimates[-1] > estimates[0]
 
+    def test_steps_are_normalized_riesz_steps(self, grid8, monkeypatch):
+        # u_0 = project(1), u_{k+1} = d_k / ||d_k||_H1h with d_k the Riesz
+        # gradient of int |u|^q: no line search scales the step
+        h = lt.constant_field(grid8, 1.0) + 0.4 * lt.cosine_field(grid8, 1.0, [1, 0, 0])
+        q = 6.0
+
+        def project(x):
+            return x * (1.0 / lt.h1h_norm(x, h))
+
+        u = project(lt.constant_field(grid8, 1.0))
+        for cap in (1, 2, 3):
+            g = lt.ScalarField(grid8, q * np.abs(u.values) ** (q - 2.0) * u.values)
+            u = project(lt.helmholtz_solve(h, g))
+            reference = float(np.sum(np.abs(u.values) ** q)) * grid8.cell_volume
+            monkeypatch.setattr(core, "SOBOLEV_MAX_STEPS", cap)
+            assert lt.sobolev_constant_estimate(h, q) == pytest.approx(reference, rel=1e-14)
+
+    def test_pinned_estimate(self):
+        # the value of the line-search ascent this iteration replaced; the
+        # two agree to roundoff here
+        grid = lt.build_grid(3, [12, 12, 12], [1.0, 1.0, 1.0])
+        h = (lt.constant_field(grid, 1.0) + lt.cosine_field(grid, 0.5, [0, 0, 1], 0.3)
+             + lt.cosine_field(grid, 0.3, [2, 0, 0]))
+        assert lt.sobolev_constant_estimate(h, 6.0) == pytest.approx(1.011528756761443, rel=1e-14)
+
     def test_constant_h_makes_no_line_search(self, grid8, monkeypatch):
         # for constant h the constant start is critical on the unit H1_h
         # sphere: one form projects it and two find its gradient normal
